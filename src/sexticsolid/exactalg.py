@@ -54,11 +54,18 @@ class SplitMix64:
                 return u % n
 
 
+#: Miller-Rabin with the thirteen prime bases 2..41 is proven exact below this
+#: bound, the least strong pseudoprime to all of them (Sorenson & Webster
+#: 2015); at and above it a composite could pass.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_BOUND (~3.3e24)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -66,7 +73,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -80,7 +87,11 @@ def is_prime(n: int) -> bool:
 
 
 def ensure_field_prime(p: int) -> None:
-    """The toolkit requires an odd prime p > 6 (so that 6 = deg(det) is a unit)."""
+    """The toolkit requires an odd prime p > 6 (so that 6 = deg(det) is a unit),
+    below the bound where the primality test is proven exact."""
+    if p >= PRIME_TEST_BOUND:
+        raise BadPrime(f"field characteristic must be below {PRIME_TEST_BOUND}, where "
+                       f"the primality test is proven exact, got {p}")
     if p <= 6 or not is_prime(p):
         raise BadPrime(f"field characteristic must be a prime > 6, got {p}")
 

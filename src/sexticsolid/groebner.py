@@ -1,11 +1,15 @@
 """Buchberger-based Groebner engine and zero-dimensional ideal toolkit.
 
 The completion uses the Gebauer-Moeller pair update (product + chain
-criteria), normal selection, full tail reduction through a lazy heap, and a
-final inter-reduction, so the returned basis is the unique reduced Groebner
-basis of the ideal for its order.  A reduction-step budget turns pathological
-inputs into clean ``ResourceBudgetExceeded`` errors instead of runaway
-computations.
+criteria), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
+"One sugar cube, please", ISSAC 1991), full tail reduction through a lazy
+heap, and a final inter-reduction, so the returned basis is the unique
+reduced Groebner basis of the ideal for its order.  Sugar processes pairs in
+the degree order that homogenizing the input would impose, so inhomogeneous
+inputs such as dehomogenized charts do not build the high-degree
+intermediates that selection by smallest lcm runs into.  A reduction-step
+budget turns pathological inputs into clean ``ResourceBudgetExceeded``
+errors instead of runaway computations.
 """
 from __future__ import annotations
 
@@ -220,6 +224,10 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
     ``known_groebner_prefix=k`` asserts that the first k generators already
     form a Groebner basis of the ideal they generate, so pairs among them are
     skipped (used to adjoin a polynomial to a previously computed basis).
+    Pairs are processed by smallest sugar, then smallest lcm in the order.
+    An input generator's sugar is its total degree; the S-pair of elements i
+    and j has sugar ``max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm``,
+    and an element appended from it inherits that sugar.
     ``selection_seed`` makes the pair-processing order random (a test hook:
     the reduced result is independent of it).
     """
@@ -242,16 +250,23 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
     reducer = _Reducer(order, p, bud)
     leads: list = []
     basis_items: list = []
+    sugars: list = []        # sugar minus lead degree, per basis element
     pairs: set = set()
 
-    def append(items):
+    def append(items, sugar):
         basis_items.append(items)
         leads.append(items[0][0])
+        sugars.append(sugar - sum(items[0][0]))
         reducer.add(items)
+
+    def selection_key(ij):
+        i, j = ij
+        lcm = _lcm(leads[i], leads[j])
+        return (max(sugars[i], sugars[j]) + sum(lcm), keyf(lcm), i, j)
 
     prefix = max(0, min(known_groebner_prefix, len(gens)))
     for g in gens[:prefix]:
-        append(_monic_items(_sorted_items(g.terms, keyf), p))
+        append(_monic_items(_sorted_items(g.terms, keyf), p), g.total_degree())
     for g in gens[prefix:]:
         nf = reducer.reduce_terms(g.terms.items())
         if not nf:
@@ -259,7 +274,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
         items = _monic_items(_sorted_items(nf, keyf), p)
         if items[0][0] == zero_exp:
             return GBasis((one,), order)
-        append(items)
+        append(items, g.total_degree())
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
 
     while pairs:
@@ -267,12 +282,12 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
             ordered = sorted(pairs)
             pair = ordered[rng.below(len(ordered))]
         else:
-            pair = min(pairs, key=lambda ij: (keyf(_lcm(leads[ij[0]], leads[ij[1]])),
-                                              ij[0], ij[1]))
+            pair = min(pairs, key=selection_key)
         pairs.discard(pair)
         i, j = pair
         li, lj = leads[i], leads[j]
         lcm = _lcm(li, lj)
+        sugar = max(sugars[i], sugars[j]) + sum(lcm)
         qi = tuple(a - b for a, b in zip(lcm, li))
         qj = tuple(a - b for a, b in zip(lcm, lj))
         spairs = [(tuple(a + b for a, b in zip(e, qi)), c) for e, c in basis_items[i]]
@@ -283,7 +298,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
         items = _monic_items(_sorted_items(nf, keyf), p)
         if items[0][0] == zero_exp:
             return GBasis((one,), order)
-        append(items)
+        append(items, sugar)
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
 
     # minimalize: keep only elements whose lead divides no other kept lead

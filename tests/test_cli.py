@@ -149,3 +149,14 @@ def test_timings_flag_adds_section():
     assert "timings" in report
     report2, _ = run_single(RunConfig(seed=1, n_samples=5), "smoothness")
     assert "timings" not in report2
+
+
+@pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])
+def test_small_prime_verify_sweep(prime, capsys):
+    # small fields make unlucky charts and samples common; each run must
+    # still end in a report, never a traceback
+    code = main(["verify", "--prime", str(prime), "--seed", "1", "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["verdict"] in ("pass", "fail")

@@ -1,7 +1,8 @@
 import pytest
 
-from sexticsolid.errors import NonSquare, ZeroInverse
-from sexticsolid.exactalg import (SplitMix64, charpoly, fp_inv, is_prime,
+from sexticsolid.errors import BadPrime, NonSquare, ZeroInverse
+from sexticsolid.exactalg import (PRIME_TEST_BOUND, SplitMix64, charpoly,
+                                  ensure_field_prime, fp_inv, is_prime,
                                   matrix_rank, random_invertible, random_matrix,
                                   upoly, upoly_add, upoly_deriv, upoly_divmod,
                                   upoly_eval, upoly_fp_roots, upoly_gcd,
@@ -33,6 +34,17 @@ def test_is_prime():
     assert not is_prime(1)
     assert not is_prime(32001)
     assert not is_prime(2**32 + 1)
+    # the least strong pseudoprime to every prime base up to 37
+    assert not is_prime(399165290221 * 798330580441)
+
+
+def test_ensure_field_prime_stops_at_the_proven_bound():
+    ensure_field_prime(2**61 - 1)
+    # PRIME_TEST_BOUND is composite but passes every witness; 2^89 - 1 is a
+    # prime the test cannot prove
+    for p in (PRIME_TEST_BOUND, 2**89 - 1):
+        with pytest.raises(BadPrime, match="proven exact"):
+            ensure_field_prime(p)
 
 
 def test_fp_inv_examples():

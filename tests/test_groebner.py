@@ -1,6 +1,7 @@
 import pytest
 
 from sexticsolid.bundle import gram_matrix, random_instance
+from sexticsolid.cli import stage_seed
 from sexticsolid.errors import (NotHomogeneous, NotZeroDimensional,
                                 ResourceBudgetExceeded)
 from sexticsolid.exactalg import SplitMix64, charpoly, upoly, upoly_is_squarefree
@@ -9,7 +10,7 @@ from sexticsolid.groebner import (GBasis, buchberger, in_radical, is_irrelevant,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
 from sexticsolid.multipoly import GREVLEX, MultiPoly, mp_det
-from sexticsolid.singular import rank_stratum_ideal
+from sexticsolid.singular import _chart_rng, rank_stratum_ideal
 
 import oracles
 
@@ -77,6 +78,21 @@ def tame_zero_dim_ideals(seed, count, nvars=2):
     return out
 
 
+def mixed_degree_ideals(seed, count, nvars=3):
+    """Seeded inhomogeneous ideals: each generator is a pure power of degree
+    a in 1..4 plus random terms whose exponents are at most a."""
+    rng = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        gens = []
+        for i in range(nvars):
+            a = rng.below(4) + 1
+            lead = tuple(a if j == i else 0 for j in range(nvars))
+            gens.append(poly([(lead, 1)], nvars) + rand_poly(rng, nvars, maxdeg=a, terms=4))
+        out.append(gens)
+    return out
+
+
 def test_buchberger_trivial_examples():
     x, y = V(0), V(1)
     gb = buchberger([x, y])
@@ -102,10 +118,22 @@ def test_buchberger_is_reduced_and_monic():
 
 
 def test_buchberger_unique_under_selection_shuffles():
-    for k, gens in enumerate(small_ideals(52, 5)):
+    # the mixed-degree ideals are where sugar order and lcm order disagree
+    for k, gens in enumerate(small_ideals(52, 5) + mixed_degree_ideals(63, 8)):
         reference = buchberger(gens)
         for shuffle_seed in range(5):
             assert buchberger(gens, selection_seed=1000 * k + shuffle_seed) == reference
+
+
+def test_census_basis_within_sugar_step_count(seed1):
+    # the census's affine Jacobian ideal: four dehomogenized quintics.  Sugar
+    # selection reduces it in about 7 000 steps, selection by smallest lcm
+    # alone needs about 47 000
+    T, _ = _chart_rng(P, stage_seed(1, 0, "census"))
+    moved = seed1.surface.delta.linear_change(T)
+    affine = [moved.partial(i).specialize(0, 1) for i in range(4)]
+    gb = buchberger([f for f in affine if not f.is_zero()], budget=15_000)
+    assert quotient_dim(gb) == 31
 
 
 def test_buchberger_budget_error():
