@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import bundle, fibers, singular
@@ -134,6 +135,16 @@ def _acquire_instance(cfg: RunConfig, need_census: bool):
     return attempt, d, surface, census, history
 
 
+@contextmanager
+def _stage(name: str):
+    """Prefix a budget overrun inside the block with the stage it hit (only
+    the census and strata stages compute Groebner bases)."""
+    try:
+        yield
+    except ResourceBudgetExceeded as exc:
+        raise ResourceBudgetExceeded(f"{name}: {exc}") from exc
+
+
 def _census_section(census) -> dict:
     return {
         "zero_dimensional": census.zero_dimensional,
@@ -151,8 +162,9 @@ def _blocked_section(reason: str) -> dict:
 
 
 def _strata_section(d, surface, census, cfg: RunConfig) -> dict:
-    report = singular.strata_check(d, surface, census.chart_change_seed,
-                                   cfg.budget, census=census)
+    with _stage("strata"):
+        report = singular.strata_check(d, surface, census.chart_change_seed,
+                                       cfg.budget, census=census)
     return {
         "rank2_equals_sigma": report.rank2_equals_sigma,
         "rank1_empty": report.rank1_empty,
@@ -266,7 +278,8 @@ def run_verify_all(cfg: RunConfig):
     timings: dict = {}
     need_census = bool(set(cfg.checks) & ({"census"} | _GATED))
     t0 = time.monotonic()
-    attempt, d, surface, census, history = _acquire_instance(cfg, need_census)
+    with _stage("census"):
+        attempt, d, surface, census, history = _acquire_instance(cfg, need_census)
     timings["instance_and_census"] = time.monotonic() - t0
 
     report: dict = {

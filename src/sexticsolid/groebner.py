@@ -85,15 +85,16 @@ class GBasis:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("left", "limit")
 
     def __init__(self, limit):
-        self.left = limit
+        self.left = self.limit = limit
 
     def spend(self, n=1):
         self.left -= n
         if self.left < 0:
-            raise ResourceBudgetExceeded("reduction-step budget exhausted")
+            raise ResourceBudgetExceeded(
+                f"reduction-step budget of {self.limit} steps exhausted")
 
 
 class _Reducer:

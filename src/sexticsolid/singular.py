@@ -10,19 +10,20 @@ vector-space dimension of the quotient algebra in a generic affine chart,
 and a squarefree characteristic polynomial of a random multiplication
 operator certifies reducedness (degree 31 + reduced is equivalent to 31
 nodes, since an isolated hypersurface singularity has local Tjurina
-dimension 1 exactly when it is an ordinary double point).
+dimension 1 exactly when it is an ordinary double point).  The strata and
+double-solid checks are exact normal forms over the census's basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .bundle import CubicData, DiscriminantSurface, GramMatrix, gram_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
-from .groebner import (DEFAULT_BUDGET, Ideal, buchberger, in_radical,
-                       is_irrelevant, krull_dim, make_ideal, normal_form,
-                       quotient_dim, reducedness_certificate)
+from .groebner import (DEFAULT_BUDGET, GBasis, Ideal, buchberger, is_irrelevant,
+                       krull_dim, make_ideal, normal_form, quotient_dim,
+                       reducedness_certificate)
 from .multipoly import MultiPoly, mp_det
 
 EXPECTED_NODE_COUNT = 31
@@ -40,6 +41,9 @@ class SingularCensusReport:
     points_at_infinity: bool
     verdict: str
     chart_change_seed: int
+    # affine basis counted and (node census) the moved sextic; not compared
+    basis: GBasis | None = field(default=None, compare=False, repr=False)
+    moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ def node_census(surface: DiscriminantSurface, seed: int,
     degree = dimension of the quotient algebra; reducedness by the
     multiplication-operator certificate.  Structural failures produce
     verdict "degenerate" (with the honestly computed degree), never a wrong
-    count reported as generic.
+    count reported as generic.  Carries its basis and moved sextic.
     """
     delta = surface.delta
     p = delta.p
@@ -119,19 +123,34 @@ def node_census(surface: DiscriminantSurface, seed: int,
     degree = quotient_dim(gb)
     reduced = reducedness_certificate(gb, rng, certificate_tries)
     return SingularCensusReport(True, degree, reduced, points_at_infinity,
-                                _verdict(True, degree, reduced, points_at_infinity), seed)
+                                _verdict(True, degree, reduced, points_at_infinity), seed,
+                                basis=gb, moved_sextic=moved)
+
+
+def _certified_census(census, surface, seed, budget, stage,
+                      certificate_tries=5) -> SingularCensusReport:
+    """The census the downstream certificates stand on: generic, certified
+    reduced (so its affine ideal is radical), nothing at infinity."""
+    if census is None:
+        census = node_census(surface, seed, budget, certificate_tries)
+    if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
+            or census.points_at_infinity or None in (census.basis, census.moved_sextic)):
+        raise CensusNotGeneric(f"{stage} needs a certified generic node census "
+                               f"with its basis, got {census.verdict!r}")
+    return census
+
+
+def _double_solid_equation(moved: MultiPoly) -> MultiPoly:
+    """w^2 - moved(1, y1, y2, y3) in the variables (w, y1, y2, y3)."""
+    w = MultiPoly.variable(0, 4, moved.p, moved.order)
+    return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
 
 
 def double_solid_chart(surface: DiscriminantSurface, seed: int) -> DoubleSolidChart:
     """Affine chart of the double solid, in the same coordinates the node
     census used for the same seed."""
-    p = surface.delta.p
-    T, _ = _chart_rng(p, seed)
-    moved = surface.delta.linear_change(T)
-    chart = moved.specialize(0, 1)                 # delta(1, y1, y2, y3)
-    emb = chart.embed(4, (1, 2, 3))                # variables (w, y1, y2, y3)
-    w = MultiPoly.variable(0, 4, p, surface.delta.order)
-    return DoubleSolidChart(w * w - emb)
+    T, _ = _chart_rng(surface.delta.p, seed)
+    return DoubleSolidChart(_double_solid_equation(surface.delta.linear_change(T)))
 
 
 def double_solid_census(surface: DiscriminantSurface, seed: int,
@@ -139,29 +158,35 @@ def double_solid_census(surface: DiscriminantSurface, seed: int,
                         census: SingularCensusReport | None = None) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
-    The ideal of the equation together with its four partials is the Tjurina
-    ideal of the threefold; above each surface node it has one reduced point
-    (the threefold singularity is w^2 minus a nondegenerate quadratic form in
-    three variables), so the expected degree is again 31.  Requires a
-    generic node census for the same chart seed.
+    Its Tjurina ideal I_DS (the equation g = w^2 - delta_aff and its
+    partials) has one reduced point above each surface node, so the
+    expected degree is again 31.  It runs in the chart of a certified
+    generic node census (computed from ``seed`` when none is given), with no
+    Groebner completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
+    sum y_i (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked
+    as polynomial identities, put (w) + J_aff inside I_DS (2 and 6 are
+    units), and each Tjurina generator reducing to zero modulo the reduced
+    basis B = {w} + census basis gives the converse.  So the quotient is the
+    census's, and so are degree, reducedness and verdict.
     """
-    if census is None:
-        census = node_census(surface, seed, budget, certificate_tries)
-    if census.verdict != VERDICT_GENERIC:
-        raise CensusNotGeneric(
-            f"double-solid census needs a generic node census, got {census.verdict!r}")
-    p = surface.delta.p
-    _, rng = _chart_rng(p, seed)
-    g = double_solid_chart(surface, seed).g
-    gens = [g] + [g.partial(i) for i in range(4)]
-    gens = [f for f in gens if not f.is_zero()]
-    gb = buchberger(gens, budget)
-    if krull_dim(gb) > 0:
-        return SingularCensusReport(False, -1, "failed", False, VERDICT_DEGENERATE, seed)
-    degree = quotient_dim(gb)
-    reduced = reducedness_certificate(gb, rng, certificate_tries)
-    return SingularCensusReport(True, degree, reduced, False,
-                                _verdict(True, degree, reduced, False), seed)
+    census = _certified_census(census, surface, seed, budget, "double-solid census",
+                               certificate_tries)
+    moved, order = census.moved_sextic, census.moved_sextic.order
+    delta_aff = moved.specialize(0, 1)
+    parts_aff = [moved.partial(i).specialize(0, 1) for i in range(4)]
+    euler = sum((MultiPoly.variable(i, 3, moved.p, order) * parts_aff[i + 1]
+                 for i in range(3)), parts_aff[0])
+    if (delta_aff.scale(6) != euler
+            or any(delta_aff.partial(i) != parts_aff[i + 1] for i in range(3))):
+        raise CensusNotGeneric("census sextic fails the Euler identity of a sextic")
+    keyf = order.key_func()
+    B = GBasis(sorted([MultiPoly.variable(0, 4, moved.p, order)]
+                      + [f.embed(4, (1, 2, 3)) for f in census.basis.basis],
+                      key=lambda f: keyf(f.lead_exp()), reverse=True), order)
+    g = _double_solid_equation(moved)
+    if not all(normal_form(f, B).is_zero() for f in [g] + [g.partial(i) for i in range(4)]):
+        raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
+    return replace(census, basis=B, moved_sextic=None)
 
 
 def rank_stratum_ideal(M: GramMatrix, r: int) -> Ideal:
@@ -191,60 +216,32 @@ def strata_check(d: CubicData, surface: DiscriminantSurface, seed: int,
     The locus where the rank drops to 2 must coincide with the singular set
     of the branch sextic: every 3x3 minor lies in the radical of the
     Jacobian ideal and every Jacobian partial lies in the radical of the
-    3x3-minor ideal (both directions by the Rabinowitsch trick).  The rank
-    <= 1 locus must be projectively empty.  As a sharper extra, delta itself
-    reduces to zero modulo the 3x3 minors (Laplace expansion makes the
-    determinant an exact member, not just a radical one).
+    3x3-minor ideal.  The rank <= 1 locus must be projectively empty.  As a
+    sharper extra, delta itself reduces to zero modulo the 3x3 minors
+    (Laplace expansion makes the determinant an exact member).
 
-    The minors-against-Jacobian direction runs in the census's affine chart:
-    both families are homogeneous and the chart's plane at infinity is
-    re-certified to miss the singular locus, so a minor vanishes on the
-    whole cone of the Jacobian ideal iff its dehomogenization lies in the
-    radical of the dehomogenized ideal.  This keeps every Groebner run at
-    the cheap zero-dimensional scale.
+    Both memberships are certified as exact ones, by normal forms.  Minors
+    -> Jacobian runs in the chart of a certified generic node census
+    (computed from ``seed`` when none is given): it has no singular point at
+    infinity, so a minor vanishes on the singular locus iff its
+    dehomogenization lies in the radical of J_aff, which is J_aff itself
+    (certified reduced).  Jacobian -> minors: Jacobi's formula d_i det M =
+    tr(adj M * d_i M) makes every partial a combination of the 3x3 minors.
     """
-    if census is None:
-        census = node_census(surface, seed, budget)
-    if census.verdict != VERDICT_GENERIC:
-        raise CensusNotGeneric(
-            f"strata check needs a generic node census, got {census.verdict!r}")
-    p = surface.delta.p
-    order = surface.delta.order
+    census = _certified_census(census, surface, seed, budget, "strata check")
     M = gram_matrix(d)
+    gb_minors = buchberger(rank_stratum_ideal(M, 2), budget)
 
-    minors3 = rank_stratum_ideal(M, 2)
-    gb_minors = buchberger(minors3, budget)
-    minors_as_gb = make_ideal(gb_minors.basis)
+    # the minors in the census chart; composing with the (invertible) change
+    # of coordinates preserves every ideal-membership statement below
+    T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
+    moved = GramMatrix(tuple(tuple(e.linear_change(T) for e in row) for row in M.entries))
 
-    # move to the census chart; composing with the (invertible) change of
-    # coordinates preserves every ideal-membership statement below
-    T, _ = _chart_rng(p, census.chart_change_seed)
-    moved_delta = surface.delta.linear_change(T)
-    jac_moved = [moved_delta.partial(i) for i in range(4)]
-    moved_entries = tuple(tuple(M.entries[i][j].linear_change(T) for j in range(4))
-                          for i in range(4))
-    minors3_moved = rank_stratum_ideal(GramMatrix(moved_entries), 2)
-
-    y0 = MultiPoly.variable(0, 4, p, order)
-    chart_sees_all = is_irrelevant(
-        make_ideal([f for f in jac_moved if not f.is_zero()] + [y0]), budget)
-    if not chart_sees_all:
-        # the random chart missed: singular points sit on its plane at
-        # infinity, so the affine reduction below would be unsound
-        raise CensusNotGeneric("census chart has singular points at infinity")
-    jac_affine = [f.specialize(0, 1) for f in jac_moved]
-    gb_jac_affine = buchberger([f for f in jac_affine if not f.is_zero()], budget)
-    jac_affine_as_gb = make_ideal(gb_jac_affine.basis)
-
-    details = []
-    for k, m in enumerate(minors3_moved.generators):
-        ok = in_radical(m.specialize(0, 1), jac_affine_as_gb, budget,
-                        generators_are_groebner=True)
-        details.append((f"minor3_{k}_in_radical_of_jacobian", ok))
-    jac = jacobian_ideal(surface)
-    for k, g in enumerate(jac.generators):
-        ok = in_radical(g, minors_as_gb, budget, generators_are_groebner=True)
-        details.append((f"jacobian_{k}_in_radical_of_minors3", ok))
+    details = [(f"minor3_{k}_in_radical_of_jacobian",
+                normal_form(m.specialize(0, 1), census.basis).is_zero())
+               for k, m in enumerate(rank_stratum_ideal(moved, 2).generators)]
+    details += [(f"jacobian_{k}_in_radical_of_minors3", normal_form(g, gb_minors).is_zero())
+                for k, g in enumerate(jacobian_ideal(surface).generators)]
     rank2_equals_sigma = all(ok for _, ok in details)
 
     rank1_empty = is_irrelevant(rank_stratum_ideal(M, 1), budget)

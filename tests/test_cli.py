@@ -1,11 +1,13 @@
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
-from sexticsolid import bundle
+from sexticsolid import bundle, groebner, singular
 from sexticsolid.cli import (RunConfig, fnv1a64, instance_fingerprint, main,
                              render_report, run_single, run_verify_all)
-from sexticsolid.errors import ConfigError, UnknownCheck
+from sexticsolid.errors import ConfigError, ResourceBudgetExceeded, UnknownCheck
 
 P = 32003
 
@@ -109,6 +111,64 @@ def test_budget_and_config_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "--prime", "10"]) == 2
     assert main(["verify", "--instance", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+def test_budget_overrun_names_the_stage_and_budget(monkeypatch, capsys):
+    assert main(["verify", "--seed", "1", "--budget", "500"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == "error: census: reduction-step budget of 500 steps exhausted\n"
+
+    # no budget exhausts the strata bases but not the larger census basis
+    def overrun(*args, **kwargs):
+        raise ResourceBudgetExceeded("reduction-step budget of 7 steps exhausted")
+
+    monkeypatch.setattr(singular, "strata_check", overrun)
+    assert main(["verify", "--seed", "1", "--checks", "strata"]) == 2
+    assert capsys.readouterr().err == "error: strata: reduction-step budget of 7 steps exhausted\n"
+
+
+def test_uncertified_census_downstream_exits_1(seed1, monkeypatch, capsys):
+    # a census that reads generic but lacks its basis: the gated stage
+    # refuses it, and the CLI reports that as a failed run
+    monkeypatch.setattr(singular, "node_census",
+                        lambda *args, **kwargs: replace(seed1.census, basis=None))
+    assert main(["verify", "--seed", "1", "--checks", "census,strata"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "strata check" in err
+
+
+def test_verify_computes_no_basis_twice(monkeypatch):
+    real = groebner.buchberger
+    bases = []
+
+    def counted(*args, **kwargs):
+        gb = real(*args, **kwargs)
+        bases.append(gb)
+        return gb
+
+    for name, module in list(sys.modules.items()):
+        if name == "sexticsolid" or name.startswith("sexticsolid."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+
+    real_ds = singular.double_solid_census
+    ds_calls = []
+
+    def double_solid_census(*args, **kwargs):
+        before = len(bases)
+        report = real_ds(*args, **kwargs)
+        ds_calls.append(len(bases) - before)
+        return report
+
+    monkeypatch.setattr(singular, "double_solid_census", double_solid_census)
+    report, code = run_verify_all(RunConfig(seed=1))
+    assert code == 0 and report["double_solid"]["degree"] == 31
+    assert ds_calls == [0]
+    assert len(bases) <= 4
+    for i, a in enumerate(bases):
+        assert all(a != b for b in bases[i + 1:])
 
 
 def test_show_instance_round_trip(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sexticsolid.bundle import (DiscriminantSurface, diagonal_instance,
@@ -153,6 +155,48 @@ def test_double_solid_census_matches_node_census(seed1):
     assert rep.degree == seed1.census.degree == 31
     assert rep.reduced == "certified"
     assert rep.verdict == "generic_31_nodes"
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
+    # the shortcut's basis {w} + census basis is the reduced basis of the
+    # Tjurina generators themselves, and the census's counts carry over
+    if seed == 1:
+        surface, census = seed1.surface, seed1.census
+    else:
+        surface = discriminant(random_instance(P, seed))
+        census = node_census(surface, seed)
+    rep = double_solid_census(surface, seed, census=census)
+    g = double_solid_chart(surface, seed).g
+    assert rep.basis == buchberger([g] + [g.partial(i) for i in range(4)])
+    assert rep.degree == census.degree == 31
+    assert rep.reduced == census.reduced == "certified"
+
+
+@pytest.mark.parametrize("change", [{"reduced": "not_certified"},
+                                    {"points_at_infinity": True},
+                                    {"basis": None}, {"moved_sextic": None}])
+def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
+    # the verdict still reads generic: the guards look past it
+    census = replace(seed1.census, **change)
+    assert census.verdict == "generic_31_nodes"
+    with pytest.raises(CensusNotGeneric):
+        strata_check(seed1.d, seed1.surface, 1, census=census)
+    with pytest.raises(CensusNotGeneric):
+        double_solid_census(seed1.surface, 1, census=census)
+
+
+def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
+    y1 = MultiPoly.variable(1, 4, P, GREVLEX)
+    moved = seed1.census.moved_sextic
+    # not homogeneous of degree 6: the Euler identity fails
+    with pytest.raises(CensusNotGeneric, match="Euler"):
+        double_solid_census(seed1.surface, 1,
+                            census=replace(seed1.census, moved_sextic=moved + y1 ** 5))
+    # another sextic: its Tjurina ideal is not (w) + the census ideal
+    with pytest.raises(CensusNotGeneric, match="Tjurina"):
+        double_solid_census(seed1.surface, 1,
+                            census=replace(seed1.census, moved_sextic=moved + y1 ** 6))
 
 
 def test_double_solid_census_refuses_degenerate(seed1):
