@@ -24,8 +24,8 @@ from .groebner import (DEFAULT_BUDGET, GBasis, Ideal, buchberger, in_radical,
                        is_irrelevant, krull_dim, make_ideal, mult_matrix,
                        normal_form, quotient_dim, reducedness_certificate,
                        standard_monomials)
-from .multipoly import (GREVLEX, LEX, MonomialOrder, MultiPoly, block_order,
-                        format_poly, mp_det, parse_poly, restrict_to_line)
+from .multipoly import (GREVLEX, MonomialOrder, MultiPoly, format_poly, mp_det,
+                        parse_poly, restrict_to_line)
 from .singular import (EXPECTED_NODE_COUNT, DoubleSolidChart,
                        SingularCensusReport, StrataReport, double_solid_census,
                        double_solid_chart, jacobian_ideal, node_census,

@@ -29,6 +29,10 @@ class ResourceBudgetExceeded(SexticSolidError):
     """A Groebner computation exceeded its reduction-step budget."""
 
 
+class DegreeOverflow(SexticSolidError):
+    """A monomial's degree exceeds what a packed exponent field holds."""
+
+
 class NotZeroDimensional(SexticSolidError):
     """Operation requires a zero-dimensional quotient algebra."""
 

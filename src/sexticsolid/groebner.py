@@ -10,21 +10,34 @@ inputs such as dehomogenized charts do not build the high-degree
 intermediates that selection by smallest lcm runs into.  A reduction-step
 budget turns pathological inputs into clean ``ResourceBudgetExceeded``
 errors instead of runaway computations.
+
+The order is grevlex, and inside the engine every monomial is packed into
+one int (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007): a degree and partial-sum header
+above one guard-bit field per exponent, so a product is ``+``, grevlex
+comparison is ``<``, and divisibility is one mask test.  Exponent tuples
+appear only where a ``MultiPoly`` or ``GBasis`` enters or leaves the engine;
+a monomial of degree above ``MAX_PACKED_DEGREE`` raises ``DegreeOverflow``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .errors import (ArityMismatch, NotHomogeneous, NotZeroDimensional,
-                     ResourceBudgetExceeded)
+from .errors import (ArityMismatch, DegreeOverflow, NotHomogeneous,
+                     NotZeroDimensional, ResourceBudgetExceeded)
 from .exactalg import SplitMix64, charpoly, fp_inv, upoly_is_squarefree
 from .multipoly import MonomialOrder, MultiPoly
 
 DEFAULT_BUDGET = 1_000_000
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
+
+_FIELD_BITS = 16                          # per packed field, guard bit included
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,7 @@ class GBasis:
                 and self.basis == other.basis)
 
     def __repr__(self):
-        return f"GBasis({len(self.basis)} elements, {self.order.kind})"
+        return f"GBasis({len(self.basis)} elements, grevlex)"
 
 
 class _Budget:
@@ -97,33 +110,90 @@ class _Budget:
                 f"reduction-step budget of {self.limit} steps exhausted")
 
 
+def _check_degree(d: int):
+    if d > MAX_PACKED_DEGREE:
+        raise DegreeOverflow(f"monomial of degree {d} exceeds the packed limit "
+                             f"of {MAX_PACKED_DEGREE}")
+
+
+class _Packing:
+    """Packed grevlex monomials in ``nvars`` variables.
+
+    Fields of ``_FIELD_BITS`` bits, most significant first: the degree d,
+    the partial sums d - x_{n-1}, d - x_{n-1} - x_{n-2}, ..., d - x_{n-1} -
+    ... - x_2, then the exponents x_0, x_1, ..., x_{n-1}.  Every field is a
+    nonnegative linear form in the exponents, so packing is additive, and
+    comparing the ints compares degree, then the reversed exponents with the
+    smaller last exponent winning: grevlex.  The top bit of each field is a
+    guard that stays clear, so l divides m iff ``((m | guard) - l) & guard
+    == guard`` (no borrow crosses a field).
+    """
+
+    __slots__ = ("units", "shifts", "guard", "deg_shift")
+
+    def __init__(self, nvars: int):
+        w = _FIELD_BITS
+        # variable sets of the fields, least significant first
+        fields = [(i,) for i in reversed(range(nvars))]
+        fields += [tuple(range(nvars - k)) for k in reversed(range(nvars - 1))]
+        self.units = tuple(sum(1 << (w * f) for f, vs in enumerate(fields) if i in vs)
+                           for i in range(nvars))
+        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
+        self.guard = sum(1 << (w * f + w - 1) for f in range(len(fields)))
+        self.deg_shift = w * (len(fields) - 1)
+
+    def pack(self, e) -> int:
+        _check_degree(sum(e))
+        m = 0
+        for a, u in zip(e, self.units):
+            m += a * u
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
+
+    def encode(self, f: MultiPoly) -> list:
+        """Terms of f as (packed, coeff), largest first."""
+        pack = self.pack
+        return [(pack(e), c) for e, c in f.terms.items()]
+
+    def decode(self, items, nvars, p, order) -> MultiPoly:
+        unpack = self.unpack
+        return MultiPoly._make(nvars, p, order, {unpack(m): c for m, c in items})
+
+
+@lru_cache(maxsize=None)
+def _packing(nvars: int) -> _Packing:
+    return _Packing(nvars)
+
+
 class _Reducer:
     """Full normal-form reduction against a (growing) list of monic reducers.
 
-    Terms are processed largest-first through a heap with lazy deletion;
-    every inserted monomial is strictly smaller than the one being reduced,
-    so each monomial is visited once.
+    Reducers and terms are packed monomials.  Terms are processed
+    largest-first through a heap with lazy deletion; every inserted monomial
+    is strictly smaller than the one being reduced, so each monomial is
+    visited once, the output comes out largest first, and no product
+    outgrows the packed fields of its input.
     """
 
-    __slots__ = ("leads", "tails", "keyf", "p", "budget")
+    __slots__ = ("reducers", "guard", "p", "budget")
 
-    def __init__(self, order: MonomialOrder, p: int, budget=None):
-        self.leads = []
-        self.tails = []
-        self.keyf = order.key_func()
+    def __init__(self, packing: _Packing, p: int, budget=None):
+        self.reducers = []
+        self.guard = packing.guard
         self.p = p
         self.budget = budget
 
     def add(self, items):
-        """Register a monic reducer given as canonical (exp, coeff) items."""
-        self.leads.append(items[0][0])
-        self.tails.append(items[1:])
+        """Register a monic reducer given as (packed, coeff) items, largest
+        first."""
+        self.reducers.append((items[0][0], items[1:]))
 
     def reduce_terms(self, pairs) -> dict:
         p = self.p
-        keyf = self.keyf
-        leads = self.leads
-        tails = self.tails
+        guard = self.guard
+        reducers = self.reducers
         budget = self.budget
         work: dict = {}
         for e, c in pairs:
@@ -132,45 +202,35 @@ class _Reducer:
                 work[e] = c
             else:
                 work.pop(e, None)
-        heap = [(keyf(e), e) for e in work]
+        heap = [-e for e in work]
         heapify(heap)
         out: dict = {}
         while heap:
-            _, e = heappop(heap)
+            e = -heappop(heap)
             c = work.pop(e, 0)
             if not c:
                 continue
-            tail = None
-            for i, le in enumerate(leads):
-                fits = True
-                for a, b in zip(le, e):
-                    if a > b:
-                        fits = False
-                        break
-                if fits:
-                    q = tuple(b - a for a, b in zip(le, e))
-                    tail = tails[i]
+            eg = e | guard
+            for lead, tail in reducers:
+                if (eg - lead) & guard == guard:
                     break
-            if tail is None:
+            else:
                 out[e] = c
                 continue
             if budget is not None:
                 budget.spend()
+            q = e - lead
             for m, cm in tail:
-                em = tuple(x + y for x, y in zip(q, m))
+                em = q + m
                 prev = work.get(em, 0)
                 nv = (prev - c * cm) % p
                 if nv:
                     if not prev:
-                        heappush(heap, (keyf(em), em))
+                        heappush(heap, -em)
                     work[em] = nv
                 elif prev:
                     del work[em]
         return out
-
-
-def _sorted_items(terms: dict, keyf):
-    return sorted(terms.items(), key=lambda t: keyf(t[0]))
 
 
 def _monic_items(items, p):
@@ -179,6 +239,14 @@ def _monic_items(items, p):
         return items
     inv = fp_inv(lc, p)
     return [(e, c * inv % p) for e, c in items]
+
+
+def _basis_reducer(gb: GBasis) -> _Reducer:
+    packing = _packing(gb.nvars)
+    red = _Reducer(packing, gb.p)
+    for g in gb.basis:
+        red.add(packing.encode(g))
+    return red
 
 
 def _lcm(a, b):
@@ -242,38 +310,39 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
     for g in gens[1:]:
         first._check_ctx(g)
     nvars, p, order = first.nvars, first.p, first.order
-    keyf = order.key_func()
-    zero_exp = (0,) * nvars
+    packing = _packing(nvars)
+    pack, unpack = packing.pack, packing.unpack
+    deg_shift = packing.deg_shift
     one = MultiPoly.constant(1, nvars, p, order)
     bud = _Budget(budget) if budget is not None else None
     rng = SplitMix64(selection_seed) if selection_seed is not None else None
 
-    reducer = _Reducer(order, p, bud)
-    leads: list = []
-    basis_items: list = []
+    reducer = _Reducer(packing, p, bud)
+    leads: list = []         # lead exponent tuples, for the pair criteria
+    basis_items: list = []   # packed (monomial, coeff) items, largest first
     sugars: list = []        # sugar minus lead degree, per basis element
     pairs: set = set()
 
     def append(items, sugar):
         basis_items.append(items)
-        leads.append(items[0][0])
-        sugars.append(sugar - sum(items[0][0]))
+        leads.append(unpack(items[0][0]))
+        sugars.append(sugar - (items[0][0] >> deg_shift))
         reducer.add(items)
 
     def selection_key(ij):
         i, j = ij
-        lcm = _lcm(leads[i], leads[j])
-        return (max(sugars[i], sugars[j]) + sum(lcm), keyf(lcm), i, j)
+        lcm = pack(_lcm(leads[i], leads[j]))
+        return (max(sugars[i], sugars[j]) + (lcm >> deg_shift), -lcm, i, j)
 
     prefix = max(0, min(known_groebner_prefix, len(gens)))
     for g in gens[:prefix]:
-        append(_monic_items(_sorted_items(g.terms, keyf), p), g.total_degree())
+        append(_monic_items(packing.encode(g), p), g.total_degree())
     for g in gens[prefix:]:
-        nf = reducer.reduce_terms(g.terms.items())
+        nf = reducer.reduce_terms(packing.encode(g))
         if not nf:
             continue
-        items = _monic_items(_sorted_items(nf, keyf), p)
-        if items[0][0] == zero_exp:
+        items = _monic_items(list(nf.items()), p)
+        if items[0][0] == 0:
             return GBasis((one,), order)
         append(items, g.total_degree())
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
@@ -285,53 +354,44 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
         else:
             pair = min(pairs, key=selection_key)
         pairs.discard(pair)
-        i, j = pair
-        li, lj = leads[i], leads[j]
-        lcm = _lcm(li, lj)
-        sugar = max(sugars[i], sugars[j]) + sum(lcm)
-        qi = tuple(a - b for a, b in zip(lcm, li))
-        qj = tuple(a - b for a, b in zip(lcm, lj))
-        spairs = [(tuple(a + b for a, b in zip(e, qi)), c) for e, c in basis_items[i]]
-        spairs += [(tuple(a + b for a, b in zip(e, qj)), p - c) for e, c in basis_items[j]]
+        sugar, neg_lcm, i, j = selection_key(pair)
+        qi = -neg_lcm - basis_items[i][0][0]
+        qj = -neg_lcm - basis_items[j][0][0]
+        spairs = [(e + qi, c) for e, c in basis_items[i]]
+        spairs += [(e + qj, p - c) for e, c in basis_items[j]]
         nf = reducer.reduce_terms(spairs)
         if not nf:
             continue
-        items = _monic_items(_sorted_items(nf, keyf), p)
-        if items[0][0] == zero_exp:
+        items = _monic_items(list(nf.items()), p)
+        if items[0][0] == 0:
             return GBasis((one,), order)
         append(items, sugar)
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
 
     # minimalize: keep only elements whose lead divides no other kept lead
-    asc = sorted(range(len(leads)), key=lambda k: keyf(leads[k]), reverse=True)
     kept: list = []
-    for k in asc:
+    for k in sorted(range(len(leads)), key=lambda k: basis_items[k][0][0]):
         if not any(_divides(leads[kk], leads[k]) for kk in kept):
             kept.append(k)
     polys = [basis_items[k] for k in kept]
     # inter-reduce: fully reduce every element against the other survivors
     for t in range(len(polys)):
-        other = _Reducer(order, p, bud)
+        other = _Reducer(packing, p, bud)
         for s, items in enumerate(polys):
             if s != t:
                 other.add(items)
-        nf = other.reduce_terms(polys[t])
-        polys[t] = _monic_items(_sorted_items(nf, keyf), p)
-    polys.sort(key=lambda items: keyf(items[0][0]), reverse=True)
-    return GBasis(tuple(MultiPoly._make(nvars, p, order, dict(items)) for items in polys),
-                  order)
+        polys[t] = _monic_items(list(other.reduce_terms(polys[t]).items()), p)
+    polys.sort(key=lambda items: items[0][0])
+    return GBasis(tuple(packing.decode(items, nvars, p, order) for items in polys), order)
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:
     """The unique remainder of f modulo the basis (zero iff f is in the ideal)."""
     if (f.nvars, f.p, f.order) != (gb.nvars, gb.p, gb.order):
         raise ArityMismatch("polynomial and basis live in different rings")
-    red = _Reducer(gb.order, gb.p)
-    keyf = red.keyf
-    for g in gb.basis:
-        red.add(_sorted_items(g.terms, keyf))
-    nf = red.reduce_terms(f.terms.items())
-    return MultiPoly._make(f.nvars, f.p, f.order, dict(_sorted_items(nf, keyf)))
+    packing = _packing(f.nvars)
+    nf = _basis_reducer(gb).reduce_terms(packing.encode(f))
+    return packing.decode(nf.items(), f.nvars, f.p, f.order)
 
 
 def krull_dim(gb: GBasis) -> int:
@@ -396,17 +456,16 @@ def mult_matrix(gb: GBasis, ell: MultiPoly):
     if krull_dim(gb) > 0:
         raise NotZeroDimensional("multiplication matrices need a finite staircase")
     B = standard_monomials(gb)
-    index = {m: i for i, m in enumerate(B)}
+    if B:
+        _check_degree(sum(B[-1]) + 1)   # B ascends, so B[-1] has top degree
+    packing = _packing(gb.nvars)
+    index = {packing.pack(m): i for i, m in enumerate(B)}
     D = len(B)
     M = [[0] * D for _ in range(D)]
-    red = _Reducer(gb.order, gb.p)
-    keyf = red.keyf
-    for g in gb.basis:
-        red.add(_sorted_items(g.terms, keyf))
-    ell_items = list(ell.terms.items())
-    for j, b in enumerate(B):
-        shifted = [(tuple(x + y for x, y in zip(e, b)), c) for e, c in ell_items]
-        nf = red.reduce_terms(shifted)
+    red = _basis_reducer(gb)
+    ell_items = packing.encode(ell)
+    for j, b in enumerate(index):
+        nf = red.reduce_terms([(b + e, c) for e, c in ell_items])
         for e, c in nf.items():
             M[index[e]][j] = c
     return M

@@ -16,37 +16,18 @@ from .exactalg import fp_inv, matrix_rank, upoly_interpolate
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """grevlex, lex, or a block order (lex on the first ``split`` variables,
-    grevlex on the rest)."""
-
-    kind: str = "grevlex"
-    split: int = 0
+    """Graded reverse lexicographic order, the one order of the toolkit (the
+    Groebner reducer packs monomials for it)."""
 
     def key_func(self):
         """Key whose *ascending* sort lists monomials from largest to
-        smallest (also the heap priority used by the reducer)."""
-        if self.kind == "grevlex":
-            def key(e):
-                return (-sum(e), e[::-1])
-        elif self.kind == "lex":
-            def key(e):
-                return tuple(-a for a in e)
-        elif self.kind == "block":
-            s = self.split
-            def key(e):
-                head, tail = e[:s], e[s:]
-                return (tuple(-a for a in head), -sum(tail), tail[::-1])
-        else:
-            raise ValueError(f"unknown monomial order {self.kind!r}")
+        smallest."""
+        def key(e):
+            return (-sum(e), e[::-1])
         return key
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
-
-
-def block_order(split: int) -> MonomialOrder:
-    return MonomialOrder("block", split)
+GREVLEX = MonomialOrder()
 
 
 def _canonical(nvars: int, p: int, order: MonomialOrder, raw: dict) -> dict:

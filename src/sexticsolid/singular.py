@@ -41,9 +41,11 @@ class SingularCensusReport:
     points_at_infinity: bool
     verdict: str
     chart_change_seed: int
-    # affine basis counted and (node census) the moved sextic; not compared
+    # affine basis counted and (node census) the sextic, unmoved and moved
+    # into the chart; not compared
     basis: GBasis | None = field(default=None, compare=False, repr=False)
     moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
+    sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -124,19 +126,22 @@ def node_census(surface: DiscriminantSurface, seed: int,
     reduced = reducedness_certificate(gb, rng, certificate_tries)
     return SingularCensusReport(True, degree, reduced, points_at_infinity,
                                 _verdict(True, degree, reduced, points_at_infinity), seed,
-                                basis=gb, moved_sextic=moved)
+                                basis=gb, moved_sextic=moved, sextic=delta)
 
 
 def _certified_census(census, surface, seed, budget, stage,
                       certificate_tries=5) -> SingularCensusReport:
     """The census the downstream certificates stand on: generic, certified
-    reduced (so its affine ideal is radical), nothing at infinity."""
+    reduced (so its affine ideal is radical), nothing at infinity, and taken
+    of this surface's sextic."""
     if census is None:
         census = node_census(surface, seed, budget, certificate_tries)
     if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
             or census.points_at_infinity or None in (census.basis, census.moved_sextic)):
         raise CensusNotGeneric(f"{stage} needs a certified generic node census "
                                f"with its basis, got {census.verdict!r}")
+    if census.sextic != surface.delta:
+        raise CensusNotGeneric(f"{stage} got a node census of another sextic")
     return census
 
 
@@ -186,7 +191,7 @@ def double_solid_census(surface: DiscriminantSurface, seed: int,
     g = _double_solid_equation(moved)
     if not all(normal_form(f, B).is_zero() for f in [g] + [g.partial(i) for i in range(4)]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
-    return replace(census, basis=B, moved_sextic=None)
+    return replace(census, basis=B, moved_sextic=None, sextic=None)
 
 
 def rank_stratum_ideal(M: GramMatrix, r: int) -> Ideal:
@@ -233,9 +238,12 @@ def strata_check(d: CubicData, surface: DiscriminantSurface, seed: int,
     gb_minors = buchberger(rank_stratum_ideal(M, 2), budget)
 
     # the minors in the census chart; composing with the (invertible) change
-    # of coordinates preserves every ideal-membership statement below
+    # of coordinates preserves every ideal-membership statement below; M is
+    # symmetric, so only its ten entries with i <= j are moved
     T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
-    moved = GramMatrix(tuple(tuple(e.linear_change(T) for e in row) for row in M.entries))
+    upper = {(i, j): M.entries[i][j].linear_change(T) for i in range(4) for j in range(i, 4)}
+    moved = GramMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(4))
+                             for i in range(4)))
 
     details = [(f"minor3_{k}_in_radical_of_jacobian",
                 normal_form(m.specialize(0, 1), census.basis).is_zero())

@@ -2,10 +2,11 @@ import pytest
 
 from sexticsolid.bundle import gram_matrix, random_instance
 from sexticsolid.cli import stage_seed
-from sexticsolid.errors import (NotHomogeneous, NotZeroDimensional,
-                                ResourceBudgetExceeded)
+from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
+                                NotZeroDimensional, ResourceBudgetExceeded)
 from sexticsolid.exactalg import SplitMix64, charpoly, upoly, upoly_is_squarefree
-from sexticsolid.groebner import (GBasis, buchberger, in_radical, is_irrelevant,
+from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _packing,
+                                  buchberger, in_radical, is_irrelevant,
                                   krull_dim, make_ideal, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
@@ -91,6 +92,50 @@ def mixed_degree_ideals(seed, count, nvars=3):
             gens.append(poly([(lead, 1)], nvars) + rand_poly(rng, nvars, maxdeg=a, terms=4))
         out.append(gens)
     return out
+
+
+@pytest.mark.parametrize("nvars", [3, 4, 5])
+def test_packed_monomials_match_grevlex_tuples(nvars):
+    # packed < is grevlex, packed + is the exponent sum, and the guard-bit
+    # test is componentwise <=; grevlex is multiplicative with 1 smallest
+    packing = _packing(nvars)
+    guard = packing.guard
+    key = GREVLEX.key_func()
+    rng = SplitMix64(70 + nvars)
+    exps = [(0,) * nvars] + [tuple(rng.below(4) for _ in range(nvars)) for _ in range(60)]
+    packed = [packing.pack(e) for e in exps]
+    assert min(packed) == packed[0] == 0
+
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    seen = set()
+    for a, pa in zip(exps, packed):
+        assert packing.unpack(pa) == a
+        for b, pb in zip(exps, packed):
+            assert (pa < pb) == (key(a) > key(b))
+            assert (pa < pb) == (key(plus(a, exps[1])) > key(plus(b, exps[1])))
+            assert (pa == pb) == (a == b)
+            assert packing.unpack(pa + pb) == plus(a, b)
+            divides = ((pb | guard) - pa) & guard == guard
+            assert divides == all(x <= y for x, y in zip(a, b))
+            seen.add(divides)
+    assert seen == {True, False}
+
+
+def test_degree_beyond_the_packed_field_raises():
+    x, y = V(0), V(1)
+    gb = buchberger([x - 1, y - 1])
+    one = MultiPoly.constant(1, 2, P, GREVLEX)
+    assert normal_form(x ** MAX_PACKED_DEGREE, gb) == one
+    with pytest.raises(DegreeOverflow):
+        normal_form(x ** (MAX_PACKED_DEGREE + 1), gb)
+    with pytest.raises(DegreeOverflow):
+        buchberger([x ** (MAX_PACKED_DEGREE + 1) - 1, y - 1])
+    # every input fits, but the S-pair's lcm x^h y^h does not
+    h = MAX_PACKED_DEGREE // 2 + 1
+    with pytest.raises(DegreeOverflow):
+        buchberger([x ** h * y - 1, x * y ** h - 1])
 
 
 def test_buchberger_trivial_examples():

@@ -175,7 +175,8 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
 
 @pytest.mark.parametrize("change", [{"reduced": "not_certified"},
                                     {"points_at_infinity": True},
-                                    {"basis": None}, {"moved_sextic": None}])
+                                    {"basis": None}, {"moved_sextic": None},
+                                    {"sextic": None}])
 def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
     # the verdict still reads generic: the guards look past it
     census = replace(seed1.census, **change)
@@ -184,6 +185,31 @@ def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
         strata_check(seed1.d, seed1.surface, 1, census=census)
     with pytest.raises(CensusNotGeneric):
         double_solid_census(seed1.surface, 1, census=census)
+
+
+def test_double_solid_census_refuses_a_census_of_another_surface(seed1):
+    surface2 = discriminant(random_instance(P, 2))
+    with pytest.raises(CensusNotGeneric, match="another sextic"):
+        double_solid_census(surface2, 2, census=seed1.census)
+
+
+def test_strata_check_refuses_a_census_of_another_surface(seed1):
+    d2 = random_instance(P, 2)
+    with pytest.raises(CensusNotGeneric, match="another sextic"):
+        strata_check(d2, discriminant(d2), 2, census=seed1.census)
+
+
+def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
+    calls = []
+    original = MultiPoly.linear_change
+
+    def counted(self, T):
+        calls.append(self)
+        return original(self, T)
+
+    monkeypatch.setattr(MultiPoly, "linear_change", counted)
+    assert strata_check(seed1.d, seed1.surface, 1, census=seed1.census).passed
+    assert len(calls) == 10
 
 
 def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
