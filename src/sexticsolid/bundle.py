@@ -14,6 +14,9 @@ determinant, the branch sextic of the associated double solid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations_with_replacement
+from operator import mul
 
 from .errors import ArityMismatch, DegenerateDiscriminant, ZeroPoint
 from .exactalg import (SplitMix64, ensure_field_prime, fp_inv, matrix_rank,
@@ -26,6 +29,14 @@ AMBIENT_NAMES = ("X0", "X1", "X2", "Y0", "Y1", "Y2", "Y3")
 
 _FORM_KEYS = ("A00", "A01", "A02", "A11", "A12", "A22", "B0", "B1", "B2", "C")
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+#: The 35 monomials of degree <= 3 in Y0..Y3, the table through which
+#: fiber_gram evaluates every Gram entry at once: degree by degree, each
+#: degree as the sorted variable multisets in lexicographic order.
+_CUBIC_MONOMIALS = tuple(tuple(c.count(i) for i in range(4))
+                         for k in range(4) for c in combinations_with_replacement(range(4), k))
+#: Where the quadratic monomials whose smallest variable is Y_i begin.
+_SQUARE_STARTS = (0, 4, 7, 9)
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,13 @@ class CubicData:
         for b in self.B:
             yield b, 2
         yield self.C, 3
+
+    @cached_property
+    def _gram_vectors(self) -> tuple:
+        """The ten distinct Gram entries (the upper triangle of A, then B,
+        then C) as coefficient vectors over _CUBIC_MONOMIALS."""
+        return tuple(tuple(f.terms.get(e, 0) for e in _CUBIC_MONOMIALS)
+                     for f, _ in self._declared())
 
 
 @dataclass(frozen=True)
@@ -161,18 +179,31 @@ def _check_base_point(d: CubicData, y):
         raise ZeroPoint("the zero vector is not a point of P^3")
 
 
+def _entry_values(vectors, y, p):
+    """Each coefficient vector applied to the values of _CUBIC_MONOMIALS at
+    y, mod p."""
+    y = [v % p for v in y]
+    squares = [a * b for i, a in enumerate(y) for b in y[i:]]
+    cubes = [a * b for a, start in zip(y, _SQUARE_STARTS) for b in squares[start:]]
+    table = [1] + y + squares + cubes
+    return [sum(map(mul, vec, table)) % p for vec in vectors]
+
+
 def fiber_gram(d: CubicData, y):
-    """The 4x4 Gram matrix of the fiber quadric at the base point y."""
+    """The 4x4 Gram matrix of the fiber quadric at the base point y: the ten
+    distinct entries are evaluated once and mirrored."""
     _check_base_point(d, y)
-    entries = gram_matrix(d).entries
-    return [[entries[i][j].eval(y) for j in range(4)] for i in range(4)]
+    a00, a01, a02, a11, a12, a22, b0, b1, b2, c = _entry_values(d._gram_vectors, y, d.p)
+    return [[a00, a01, a02, b0], [a01, a11, a12, b1],
+            [a02, a12, a22, b2], [b0, b1, b2, c]]
 
 
 def exceptional_conic(d: CubicData, y):
     """The 3x3 matrix A(y): the Gram matrix of the conic traced on the
     center plane of the projection over the base point y."""
     _check_base_point(d, y)
-    return [[d.A[i][j].eval(y) for j in range(3)] for i in range(3)]
+    a00, a01, a02, a11, a12, a22 = _entry_values(d._gram_vectors[:6], y, d.p)
+    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 
 @dataclass(frozen=True)

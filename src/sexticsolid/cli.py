@@ -188,7 +188,7 @@ def _fiber_group(d, samples) -> dict:
             rank = fibers.fiber_rank_check(d, s)
         except StratumViolation as exc:
             violations.append(str(exc))
-            rank = s.gram_rank
+            rank = exc.rank
         counts[rank] = counts.get(rank, 0) + 1
     return {
         "collected": len(samples),

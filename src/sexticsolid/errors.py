@@ -60,6 +60,11 @@ class SamplingExhausted(SexticSolidError):
 class StratumViolation(SexticSolidError):
     """A fiber's computed Gram rank contradicts its stratum tag (a finding)."""
 
+    def __init__(self, message: str, rank: int, expected: int):
+        super().__init__(message)
+        self.rank = rank
+        self.expected = expected
+
 
 class CensusNotGeneric(SexticSolidError):
     """A downstream check requires a census verdict of generic_31_nodes."""

@@ -14,6 +14,9 @@ function, so concurrent use from several threads is safe.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
+
 from .errors import BadPrime, NonSquare, ZeroInverse
 
 _MASK64 = (1 << 64) - 1
@@ -120,12 +123,6 @@ def upoly_deg(f: UPoly) -> int:
     return len(f) - 1
 
 
-def upoly_add(f: UPoly, g: UPoly, p: int) -> UPoly:
-    n = max(len(f), len(g))
-    return upoly(((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-                  for i in range(n)), p)
-
-
 def upoly_sub(f: UPoly, g: UPoly, p: int) -> UPoly:
     n = max(len(f), len(g))
     return upoly(((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)
@@ -208,33 +205,67 @@ def upoly_eval(f: UPoly, a: int, p: int) -> int:
 
 
 def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
-    """base**e modulo mod, by square-and-multiply."""
-    result = UPOLY_ONE
-    b = upoly_rem(base, mod, p)
-    while e > 0:
-        if e & 1:
-            result = upoly_rem(upoly_mul(result, b, p), mod, p)
-        b = upoly_rem(upoly_mul(b, b, p), mod, p)
-        e >>= 1
-    return result
+    """base**e modulo mod, by left-to-right square-and-multiply on residue
+    lists: the modulus is made monic once, so each step folds x^n down with
+    no inversion and reduces each coefficient once."""
+    m = upoly_monic(mod, p)
+    n = len(m) - 1
+    if n < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    if n == 0:
+        return UPOLY_ZERO
+    if e <= 0:
+        return UPOLY_ONE
+    neg = [(-c) % p for c in m[:n]]
+    top = 2 * n - 1
+
+    def mul_mod(a, b):
+        out = [0] * top
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    out[k] += ai * bj
+        for k in range(top - 1, n - 1, -1):
+            c = out[k] % p
+            if c:
+                for j, nj in enumerate(neg, k - n):
+                    out[j] += c * nj
+        return [x % p for x in out[:n]]
+
+    b = list(upoly_rem(base, m, p))
+    b += [0] * (n - len(b))
+    result = b
+    for bit in bin(e)[3:]:
+        result = mul_mod(result, result)
+        if bit == "1":
+            result = mul_mod(b, result)
+    return upoly(result, p)
 
 
 def upoly_interpolate(points, p: int) -> UPoly:
-    """Lagrange interpolation through (x, y) pairs with distinct x."""
-    out = UPOLY_ZERO
+    """Lagrange interpolation through (x, y) pairs with distinct x: one
+    product with the cached Lagrange weights of the nodes."""
     pts = list(points)
-    for i, (xi, yi) in enumerate(pts):
-        if yi % p == 0:
-            continue
+    weights = _lagrange_weights(tuple(x % p for x, _ in pts), p)
+    ys = [y for _, y in pts]
+    return upoly([sum(map(mul, row, ys)) for row in weights], p)
+
+
+@lru_cache(maxsize=64)
+def _lagrange_weights(nodes: tuple, p: int) -> tuple:
+    """Row k holds the t^k coefficients of the Lagrange basis polynomials
+    L_i(t) = prod_{j != i} (t - x_j) / (x_i - x_j) of the nodes."""
+    basis = []
+    for i, xi in enumerate(nodes):
         num = UPOLY_ONE
         den = 1
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            num = upoly_mul(num, ((-xj) % p, 1), p)
-            den = den * ((xi - xj) % p) % p
-        out = upoly_add(out, upoly_scale(num, yi * fp_inv(den, p) % p, p), p)
-    return out
+        for j, xj in enumerate(nodes):
+            if j != i:
+                num = upoly_mul(num, ((-xj) % p, 1), p)
+                den = den * (xi - xj) % p
+        basis.append(upoly_scale(num, fp_inv(den, p), p))
+    return tuple(tuple(L[k] if k < len(L) else 0 for L in basis)
+                 for k in range(len(nodes)))
 
 
 def upoly_fp_roots(f: UPoly, p: int, rng_seed: int) -> set[int]:

@@ -10,6 +10,14 @@ center plane meets the exceptional conic in 2 points, and the third
 generator pairs to 0 (a push-pull identity recorded as a constant, not
 recomputed).  All three are even, which is what obstructs a rational
 section of the bundle.
+
+The two computed pairings are 2 by degree: for any nonzero binary
+quadratic, restriction_multiplicities sums to 2.  So pairing_h2 and
+pairing_pl are always 2; the stage can fail only when the fiber quadric or
+the conic vanishes on all 256 lines drawn for it (SamplingExhausted).
+
+The samplers return points only; fiber_rank_check evaluates each fiber's
+Gram matrix and computes its rank once.
 """
 from __future__ import annotations
 
@@ -41,9 +49,11 @@ QPI_SOURCE = "recorded"
 
 @dataclass(frozen=True)
 class FiberSample:
+    """A normalized base point and the stratum it was drawn from; its Gram
+    rank is computed once, by fiber_rank_check."""
+
     y: tuple
     stratum: str
-    gram_rank: int
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,7 @@ def sample_off_delta(d: CubicData, surface: DiscriminantSurface,
         y = tuple(rng.below(p) for _ in range(4))
         if not any(y) or delta.eval(y) == 0:
             continue
-        y = _normalize_projective(y, p)
-        rank = matrix_rank(fiber_gram(d, y), p)
-        samples.append(FiberSample(y=y, stratum=STRATUM_OFF_DELTA, gram_rank=rank))
+        samples.append(FiberSample(y=_normalize_projective(y, p), stratum=STRATUM_OFF_DELTA))
     if len(samples) < n:
         raise SamplingExhausted("could not find enough points off the branch sextic")
     return samples
@@ -113,8 +121,7 @@ def sample_on_delta(d: CubicData, surface: DiscriminantSurface,
             seen.add(y)
             if all(g.eval(y) == 0 for g in partials):
                 continue  # a singular point: not in this stratum
-            rank = matrix_rank(fiber_gram(d, y), p)
-            samples.append(FiberSample(y=y, stratum=STRATUM_ON_DELTA_SMOOTH, gram_rank=rank))
+            samples.append(FiberSample(y=y, stratum=STRATUM_ON_DELTA_SMOOTH))
     if len(samples) < n:
         raise SamplingExhausted("could not find enough smooth points on the branch sextic")
     return samples
@@ -134,19 +141,18 @@ def sigma_sample(d: CubicData, surface: DiscriminantSurface, y) -> FiberSample:
         raise ValueError("point is not on the branch sextic")
     if any(surface.delta.partial(i).eval(y) != 0 for i in range(4)):
         raise ValueError("point is a smooth point of the sextic, not a node")
-    rank = matrix_rank(fiber_gram(d, y), p)
-    return FiberSample(y=y, stratum=STRATUM_ON_SIGMA, gram_rank=rank)
+    return FiberSample(y=y, stratum=STRATUM_ON_SIGMA)
 
 
 def fiber_rank_check(d: CubicData, sample: FiberSample) -> int:
-    """Recompute the Gram rank at the sample and enforce the stratum
-    contract (4 / 3 / 2); a violation is a reportable finding."""
+    """Compute the Gram rank at the sample and enforce the stratum contract
+    (4 / 3 / 2); a violation is a reportable finding that carries the rank."""
     rank = matrix_rank(fiber_gram(d, sample.y), d.p)
     expected = _EXPECTED_RANK[sample.stratum]
     if rank != expected:
         raise StratumViolation(
             f"fiber at {sample.y} has Gram rank {rank}, expected {expected} "
-            f"for stratum {sample.stratum}")
+            f"for stratum {sample.stratum}", rank=rank, expected=expected)
     return rank
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import ArityMismatch, IndexOutOfRange, SingularChange
 from .exactalg import fp_inv, matrix_rank, upoly_interpolate
@@ -37,13 +38,14 @@ def _canonical(nvars: int, p: int, order: MonomialOrder, raw: dict) -> dict:
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "p", "order", "terms")
+    __slots__ = ("nvars", "p", "order", "terms", "_compiled")
 
     def __init__(self, nvars: int, p: int, order: MonomialOrder, terms: dict):
         self.nvars = nvars
         self.p = p
         self.order = order
         self.terms = _canonical(nvars, p, order, terms)
+        self._compiled = None
 
     @classmethod
     def _make(cls, nvars, p, order, canonical_terms):
@@ -53,6 +55,7 @@ class MultiPoly:
         self.p = p
         self.order = order
         self.terms = canonical_terms
+        self._compiled = None
         return self
 
     # -- constructors -------------------------------------------------------
@@ -98,7 +101,7 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.terms), default=-1)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None; zero polynomial -> 0."""
@@ -209,29 +212,36 @@ class MultiPoly:
                                _canonical(self.nvars, p, self.order, raw))
 
     def eval(self, point) -> int:
+        """The value at a point, coordinates taken mod p.  The term list, with
+        exponents as indices into one table of variable powers, is built on
+        first use and kept; term products are summed unreduced."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} for {self.nvars} variables")
+        if self._compiled is None:
+            self._compiled = self._compile()
+        terms, maxes = self._compiled
         p = self.p
-        pt = [v % p for v in point]
-        maxes = [0] * self.nvars
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei > maxes[i]:
-                    maxes[i] = ei
-        pows = []
-        for i in range(self.nvars):
-            row = [1] * (maxes[i] + 1)
-            for k in range(1, maxes[i] + 1):
-                row[k] = row[k - 1] * pt[i] % p
-            pows.append(row)
+        table = []
+        for v, m in zip(point, maxes):
+            v %= p
+            x = 1
+            table.append(1)
+            for _ in range(m):
+                x = x * v % p
+                table.append(x)
         total = 0
-        for e, c in self.terms.items():
-            v = c
-            for i, ei in enumerate(e):
-                if ei:
-                    v = v * pows[i][ei] % p
-            total = (total + v) % p
-        return total
+        for c, idx in terms:
+            for k in idx:
+                c *= table[k]
+            total += c
+        return total % p
+
+    def _compile(self):
+        maxes = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+        starts = list(accumulate((m + 1 for m in maxes), initial=0))
+        terms = [(c, tuple(o + ei for o, ei in zip(starts, e) if ei))
+                 for e, c in self.terms.items()]
+        return terms, maxes
 
     def linear_change(self, T):
         """Substitute variables -> T @ variables for an invertible matrix T."""
@@ -352,9 +362,9 @@ def mp_det(rows) -> MultiPoly:
 def restrict_to_line(f: MultiPoly, base, direction) -> tuple:
     """The univariate polynomial t -> f(base + t * direction).
 
-    Computed exactly by evaluating at deg(f)+1 sample parameters and
-    interpolating (needs p > deg(f), which p > 6 guarantees for the degree-6
-    forms of this toolkit).
+    Computed exactly by evaluating at t = 0..deg(f) and interpolating (needs
+    p > deg(f), which p > 6 guarantees for the degree-6 forms of this
+    toolkit); the nodes repeat, so their Lagrange weights are cached.
     """
     if f.is_zero():
         return ()

@@ -51,6 +51,38 @@ def splitmix64_reference(seed, count):
 
 # -- univariate helpers ------------------------------------------------------
 
+def pow_mod_by_repeated_products(base, e, mod, p):
+    """base**e mod mod by e schoolbook products, each followed by long
+    division by the (not necessarily monic) modulus, inverting its leading
+    coefficient by extended Euclid."""
+    inv_lc = inverse_by_xgcd(mod[-1], p)
+    n = len(mod) - 1
+
+    def rem(a):
+        a = [x % p for x in a]
+        for top in range(len(a) - 1, n - 1, -1):
+            q = a[top] * inv_lc % p
+            for j in range(n + 1):
+                a[top - n + j] = (a[top - n + j] - q * mod[j]) % p
+        a = a[:n]
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def product(a, b):
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    base = rem(list(base))
+    acc = rem([1])
+    for _ in range(e):
+        acc = rem(product(acc, base))
+    return tuple(acc)
+
+
 def brute_roots(f, p):
     def ev(a):
         acc = 0
@@ -176,6 +208,19 @@ def naive_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         for e2, c2 in g.terms.items():
             pairs.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
     return MultiPoly.from_terms(f.nvars, f.p, f.order, pairs)
+
+
+def eval_by_pow(f: MultiPoly, point) -> int:
+    """Term-by-term evaluation: each term is its coefficient times the
+    built-in modular power of every coordinate."""
+    p = f.p
+    total = 0
+    for e, c in f.terms.items():
+        term = c
+        for v, k in zip(point, e):
+            term = term * pow(v, k, p) % p
+        total = (total + term) % p
+    return total
 
 
 def det_by_permutations(grid) -> MultiPoly:

@@ -112,6 +112,21 @@ def test_fiber_gram_examples_and_determinant_compatibility():
         assert oracles.det_int(G, P) == surf.delta.eval(y)
 
 
+@pytest.mark.parametrize("which", ["seed1", "seed2", "seed5", "diagonal"])
+def test_fiber_gram_matches_entrywise_gram_matrix(which):
+    d = diagonal_instance(P) if which == "diagonal" else random_instance(P, int(which[4:]))
+    entries = gram_matrix(d).entries
+    rng = SplitMix64(len(which))
+    points = [(1, 0, 0, 0), (0, 0, 0, 1), (-1, P + 2, 3, -P)]
+    points += [tuple(rng.below(3 * P) - P for _ in range(4)) for _ in range(40)]
+    for y in points:
+        if all(v % P == 0 for v in y):
+            continue
+        want = [[oracles.eval_by_pow(entries[i][j], y) for j in range(4)] for i in range(4)]
+        assert fiber_gram(d, y) == want
+        assert exceptional_conic(d, y) == [row[:3] for row in want[:3]]
+
+
 def test_fiber_gram_rank_scale_invariance():
     d = random_instance(P, 3)
     rng = SplitMix64(11)

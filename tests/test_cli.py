@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from sexticsolid import bundle, groebner, singular
-from sexticsolid.cli import (RunConfig, fnv1a64, instance_fingerprint, main,
-                             render_report, run_single, run_verify_all)
+from sexticsolid import bundle, fibers, groebner, singular
+from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
+                             main, render_report, run_single, run_verify_all)
 from sexticsolid.errors import ConfigError, ResourceBudgetExceeded, UnknownCheck
 
 P = 32003
@@ -184,6 +184,37 @@ def test_verify_computes_no_basis_twice(monkeypatch):
     assert len(bases) <= 4
     for i, a in enumerate(bases):
         assert all(a != b for b in bases[i + 1:])
+
+
+def test_verify_evaluates_each_fiber_once(monkeypatch):
+    real = bundle.fiber_gram
+    points = []
+
+    def counted(d, y):
+        points.append(tuple(y))
+        return real(d, y)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sexticsolid" or name.startswith("sexticsolid."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+
+    _, code = run_verify_all(RunConfig(seed=1))
+    assert code == 0
+    # 100 off-delta and 100 on-delta rank checks, 100 pairing fibers
+    assert len(points) == 300
+    assert len(set(points)) == 300
+
+
+def test_fiber_group_counts_a_contradicted_tag_under_its_rank(seed1):
+    on = fibers.sample_on_delta(seed1.d, seed1.surface, seed=7, n=2)
+    lying = fibers.FiberSample(y=on[0].y, stratum=fibers.STRATUM_OFF_DELTA)
+    group = _fiber_group(seed1.d, [lying, on[1]])
+    assert group["collected"] == 2
+    assert group["rank_counts"] == {"3": 2}
+    assert group["violations"] == 1
+    assert "Gram rank 3, expected 4" in group["violation_details"][0]
 
 
 def test_show_instance_round_trip(tmp_path, capsys):

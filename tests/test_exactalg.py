@@ -4,7 +4,7 @@ from sexticsolid.errors import BadPrime, NonSquare, ZeroInverse
 from sexticsolid.exactalg import (PRIME_TEST_BOUND, SplitMix64, charpoly,
                                   ensure_field_prime, fp_inv, is_prime,
                                   matrix_rank, random_invertible, random_matrix,
-                                  upoly, upoly_add, upoly_deriv, upoly_divmod,
+                                  upoly, upoly_deriv, upoly_divmod,
                                   upoly_eval, upoly_fp_roots, upoly_gcd,
                                   upoly_interpolate, upoly_is_squarefree,
                                   upoly_monic, upoly_mul, upoly_pow_mod,
@@ -102,7 +102,7 @@ def test_upoly_divmod_reconstructs():
         if not g:
             continue
         q, r = upoly_divmod(f, g, p)
-        assert upoly_add(upoly_mul(q, g, p), r, p) == f
+        assert upoly_sub(f, r, p) == upoly_mul(q, g, p)
         assert len(r) < len(g)
 
 
@@ -149,6 +149,39 @@ def test_upoly_pow_mod_and_eval():
     r = upoly_pow_mod(upoly((0, 1), p), 4, mod, p)  # x^4 = 1 mod x^2+1
     assert r == upoly((1,), p)
     assert upoly_eval(upoly((3, 0, 1), p), 5, p) == (25 + 3) % p
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_upoly_pow_mod_matches_repeated_products(p):
+    rng = SplitMix64(p)
+    for degree in range(1, 8):
+        for _ in range(2):
+            # leading coefficient drawn from 2..p-1: never monic
+            mod = upoly([rng.below(p) for _ in range(degree)] + [2 + rng.below(p - 2)], p)
+            base = upoly([rng.below(p) for _ in range(degree + 2)], p)
+            for e in (0, 1, 2, (p - 1) // 2, p):
+                assert upoly_pow_mod(base, e, mod, p) == \
+                    oracles.pow_mod_by_repeated_products(base, e, mod, p)
+            assert upoly_pow_mod((0, 1), p, mod, p) == \
+                oracles.pow_mod_by_repeated_products((0, 1), p, mod, p)
+
+
+def test_upoly_interpolate_unordered_nodes():
+    p = 32003
+    rng = SplitMix64(21)
+    nodes = [17, 3, 250, 9, p - 1, 100, 5]
+    for _ in range(3):
+        f = upoly([rng.below(p) for _ in range(7)], p)
+        for xs in (nodes, nodes[::-1], [x + p for x in nodes], [x - p for x in nodes]):
+            assert upoly_interpolate([(x, upoly_eval(f, x, p)) for x in xs], p) == f
+    # fewer nodes than coefficients: the interpolant of degree < 3 agrees
+    # with f at the nodes only
+    f = upoly((4, 0, 0, 1), p)
+    xs = [40, 2, 7]
+    g = upoly_interpolate([(x, upoly_eval(f, x, p)) for x in xs], p)
+    assert len(g) <= 3 and all(upoly_eval(g, x, p) == upoly_eval(f, x, p) for x in xs)
+    with pytest.raises(ZeroInverse):
+        upoly_interpolate([(3, 1), (3 + p, 2)], p)
 
 
 def test_upoly_interpolate_round_trip():

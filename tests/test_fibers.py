@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from sexticsolid import bundle
 from sexticsolid.bundle import (CubicData, diagonal_instance, discriminant,
                                 fiber_gram, random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
@@ -39,7 +43,6 @@ def test_sample_off_delta_properties(seed1):
     for s in samples:
         assert s.stratum == "off_delta"
         assert seed1.surface.delta.eval(s.y) != 0
-        assert s.gram_rank == 4
         assert fiber_rank_check(seed1.d, s) == 4
 
 
@@ -66,7 +69,6 @@ def test_sample_on_delta_properties(seed1):
         assert s.stratum == "on_delta_smooth"
         assert seed1.surface.delta.eval(s.y) == 0
         assert any(seed1.surface.delta.partial(i).eval(s.y) != 0 for i in range(4))
-        assert s.gram_rank == 3
         assert fiber_rank_check(seed1.d, s) == 3
         assert s.y not in seen
         seen.add(s.y)
@@ -81,12 +83,12 @@ def test_sample_on_delta_diagonal_line_slice():
     assert surf.delta.eval(y) == 0
     assert surf.delta.partial(0).eval(y) == 1
     samples = sample_on_delta(d, surf, seed=6, n=10)
-    assert all(s.gram_rank == 3 for s in samples)
+    assert all(fiber_rank_check(d, s) == 3 for s in samples)
 
 
 def test_sample_on_delta_smooth_surface_accepts_everything():
     # on a smooth sextic (no singular points at all) every root the slicer
-    # finds is accepted; the instance argument only feeds the rank field
+    # finds is accepted; the instance argument only supplies the prime
     fermat = MultiPoly.from_terms(
         4, P, GREVLEX,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
@@ -107,9 +109,10 @@ def test_conic_restriction_diagonal_example():
 
 def test_fiber_rank_check_raises_on_contradicted_tag(seed1):
     on = sample_on_delta(seed1.d, seed1.surface, seed=7, n=1)[0]
-    lying = FiberSample(y=on.y, stratum="off_delta", gram_rank=4)
-    with pytest.raises(StratumViolation):
+    lying = FiberSample(y=on.y, stratum="off_delta")
+    with pytest.raises(StratumViolation) as info:
         fiber_rank_check(seed1.d, lying)
+    assert (info.value.rank, info.value.expected) == (3, 4)
 
 
 def test_planted_sigma_point_has_rank_2():
@@ -120,7 +123,6 @@ def test_planted_sigma_point_has_rank_2():
                                  [0, 0, 0, 0], [0, 0, 0, 0]]
     s = sigma_sample(d, surf, e0)
     assert s.stratum == "on_sigma"
-    assert s.gram_rank == 2
     assert fiber_rank_check(d, s) == 2
 
 
@@ -220,3 +222,36 @@ def test_sampling_is_deterministic(seed1):
     c = sample_on_delta(seed1.d, seed1.surface, seed=13, n=10)
     e = sample_on_delta(seed1.d, seed1.surface, seed=13, n=10)
     assert c == e
+
+
+def _points_digest(rows):
+    text = json.dumps(rows, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_drawn_points_match_their_golden_digests(seed1, monkeypatch):
+    # the verify report holds only rank counts, so these pin the points
+    # themselves and the order in which they are drawn
+    n = 200
+    off = sample_off_delta(seed1.d, seed1.surface, seed=1, n=n)
+    assert _points_digest([list(s.y) for s in off]) == "f8d8197002309a81"
+    on = sample_on_delta(seed1.d, seed1.surface, seed=2, n=n)
+    assert _points_digest([list(s.y) for s in on]) == "4b0a3f7778a8ab80"
+    certs = [pairing_certificate(seed1.d, s.y, seed=3 + k) for k, s in enumerate(off)]
+    assert _points_digest([[list(c.y), c.pairing_h2, c.pairing_pl, c.pairing_qpi]
+                           for c in certs]) == "518d66c6e73d55f6"
+
+    # the smoothness report keeps only failures: record every candidate point
+    # as the spot-check normalizes it
+    real = bundle._normalize_projective
+    drawn = []
+
+    def recording(v, p):
+        pt = real(v, p)
+        drawn.append(None if pt is None else list(pt))
+        return pt
+
+    monkeypatch.setattr(bundle, "_normalize_projective", recording)
+    report = bundle.smoothness_spotcheck(seed1.d, n, seed=4)
+    assert (report.points_checked, report.failures) == (n, ())
+    assert _points_digest(drawn) == "83ee2c2aa0395067"

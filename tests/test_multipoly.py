@@ -79,6 +79,42 @@ def test_eval_examples_and_homomorphism():
         assert (f + g).eval(pt) == (f.eval(pt) + g.eval(pt)) % P
 
 
+@pytest.mark.parametrize("nvars", range(1, 8))
+def test_eval_matches_term_by_term_pow_oracle(nvars):
+    rng = SplitMix64(100 + nvars)
+    polys = [MultiPoly.zero(nvars, P, GREVLEX),
+             MultiPoly.constant(7, nvars, P, GREVLEX),
+             MultiPoly.constant(-1, nvars, P, GREVLEX)]
+    polys += [rand_poly(rng, nvars=nvars, maxdeg=4, terms=12) for _ in range(6)]
+    polys.append(MultiPoly.from_terms(nvars, P, GREVLEX,
+                                      [(e, rng.below(P)) for e in monomials_of_degree(nvars, 3)]))
+    for f in polys:
+        for _ in range(8):
+            pt = [rng.below(3 * P) - P for _ in range(nvars)]  # negative and >= p too
+            assert f.eval(pt) == oracles.eval_by_pow(f, pt)
+        assert f.eval([0] * nvars) == oracles.eval_by_pow(f, [0] * nvars)
+        assert f.eval([P] * nvars) == f.eval([0] * nvars)
+        assert f.eval([-1] * nvars) == f.eval([P - 1] * nvars)
+
+
+def test_eval_results_of_partial_and_linear_change_stay_their_own():
+    # evaluate each polynomial before and after its derivatives and changes
+    # are evaluated: a term list kept from one polynomial must never serve
+    # another
+    rng = SplitMix64(77)
+    exps = monomials_of_degree(3, 4)
+    f = MultiPoly.from_terms(3, P, GREVLEX, [(e, rng.below(P)) for e in exps])
+    pts = [[rng.below(P) for _ in range(3)] for _ in range(5)]
+    T = random_invertible(3, P, rng)
+    for _ in range(2):
+        derived = [f, f.partial(0), f.partial(2), f.partial(0).partial(1),
+                   f.linear_change(T), f.linear_change(T).partial(1), -f, f.scale(3)]
+        for g in derived + derived[::-1]:
+            for pt in pts:
+                assert g.eval(pt) == oracles.eval_by_pow(g, pt)
+    assert f.partial(0).eval(pts[0]) != f.eval(pts[0])
+
+
 def test_homogeneous_scaling_identity():
     rng = SplitMix64(31)
     exps = [e for e in monomials_of_degree(3, 4)]
