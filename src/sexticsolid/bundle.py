@@ -74,6 +74,13 @@ class CubicData:
         yield self.C, 3
 
     @cached_property
+    def _ambient(self) -> tuple:
+        """The ambient cubic and its seven partials, built (and compiled on
+        first evaluation) once per instance."""
+        f = cubic_equation(self)
+        return f, tuple(f.partial(i) for i in range(f.nvars))
+
+    @cached_property
     def _gram_vectors(self) -> tuple:
         """The ten distinct Gram entries (the upper triangle of A, then B,
         then C) as coefficient vectors over _CUBIC_MONOMIALS."""
@@ -105,6 +112,11 @@ class DiscriminantSurface:
     """The branch sextic: delta = det(Gram), homogeneous of degree 6."""
 
     delta: MultiPoly
+
+    @cached_property
+    def partials(self) -> tuple:
+        """The four partials of delta, built once per surface."""
+        return tuple(self.delta.partial(i) for i in range(4))
 
 
 def random_instance(p: int, seed: int) -> CubicData:
@@ -222,11 +234,20 @@ def smoothness_spotcheck_cubic(f: MultiPoly, n_samples: int, seed: int) -> Smoot
     """Sample up to n_samples rational points of the hypersurface f = 0 by
     slicing along seeded random lines, and verify the Jacobian does not
     vanish at any of them."""
+    return _spotcheck(f, [f.partial(i) for i in range(f.nvars)], n_samples, seed)
+
+
+def smoothness_spotcheck(d: CubicData, n_samples: int, seed: int) -> SmoothnessReport:
+    """smoothness_spotcheck_cubic of the instance's ambient cubic, whose
+    partials are built once per instance."""
+    return _spotcheck(*d._ambient, n_samples, seed)
+
+
+def _spotcheck(f: MultiPoly, partials, n_samples: int, seed: int) -> SmoothnessReport:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     p = f.p
     n = f.nvars
-    partials = [f.partial(i) for i in range(n)]
     rng = SplitMix64(seed)
     points = []
     seen = set()
@@ -252,10 +273,6 @@ def smoothness_spotcheck_cubic(f: MultiPoly, n_samples: int, seed: int) -> Smoot
     failures = tuple(pt for pt in points
                      if all(g.eval(pt) == 0 for g in partials))
     return SmoothnessReport(points_checked=len(points), failures=failures)
-
-
-def smoothness_spotcheck(d: CubicData, n_samples: int, seed: int) -> SmoothnessReport:
-    return smoothness_spotcheck_cubic(cubic_equation(d), n_samples, seed)
 
 
 def _normalize_projective(v, p):

@@ -8,6 +8,11 @@ Conventions
 * A univariate polynomial ("upoly") is a ``tuple`` of coefficients, lowest
   degree first, with no trailing zeros; the zero polynomial is ``()``.
 * A matrix is a list of row lists of ``int``.
+* Inside ``upoly_pow_mod`` a residue modulo a monic modulus of degree n is
+  one packed ``int`` (Kronecker substitution): coefficient k sits in bits
+  k*S up to (k+1)*S, with S = (2*n*p^2).bit_length() wide enough for every
+  unreduced coefficient of a product and its fold, so one bigint product
+  replaces the schoolbook double loop.
 
 All values are immutable (or treated as such) and every operation is a pure
 function, so concurrent use from several threads is safe.
@@ -15,7 +20,6 @@ function, so concurrent use from several threads is safe.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 from .errors import BadPrime, NonSquare, ZeroInverse
 
@@ -205,9 +209,19 @@ def upoly_eval(f: UPoly, a: int, p: int) -> int:
 
 
 def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
-    """base**e modulo mod, by left-to-right square-and-multiply on residue
-    lists: the modulus is made monic once, so each step folds x^n down with
-    no inversion and reduces each coefficient once."""
+    """base**e modulo mod, by left-to-right square-and-multiply on packed
+    residues.
+
+    The modulus is made monic once.  A residue r_0 + r_1 x + ... + r_{n-1}
+    x^{n-1} is held as the int sum r_k << (k*S) with S = (2*n*p^2).bit_length(),
+    so a product of two residues is one bigint product whose slot k is the
+    exact, unreduced x^k coefficient (each below n*p^2).  The n-1 high slots
+    are reduced mod p and folded in with the precomputed packed residues of
+    x^n, ..., x^(2n-2) mod m; a low slot then stays below
+    n*p^2 + (n-1)*p^2 < 2^S, and since every slot is non-negative none borrows
+    from or overflows into its neighbour.  The n low slots are reduced mod p
+    and repacked.
+    """
     m = upoly_monic(mod, p)
     n = len(m) - 1
     if n < 0:
@@ -216,65 +230,84 @@ def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
         return UPOLY_ZERO
     if e <= 0:
         return UPOLY_ONE
-    neg = [(-c) % p for c in m[:n]]
-    top = 2 * n - 1
+    shift = (2 * n * p * p).bit_length()
+    mask = (1 << shift) - 1
+    low_mask = (1 << (n * shift)) - 1
+    offsets = range(0, n * shift, shift)
+    high = range(n * shift, (2 * n - 1) * shift, shift)
 
-    def mul_mod(a, b):
-        out = [0] * top
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    out[k] += ai * bj
-        for k in range(top - 1, n - 1, -1):
-            c = out[k] % p
-            if c:
-                for j, nj in enumerate(neg, k - n):
-                    out[j] += c * nj
-        return [x % p for x in out[:n]]
+    def pack(coeffs):
+        return sum(c << o for c, o in zip(coeffs, offsets))
 
-    b = list(upoly_rem(base, m, p))
-    b += [0] * (n - len(b))
+    # packed x^(n+k) mod m for k = 0..n-2
+    r = [(-c) % p for c in m[:n]]
+    folds = []
+    for _ in range(n - 1):
+        folds.append(pack(r))
+        top = r[-1]
+        r = [(-top * m[0]) % p] + [(r[k - 1] - top * m[k]) % p for k in range(1, n)]
+
+    def reduce(prod):
+        low = prod & low_mask
+        for o, fold in zip(high, folds):
+            low += (prod >> o & mask) % p * fold
+        return sum([(low >> o & mask) % p << o for o in offsets])
+
+    b = pack(upoly_rem(base, m, p))
     result = b
     for bit in bin(e)[3:]:
-        result = mul_mod(result, result)
+        result = reduce(result * result)
         if bit == "1":
-            result = mul_mod(b, result)
-    return upoly(result, p)
+            result = reduce(result * b)
+    return upoly([(result >> o) & mask for o in offsets], p)
 
 
-def upoly_interpolate(points, p: int) -> UPoly:
-    """Lagrange interpolation through (x, y) pairs with distinct x: one
-    product with the cached Lagrange weights of the nodes."""
-    pts = list(points)
-    weights = _lagrange_weights(tuple(x % p for x, _ in pts), p)
-    ys = [y for _, y in pts]
-    return upoly([sum(map(mul, row, ys)) for row in weights], p)
+def fp_sqrt(a: int, p: int) -> int:
+    """A square root of the quadratic residue a modulo the odd prime p, by
+    Tonelli-Shanks; raises ValueError when a is a non-residue."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    x = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    c = pow(_non_residue(p), q, p) if t != 1 else 1
+    while t != 1:
+        # the least i with t^(2^i) == 1; a residue has i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:
+                raise ValueError(f"{a} is not a square modulo {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        x = x * b % p
+        c = b * b % p
+        t = t * c % p
+        s = i
+    return x
 
 
-@lru_cache(maxsize=64)
-def _lagrange_weights(nodes: tuple, p: int) -> tuple:
-    """Row k holds the t^k coefficients of the Lagrange basis polynomials
-    L_i(t) = prod_{j != i} (t - x_j) / (x_i - x_j) of the nodes."""
-    basis = []
-    for i, xi in enumerate(nodes):
-        num = UPOLY_ONE
-        den = 1
-        for j, xj in enumerate(nodes):
-            if j != i:
-                num = upoly_mul(num, ((-xj) % p, 1), p)
-                den = den * (xi - xj) % p
-        basis.append(upoly_scale(num, fp_inv(den, p), p))
-    return tuple(tuple(L[k] if k < len(L) else 0 for L in basis)
-                 for k in range(len(nodes)))
+@lru_cache(maxsize=None)
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue modulo the odd prime p."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    return z
 
 
 def upoly_fp_roots(f: UPoly, p: int, rng_seed: int) -> set[int]:
     """All distinct roots of f in F_p.
 
     First gcd(f, x^p - x) isolates the product of (x - r) over the distinct
-    rational roots (x^p computed by square-and-multiply mod f); that product
-    is then split into linear factors by seeded random equal-degree
-    splitting with (x + a)^((p-1)/2).
+    rational roots (x^p computed by square-and-multiply mod f).  A factor of
+    degree 2 is split in closed form, (-b +- sqrt(b^2 - 4c))/2 with the square
+    root by Tonelli-Shanks and checked; one of higher degree by seeded random
+    equal-degree splitting with (x + a)^((p-1)/2).
     """
     if not f:
         raise ValueError("zero polynomial has every point as a root")
@@ -293,6 +326,16 @@ def upoly_fp_roots(f: UPoly, p: int, rng_seed: int) -> set[int]:
             continue
         if d == 1:
             roots.add((-h[0]) % p)
+            continue
+        if d == 2:
+            c, b = h[0], h[1]
+            disc = (b * b - 4 * c) % p
+            s = fp_sqrt(disc, p)
+            if s * s % p != disc:  # pragma: no cover - a wrong root is a defect
+                raise RuntimeError(f"square root {s} of the discriminant {disc} fails its check")
+            half = (p + 1) // 2
+            roots.add((s - b) * half % p)
+            roots.add((-s - b) * half % p)
             continue
         for _ in range(512):
             a = rng.below(p)

@@ -98,7 +98,7 @@ def sample_on_delta(d: CubicData, surface: DiscriminantSurface,
         raise ValueError("n must be >= 1")
     p = d.p
     delta = surface.delta
-    partials = [delta.partial(i) for i in range(4)]
+    partials = surface.partials
     rng = SplitMix64(seed)
     samples = []
     seen = set()
@@ -139,7 +139,7 @@ def sigma_sample(d: CubicData, surface: DiscriminantSurface, y) -> FiberSample:
         raise ValueError("the zero vector is not a point")
     if surface.delta.eval(y) != 0:
         raise ValueError("point is not on the branch sextic")
-    if any(surface.delta.partial(i).eval(y) != 0 for i in range(4)):
+    if any(g.eval(y) != 0 for g in surface.partials):
         raise ValueError("point is a smooth point of the sextic, not a node")
     return FiberSample(y=y, stratum=STRATUM_ON_SIGMA)
 

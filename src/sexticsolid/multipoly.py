@@ -4,6 +4,14 @@ A polynomial is a mapping from exponent tuples to nonzero coefficients in
 [0, p), stored in strictly decreasing monomial order so that equal
 polynomials are bit-identical.  Instances are immutable by convention: no
 method mutates ``terms`` and callers must not either.
+
+On first use a polynomial compiles its terms into a list of (coefficient,
+power-table indices).  ``eval`` fills the table with powers of the point's
+coordinates mod p; ``restrict_to_line`` fills it with packed ints
+a_k + (b_k << S), so that one pass yields every t^i coefficient of the
+restriction in slot i of a single int, S bits wide with S =
+(nterms * p * (2p)^deg).bit_length() (see ``restrict_to_line`` for the
+bound).
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .errors import ArityMismatch, IndexOutOfRange, SingularChange
-from .exactalg import fp_inv, matrix_rank, upoly_interpolate
+from .exactalg import fp_inv, matrix_rank, upoly
 
 
 @dataclass(frozen=True)
@@ -217,9 +225,7 @@ class MultiPoly:
         first use and kept; term products are summed unreduced."""
         if len(point) != self.nvars:
             raise ArityMismatch(f"point of length {len(point)} for {self.nvars} variables")
-        if self._compiled is None:
-            self._compiled = self._compile()
-        terms, maxes = self._compiled
+        terms, maxes, _ = self._compiled_form()
         p = self.p
         table = []
         for v, m in zip(point, maxes):
@@ -236,12 +242,18 @@ class MultiPoly:
             total += c
         return total % p
 
-    def _compile(self):
-        maxes = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
-        starts = list(accumulate((m + 1 for m in maxes), initial=0))
-        terms = [(c, tuple(o + ei for o, ei in zip(starts, e) if ei))
-                 for e, c in self.terms.items()]
-        return terms, maxes
+    def _compiled_form(self):
+        """(term list, per-variable maximum degrees, total degree), built on
+        first use and kept: each term is its coefficient and the indices of
+        its variable powers in one flat table holding 1, x_k, ..., x_k^max_k
+        for each variable in turn (eval and restrict_to_line fill it)."""
+        if self._compiled is None:
+            maxes = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+            starts = list(accumulate((m + 1 for m in maxes), initial=0))
+            terms = [(c, tuple(o + ei for o, ei in zip(starts, e) if ei))
+                     for e, c in self.terms.items()]
+            self._compiled = (terms, maxes, self.total_degree())
+        return self._compiled
 
     def linear_change(self, T):
         """Substitute variables -> T @ variables for an invertible matrix T."""
@@ -360,23 +372,42 @@ def mp_det(rows) -> MultiPoly:
 
 
 def restrict_to_line(f: MultiPoly, base, direction) -> tuple:
-    """The univariate polynomial t -> f(base + t * direction).
+    """The univariate polynomial t -> f(base + t * direction), by Kronecker
+    substitution in one pass over f's compiled term list.
 
-    Computed exactly by evaluating at t = 0..deg(f) and interpolating (needs
-    p > deg(f), which p > 6 guarantees for the degree-6 forms of this
-    toolkit); the nodes repeat, so their Lagrange weights are cached.
+    Coordinate k becomes the int a_k + (b_k << S), with a_k and b_k the base
+    and direction coordinates reduced into [0, p), so every power and term
+    product is a packed polynomial in t whose slot i (bits i*S up to
+    (i+1)*S) is its exact, unreduced t^i coefficient.  For f of total degree
+    d with N terms, a term's slots sum to at most (p - 1) * (2p - 2)^d, so
+    every slot of the sum stays below N * p * (2p)^d; with
+    S = (N * p * (2p)^d).bit_length() and all slots non-negative, no slot
+    borrows from or overflows into the next.  The d + 1 slots are then
+    reduced mod p.
     """
+    if len(base) != f.nvars or len(direction) != f.nvars:
+        raise ArityMismatch(f"line in {len(base)} and {len(direction)} coordinates "
+                            f"for {f.nvars} variables")
     if f.is_zero():
         return ()
-    d = f.total_degree()
+    terms, maxes, d = f._compiled_form()
     p = f.p
-    if d + 1 > p:
-        raise ArityMismatch("field too small to interpolate the restriction")
-    pts = []
-    for t in range(d + 1):
-        y = [(base[k] + t * direction[k]) % p for k in range(f.nvars)]
-        pts.append((t, f.eval(y)))
-    return upoly_interpolate(pts, p)
+    shift = (len(terms) * p * (2 * p) ** d).bit_length()
+    table = []
+    for a, b, m in zip(base, direction, maxes):
+        x = a % p + (b % p << shift)
+        power = 1
+        table.append(1)
+        for _ in range(m):
+            power *= x
+            table.append(power)
+    total = 0
+    for c, idx in terms:
+        for k in idx:
+            c *= table[k]
+        total += c
+    mask = (1 << shift) - 1
+    return upoly([(total >> (i * shift)) & mask for i in range(d + 1)], p)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,7 @@ def jacobian_ideal(surface: DiscriminantSurface) -> Ideal:
     delta itself is redundant: six times it is the Euler combination of the
     partials, and 6 is a unit because p > 6.
     """
-    parts = [surface.delta.partial(i) for i in range(4)]
-    return make_ideal(parts)
+    return make_ideal(surface.partials)
 
 
 def _chart_rng(p: int, seed: int):

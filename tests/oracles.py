@@ -4,12 +4,16 @@ Each oracle deliberately takes a different algorithmic route from the
 library code it checks (extended Euclid instead of Fermat powers, exhaustive
 evaluation instead of factorization, permutation expansion instead of
 memoized cofactors, randomized single-step reduction instead of the heap
-reducer, Macaulay matrices instead of staircase counting).
+reducer, Macaulay matrices instead of staircase counting, evaluation and
+Lagrange interpolation instead of Kronecker substitution).
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
+from sexticsolid.exactalg import UPOLY_ONE, fp_inv, upoly, upoly_mul, upoly_scale
 from sexticsolid.multipoly import MultiPoly
 
 MASK64 = (1 << 64) - 1
@@ -81,6 +85,32 @@ def pow_mod_by_repeated_products(base, e, mod, p):
     for _ in range(e):
         acc = rem(product(acc, base))
     return tuple(acc)
+
+
+def upoly_interpolate(points, p):
+    """Lagrange interpolation through (x, y) pairs with distinct x: one
+    product with the cached Lagrange weights of the nodes."""
+    pts = list(points)
+    weights = _lagrange_weights(tuple(x % p for x, _ in pts), p)
+    ys = [y for _, y in pts]
+    return upoly([sum(map(mul, row, ys)) for row in weights], p)
+
+
+@lru_cache(maxsize=64)
+def _lagrange_weights(nodes, p):
+    """Row k holds the t^k coefficients of the Lagrange basis polynomials
+    L_i(t) = prod_{j != i} (t - x_j) / (x_i - x_j) of the nodes."""
+    basis = []
+    for i, xi in enumerate(nodes):
+        num = UPOLY_ONE
+        den = 1
+        for j, xj in enumerate(nodes):
+            if j != i:
+                num = upoly_mul(num, ((-xj) % p, 1), p)
+                den = den * (xi - xj) % p
+        basis.append(upoly_scale(num, fp_inv(den, p), p))
+    return tuple(tuple(L[k] if k < len(L) else 0 for L in basis)
+                 for k in range(len(nodes)))
 
 
 def brute_roots(f, p):
@@ -221,6 +251,17 @@ def eval_by_pow(f: MultiPoly, point) -> int:
             term = term * pow(v, k, p) % p
         total = (total + term) % p
     return total
+
+
+def restrict_by_interpolation(f: MultiPoly, base, direction):
+    """t -> f(base + t * direction), from the values at t = 0..deg f (by
+    eval_by_pow) and Lagrange interpolation; needs p > deg f."""
+    d = f.total_degree()
+    if d < 0:
+        return ()
+    pts = [(t, eval_by_pow(f, [a + t * b for a, b in zip(base, direction)]))
+           for t in range(d + 1)]
+    return upoly_interpolate(pts, f.p)
 
 
 def det_by_permutations(grid) -> MultiPoly:

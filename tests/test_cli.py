@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from sexticsolid import bundle, fibers, groebner, singular
+from sexticsolid import bundle, fibers, groebner, multipoly, singular
 from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
                              main, render_report, run_single, run_verify_all)
 from sexticsolid.errors import ConfigError, ResourceBudgetExceeded, UnknownCheck
@@ -205,6 +205,41 @@ def test_verify_evaluates_each_fiber_once(monkeypatch):
     # 100 off-delta and 100 on-delta rank checks, 100 pairing fibers
     assert len(points) == 300
     assert len(set(points)) == 300
+
+
+def test_verify_restricts_lines_without_evaluating(monkeypatch):
+    """A line restriction is one Kronecker substitution: no MultiPoly.eval
+    call runs inside restrict_to_line during a verify."""
+    real = multipoly.restrict_to_line
+    real_eval = multipoly.MultiPoly.eval
+    depth = [0]
+    restrictions = []
+    nested = []
+
+    def restrict(*args, **kwargs):
+        restrictions.append(1)
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def evaluate(self, point):
+        if depth[0]:
+            nested.append(tuple(point))
+        return real_eval(self, point)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sexticsolid" or name.startswith("sexticsolid."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, restrict)
+    monkeypatch.setattr(multipoly.MultiPoly, "eval", evaluate)
+
+    _, code = run_verify_all(RunConfig(seed=1))
+    assert code == 0
+    assert restrictions
+    assert nested == []
 
 
 def test_fiber_group_counts_a_contradicted_tag_under_its_rank(seed1):

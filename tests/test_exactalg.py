@@ -2,15 +2,16 @@ import pytest
 
 from sexticsolid.errors import BadPrime, NonSquare, ZeroInverse
 from sexticsolid.exactalg import (PRIME_TEST_BOUND, SplitMix64, charpoly,
-                                  ensure_field_prime, fp_inv, is_prime,
+                                  ensure_field_prime, fp_inv, fp_sqrt, is_prime,
                                   matrix_rank, random_invertible, random_matrix,
                                   upoly, upoly_deriv, upoly_divmod,
                                   upoly_eval, upoly_fp_roots, upoly_gcd,
-                                  upoly_interpolate, upoly_is_squarefree,
+                                  upoly_is_squarefree,
                                   upoly_monic, upoly_mul, upoly_pow_mod,
-                                  upoly_rem, upoly_sub)
+                                  upoly_rem, upoly_scale, upoly_sub)
 
 import oracles
+from oracles import upoly_interpolate
 
 
 def test_splitmix64_matches_reference():
@@ -141,6 +142,55 @@ def test_upoly_roots_with_multiplicities_and_large_p():
     f = upoly_mul(upoly_mul(upoly((-5, 1), p), upoly((-5, 1), p), p),
                   upoly((-17, 1), p), p)
     assert upoly_fp_roots(f, p, 3) == {5, 17}
+
+
+@pytest.mark.parametrize("p", [13, 101, 103, 1019])
+def test_upoly_roots_of_two_distinct_linear_factors(p):
+    # the gcd with x^p - x has degree 2 and is split in closed form; at
+    # p = 13 and 101 (1 mod 4) Tonelli-Shanks enters its loop for some
+    # discriminants, at p = 103 and 1019 (3 mod 4) it never does
+    rng = SplitMix64(p)
+    for trial in range(40):
+        r1 = rng.below(p)
+        r2 = (r1 + 1 + rng.below(p - 1)) % p
+        lead = 1 + rng.below(p - 1)
+        f = upoly_scale(upoly_mul(upoly((-r1, 1), p), upoly((-r2, 1), p), p), lead, p)
+        assert upoly_fp_roots(f, p, trial) == oracles.brute_roots(f, p) == {r1, r2}
+        # an irreducible quadratic factor leaves the gcd, and so the roots, alone
+        g = upoly_mul(f, upoly((-_non_residue_by_search(p), 0, 1), p), p)
+        assert upoly_fp_roots(g, p, trial) == {r1, r2}
+
+
+def _non_residue_by_search(p):
+    squares = {a * a % p for a in range(p)}
+    return next(z for z in range(2, p) if z not in squares)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 97, 101, 103])
+def test_fp_sqrt_against_squares(p):
+    for a in range(p):
+        square = a * a % p
+        s = fp_sqrt(square, p)
+        assert s * s % p == square
+        assert fp_sqrt(square - p, p) == s
+    with pytest.raises(ValueError):
+        fp_sqrt(_non_residue_by_search(p), p)
+
+
+def test_upoly_pow_mod_packed_slots_at_a_61_bit_prime():
+    # residues are packed with slots of (2 n p^2).bit_length() bits: a
+    # 61-bit prime makes every slot about 128 bits wide
+    p = 2**61 - 1
+    rng = SplitMix64(61)
+    for degree in range(1, 9):
+        mod = upoly([rng.below(p) for _ in range(degree)] + [2 + rng.below(p - 2)], p)
+        worst = tuple([p - 1] * degree) + (1,)
+        for m in (mod, worst):
+            base = upoly([rng.below(p) for _ in range(degree + 2)], p)
+            for b in (base, (0, 1), tuple([p - 1] * degree)):
+                for e in (1, 2, 3, 37, 64):
+                    assert upoly_pow_mod(b, e, m, p) == \
+                        oracles.pow_mod_by_repeated_products(b, e, m, p)
 
 
 def test_upoly_pow_mod_and_eval():

@@ -242,6 +242,38 @@ def test_restrict_to_line_matches_direct_evaluation():
         assert upoly_eval(r, t, P) == f.eval(pt)
 
 
+@pytest.mark.parametrize("p", [P, 2**61 - 1])
+@pytest.mark.parametrize("nvars, degree", [(4, 6), (7, 3)])
+def test_restrict_to_line_matches_interpolation_oracle(p, nvars, degree):
+    # every slot of the Kronecker substitution stays below 2^S: the worst
+    # case has every coefficient and every coordinate p - 1; coordinates
+    # are also taken negative and at or above p
+    exps = monomials_of_degree(nvars, degree)
+    rng = SplitMix64(nvars * degree)
+    dense = MultiPoly.from_terms(nvars, p, GREVLEX, [(e, rng.below(p)) for e in exps])
+    worst = MultiPoly.from_terms(nvars, p, GREVLEX, [(e, p - 1) for e in exps])
+    mixed = dense + MultiPoly.from_terms(
+        nvars, p, GREVLEX, [(e, rng.below(p)) for e in monomials_of_degree(nvars, 1)])
+    lines = [([p - 1] * nvars, [p - 1] * nvars),
+             ([-1] * nvars, [p - 1] * nvars),
+             ([-rng.below(p) for _ in range(nvars)], [p + rng.below(p) for _ in range(nvars)]),
+             ([rng.below(p) + k * p for k in range(nvars)], [-(p - 1)] * nvars),
+             ([rng.below(p) for _ in range(nvars)], [rng.below(p) for _ in range(nvars)])]
+    for f in (dense, worst, mixed):
+        for a, b in lines:
+            r = restrict_to_line(f, a, b)
+            assert r == oracles.restrict_by_interpolation(f, a, b)
+    r = restrict_to_line(worst, [p - 1] * nvars, [p - 1] * nvars)
+    assert len(r) == degree + 1
+
+
+def test_restrict_to_line_rejects_wrong_arity_and_maps_zero_to_zero():
+    f = MultiPoly.variable(0, 3, P, GREVLEX)
+    with pytest.raises(ArityMismatch):
+        restrict_to_line(f, [1, 2], [3, 4, 5])
+    assert restrict_to_line(MultiPoly.zero(3, P, GREVLEX), [1, 2, 3], [3, 4, 5]) == ()
+
+
 def test_format_and_parse_round_trip():
     names = ("Y0", "Y1", "Y2", "Y3")
     rng = SplitMix64(3)
