@@ -19,10 +19,10 @@ from itertools import combinations_with_replacement
 from operator import mul
 
 from .errors import ArityMismatch, DegenerateDiscriminant, ZeroPoint
-from .exactalg import (SplitMix64, ensure_field_prime, fp_inv, matrix_rank,
+from .exactalg import (SplitMix64, ensure_field_prime, fp_inv, independent_pair,
                        random_nonzero_vector, upoly_fp_roots)
-from .multipoly import (GREVLEX, MultiPoly, format_poly, monomials_of_degree,
-                        mp_det, parse_poly, restrict_to_line)
+from .multipoly import (MultiPoly, format_poly, monomials_of_degree, mp_det,
+                        parse_poly, restrict_to_line)
 
 BASE_NAMES = ("Y0", "Y1", "Y2", "Y3")
 AMBIENT_NAMES = ("X0", "X1", "X2", "Y0", "Y1", "Y2", "Y3")
@@ -133,8 +133,7 @@ def random_instance(p: int, seed: int) -> CubicData:
 
     def draw(degree):
         return MultiPoly.from_terms(
-            4, p, GREVLEX,
-            [(e, rng.below(p)) for e in monomials_of_degree(4, degree)])
+            4, p, [(e, rng.below(p)) for e in monomials_of_degree(4, degree)])
 
     upper = {idx: draw(1) for idx in _UPPER}
     A = tuple(tuple(upper[(min(i, j), max(i, j))] for j in range(3)) for i in range(3))
@@ -145,8 +144,8 @@ def random_instance(p: int, seed: int) -> CubicData:
 
 def diagonal_instance(p: int) -> CubicData:
     """The degenerate reference instance A = diag(Y0, Y1, Y2), B = 0, C = Y3^3."""
-    zero = MultiPoly.zero(4, p, GREVLEX)
-    ys = [MultiPoly.variable(i, 4, p, GREVLEX) for i in range(4)]
+    zero = MultiPoly.zero(4, p)
+    ys = [MultiPoly.variable(i, 4, p) for i in range(4)]
     A = tuple(tuple(ys[i] if i == j else zero for j in range(3)) for i in range(3))
     B = (zero, zero, zero)
     C = ys[3] * ys[3] * ys[3]
@@ -174,8 +173,8 @@ def discriminant(d: CubicData) -> DiscriminantSurface:
 def cubic_equation(d: CubicData) -> MultiPoly:
     """The defining cubic in the seven ambient coordinates X0..X2, Y0..Y3."""
     y_positions = (3, 4, 5, 6)
-    X = [MultiPoly.variable(i, 7, d.p, GREVLEX) for i in range(3)]
-    total = MultiPoly.zero(7, d.p, GREVLEX)
+    X = [MultiPoly.variable(i, 7, d.p) for i in range(3)]
+    total = MultiPoly.zero(7, d.p)
     for i in range(3):
         for j in range(3):
             total = total + d.A[i][j].embed(7, y_positions) * X[i] * X[j]
@@ -257,7 +256,7 @@ def _spotcheck(f: MultiPoly, partials, n_samples: int, seed: int) -> SmoothnessR
             break
         a = random_nonzero_vector(n, p, rng)
         b = random_nonzero_vector(n, p, rng)
-        if matrix_rank([list(a), list(b)], p) != 2:
+        if not independent_pair(a, b, p):
             continue
         r = restrict_to_line(f, a, b)
         if not r:
@@ -291,13 +290,9 @@ def _normalize_projective(v, p):
 def format_instance(d: CubicData) -> str:
     """Canonical text form.  Seeded instances serialize as (prime, seed);
     explicit ones list the ten defining forms.  Both round-trip bit-exactly."""
-    lines = [f"prime: {d.p}"]
-    if d.seed is not None:
-        lines.append(f"seed: {d.seed}")
-    else:
-        for key, (f, _) in zip(_FORM_KEYS, d._declared()):
-            lines.append(f"{key}: {format_poly(f, BASE_NAMES)}")
-    return "\n".join(lines) + "\n"
+    if d.seed is None:
+        return explicit_instance_text(d)
+    return f"prime: {d.p}\nseed: {d.seed}\n"
 
 
 def parse_instance(text: str) -> CubicData:
@@ -328,7 +323,7 @@ def parse_instance(text: str) -> CubicData:
     extra = [k for k in entries if k not in _FORM_KEYS]
     if extra:
         raise ValueError(f"unknown entries: {', '.join(extra)}")
-    forms = {k: parse_poly(entries[k], 4, p, BASE_NAMES, GREVLEX) for k in _FORM_KEYS}
+    forms = {k: parse_poly(entries[k], 4, p, BASE_NAMES) for k in _FORM_KEYS}
     upper = {idx: forms[k] for idx, k in zip(_UPPER, _FORM_KEYS)}
     A = tuple(tuple(upper[(min(i, j), max(i, j))] for j in range(3)) for i in range(3))
     B = (forms["B0"], forms["B1"], forms["B2"])

@@ -13,12 +13,12 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import bundle, fibers, singular
 from .errors import (CensusNotGeneric, ConfigError, DegenerateDiscriminant,
-                     ResourceBudgetExceeded, SamplingExhausted, SexticSolidError,
-                     StratumViolation, UnknownCheck)
+                     ResourceBudgetExceeded, SexticSolidError, StratumViolation,
+                     UnknownCheck)
 from .exactalg import ensure_field_prime
 from .groebner import DEFAULT_BUDGET
 
@@ -340,14 +340,9 @@ def run_verify_all(cfg: RunConfig):
 
 
 def run_single(cfg: RunConfig, check: str):
-    """One pipeline stage, prerequisites computed silently."""
-    if check not in CHECKS:
-        raise UnknownCheck(f"unknown check {check!r}; known: {', '.join(CHECKS)}")
-    sub = RunConfig(prime=cfg.prime, seed=cfg.seed, instance_file=cfg.instance_file,
-                    checks=(check,), n_samples=cfg.n_samples, retries=cfg.retries,
-                    budget=cfg.budget, sigma_points=cfg.sigma_points,
-                    timings=cfg.timings)
-    return run_verify_all(sub)
+    """One pipeline stage, prerequisites computed silently (RunConfig rejects
+    an unknown check)."""
+    return run_verify_all(replace(cfg, checks=(check,)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +448,10 @@ def main(argv=None) -> int:
             report, code = run_single(cfg, args.single_check)
         _emit(render_report(report), args.out)
         return code
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ResourceBudgetExceeded, SamplingExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CensusNotGeneric as exc:  # defensive: gating should prevent this
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SexticSolidError as exc:
+    except (ValueError, OSError, SexticSolidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

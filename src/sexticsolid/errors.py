@@ -14,7 +14,7 @@ class NonSquare(SexticSolidError):
 
 
 class ArityMismatch(SexticSolidError):
-    """Operands live in different polynomial contexts (nvars, modulus or order)."""
+    """Operands live in different polynomial rings (number of variables or modulus)."""
 
 
 class IndexOutOfRange(SexticSolidError):

@@ -380,6 +380,16 @@ def matrix_rank(M, p: int) -> int:
     return r
 
 
+def independent_pair(u, v, p: int) -> bool:
+    """True iff the vectors u and v are linearly independent over F_p (the
+    matrix of rows u, v has rank 2).  With u_i the first nonzero coordinate
+    of u, v is a multiple of u iff every minor u_i v_j - u_j v_i vanishes."""
+    for ui, vi in zip(u, v):
+        if ui % p:
+            return any((ui * vj - uj * vi) % p for uj, vj in zip(u, v))
+    return False
+
+
 def charpoly(M, p: int) -> UPoly:
     """Monic characteristic polynomial det(tI - M) over F_p.
 

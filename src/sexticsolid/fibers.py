@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bundle import (CubicData, DiscriminantSurface, _normalize_projective,
                      exceptional_conic, fiber_gram)
 from .errors import SamplingExhausted, StratumViolation
-from .exactalg import SplitMix64, matrix_rank, upoly_fp_roots
+from .exactalg import SplitMix64, independent_pair, matrix_rank, upoly_fp_roots
 from .multipoly import restrict_to_line
 
 STRATUM_OFF_DELTA = "off_delta"
@@ -107,7 +107,7 @@ def sample_on_delta(d: CubicData, surface: DiscriminantSurface,
             break
         a = tuple(rng.below(p) for _ in range(4))
         b = tuple(rng.below(p) for _ in range(4))
-        if not any(a) or not any(b) or matrix_rank([list(a), list(b)], p) != 2:
+        if not independent_pair(a, b, p):
             continue
         r = restrict_to_line(delta, a, b)
         if not r:
@@ -204,7 +204,7 @@ def line_quadric_pairing(d: CubicData, y, seed: int) -> int:
     for _ in range(256):
         u = tuple(rng.below(p) for _ in range(4))
         v = tuple(rng.below(p) for _ in range(4))
-        if not any(u) or not any(v) or matrix_rank([list(u), list(v)], p) != 2:
+        if not independent_pair(u, v, p):
             continue
         mult = restriction_multiplicities(*quadratic_restriction(gram, u, v, p))
         if mult is None:
@@ -223,7 +223,7 @@ def conic_line_pairing(d: CubicData, y, seed: int) -> int:
     for _ in range(256):
         u = tuple(rng.below(p) for _ in range(3))
         v = tuple(rng.below(p) for _ in range(3))
-        if not any(u) or not any(v) or matrix_rank([list(u), list(v)], p) != 2:
+        if not independent_pair(u, v, p):
             continue
         mult = restriction_multiplicities(*quadratic_restriction(gram, u, v, p))
         if mult is None:

@@ -4,16 +4,17 @@ The completion uses the Gebauer-Moeller pair update (product + chain
 criteria), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
 "One sugar cube, please", ISSAC 1991), full tail reduction through a lazy
 heap, and a final inter-reduction, so the returned basis is the unique
-reduced Groebner basis of the ideal for its order.  Sugar processes pairs in
+reduced grevlex Groebner basis of the ideal.  Sugar processes pairs in
 the degree order that homogenizing the input would impose, so inhomogeneous
 inputs such as dehomogenized charts do not build the high-degree
 intermediates that selection by smallest lcm runs into.  A reduction-step
 budget turns pathological inputs into clean ``ResourceBudgetExceeded``
 errors instead of runaway computations.
 
-The order is grevlex, and inside the engine every monomial is packed into
-one int (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007): a degree and partial-sum header
+The order is grevlex, the one order of ``multipoly``, so no function here
+takes an order.  Inside the engine every monomial is packed into one int
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007): a degree and partial-sum header
 above one guard-bit field per exponent, so a product is ``+``, grevlex
 comparison is ``<``, and divisibility is one mask test.  Exponent tuples
 appear only where a ``MultiPoly`` or ``GBasis`` enters or leaves the engine;
@@ -29,9 +30,12 @@ from itertools import combinations
 from .errors import (ArityMismatch, DegreeOverflow, NotHomogeneous,
                      NotZeroDimensional, ResourceBudgetExceeded)
 from .exactalg import SplitMix64, charpoly, fp_inv, upoly_is_squarefree
-from .multipoly import MonomialOrder, MultiPoly
+from .multipoly import MultiPoly, grevlex_key
 
 DEFAULT_BUDGET = 1_000_000
+
+#: Random linear forms reducedness_certificate tries before "not_certified".
+CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
 
@@ -55,10 +59,6 @@ class Ideal:
     def p(self):
         return self.generators[0].p
 
-    @property
-    def order(self):
-        return self.generators[0].order
-
 
 def make_ideal(generators) -> Ideal:
     gens = tuple(g for g in generators if not g.is_zero())
@@ -72,14 +72,17 @@ def make_ideal(generators) -> Ideal:
 
 
 class GBasis:
-    """Reduced Groebner basis, elements monic and sorted by increasing lead
-    monomial (canonical for the ideal and order)."""
+    """Reduced grevlex Groebner basis, elements monic and sorted by increasing
+    lead monomial (canonical for the ideal)."""
 
-    __slots__ = ("basis", "order", "nvars", "p")
+    __slots__ = ("basis", "nvars", "p")
 
-    def __init__(self, basis, order: MonomialOrder):
+    #: Not a parameter: the order is always grevlex.  A class constant only
+    #: because perfbench/tracing.py's basis_fingerprint reads repr(gb.order).
+    order = "grevlex"
+
+    def __init__(self, basis):
         self.basis = tuple(basis)
-        self.order = order
         self.nvars = self.basis[0].nvars
         self.p = self.basis[0].p
 
@@ -90,8 +93,7 @@ class GBasis:
         return len(self.basis) == 1 and self.basis[0].lead_exp() == (0,) * self.nvars
 
     def __eq__(self, other):
-        return (isinstance(other, GBasis) and self.order == other.order
-                and self.basis == other.basis)
+        return isinstance(other, GBasis) and self.basis == other.basis
 
     def __repr__(self):
         return f"GBasis({len(self.basis)} elements, grevlex)"
@@ -157,9 +159,9 @@ class _Packing:
         pack = self.pack
         return [(pack(e), c) for e, c in f.terms.items()]
 
-    def decode(self, items, nvars, p, order) -> MultiPoly:
+    def decode(self, items, nvars, p) -> MultiPoly:
         unpack = self.unpack
-        return MultiPoly._make(nvars, p, order, {unpack(m): c for m, c in items})
+        return MultiPoly._make(nvars, p, {unpack(m): c for m, c in items})
 
 
 @lru_cache(maxsize=None)
@@ -286,14 +288,10 @@ def _update_pairs(leads, pairs, m):
     return kept
 
 
-def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int = 0,
-               selection_seed=None) -> GBasis:
+def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
     """Reduced Groebner basis of the given ideal.
 
-    ``known_groebner_prefix=k`` asserts that the first k generators already
-    form a Groebner basis of the ideal they generate, so pairs among them are
-    skipped (used to adjoin a polynomial to a previously computed basis).
-    Pairs are processed by smallest sugar, then smallest lcm in the order.
+    Pairs are processed by smallest sugar, then smallest grevlex lcm.
     An input generator's sugar is its total degree; the S-pair of elements i
     and j has sugar ``max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm``,
     and an element appended from it inherits that sugar.
@@ -309,11 +307,11 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
     first = gens[0]
     for g in gens[1:]:
         first._check_ctx(g)
-    nvars, p, order = first.nvars, first.p, first.order
+    nvars, p = first.nvars, first.p
     packing = _packing(nvars)
     pack, unpack = packing.pack, packing.unpack
     deg_shift = packing.deg_shift
-    one = MultiPoly.constant(1, nvars, p, order)
+    one = MultiPoly.constant(1, nvars, p)
     bud = _Budget(budget) if budget is not None else None
     rng = SplitMix64(selection_seed) if selection_seed is not None else None
 
@@ -334,16 +332,13 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
         lcm = pack(_lcm(leads[i], leads[j]))
         return (max(sugars[i], sugars[j]) + (lcm >> deg_shift), -lcm, i, j)
 
-    prefix = max(0, min(known_groebner_prefix, len(gens)))
-    for g in gens[:prefix]:
-        append(_monic_items(packing.encode(g), p), g.total_degree())
-    for g in gens[prefix:]:
+    for g in gens:
         nf = reducer.reduce_terms(packing.encode(g))
         if not nf:
             continue
         items = _monic_items(list(nf.items()), p)
         if items[0][0] == 0:
-            return GBasis((one,), order)
+            return GBasis((one,))
         append(items, g.total_degree())
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
 
@@ -364,7 +359,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
             continue
         items = _monic_items(list(nf.items()), p)
         if items[0][0] == 0:
-            return GBasis((one,), order)
+            return GBasis((one,))
         append(items, sugar)
         pairs = _update_pairs(leads, pairs, len(leads) - 1)
 
@@ -382,16 +377,16 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, known_groebner_prefix: int 
                 other.add(items)
         polys[t] = _monic_items(list(other.reduce_terms(polys[t]).items()), p)
     polys.sort(key=lambda items: items[0][0])
-    return GBasis(tuple(packing.decode(items, nvars, p, order) for items in polys), order)
+    return GBasis(tuple(packing.decode(items, nvars, p) for items in polys))
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:
     """The unique remainder of f modulo the basis (zero iff f is in the ideal)."""
-    if (f.nvars, f.p, f.order) != (gb.nvars, gb.p, gb.order):
+    if (f.nvars, f.p) != (gb.nvars, gb.p):
         raise ArityMismatch("polynomial and basis live in different rings")
     packing = _packing(f.nvars)
     nf = _basis_reducer(gb).reduce_terms(packing.encode(f))
-    return packing.decode(nf.items(), f.nvars, f.p, f.order)
+    return packing.decode(nf.items(), f.nvars, f.p)
 
 
 def krull_dim(gb: GBasis) -> int:
@@ -418,7 +413,6 @@ def standard_monomials(gb: GBasis) -> list:
     n = gb.nvars
     if any(sum(e) == 0 for e in leads):
         return []
-    keyf = gb.order.key_func()
     start = (0,) * n
     seen = {start}
     stack = [start]
@@ -435,7 +429,7 @@ def standard_monomials(gb: GBasis) -> list:
             if m2 not in seen:
                 seen.add(m2)
                 stack.append(m2)
-    return sorted(out, key=keyf, reverse=True)
+    return sorted(out, key=grevlex_key, reverse=True)
 
 
 def quotient_dim(gb: GBasis) -> int:
@@ -449,7 +443,7 @@ def quotient_dim(gb: GBasis) -> int:
 def mult_matrix(gb: GBasis, ell: MultiPoly):
     """Matrix of multiplication by the linear form ell on the standard
     monomial basis of a zero-dimensional quotient."""
-    if (ell.nvars, ell.p, ell.order) != (gb.nvars, gb.p, gb.order):
+    if (ell.nvars, ell.p) != (gb.nvars, gb.p):
         raise ArityMismatch("linear form lives in a different ring")
     if ell.is_zero() or ell.total_degree() > 1:
         raise ValueError("multiplication operator wants a nonzero linear form")
@@ -471,50 +465,46 @@ def mult_matrix(gb: GBasis, ell: MultiPoly):
     return M
 
 
-def reducedness_certificate(gb: GBasis, rng: SplitMix64, tries: int = 5) -> str:
+def reducedness_certificate(gb: GBasis, rng: SplitMix64) -> str:
     """One-sided reducedness test for a zero-dimensional quotient.
 
     If the characteristic polynomial of multiplication by some linear form is
     squarefree, the quotient is a product of fields, hence reduced.  Up to
-    ``tries`` random forms are attempted; failure to certify is reported as
-    "not_certified", never as "not reduced".
+    ``CERTIFICATE_TRIES`` random forms are attempted; failure to certify is
+    reported as "not_certified", never as "not reduced".
     """
     B = standard_monomials(gb)
     if not B:
         return "certified"
     n, p = gb.nvars, gb.p
-    for _ in range(tries):
+    for _ in range(CERTIFICATE_TRIES):
         coeffs = [rng.below(p) for _ in range(n)]
         if not any(coeffs):
             continue
         ell = MultiPoly.from_terms(
-            n, p, gb.order,
-            [(tuple(1 if j == i else 0 for j in range(n)), c)
-             for i, c in enumerate(coeffs) if c])
+            n, p, [(tuple(1 if j == i else 0 for j in range(n)), c)
+                   for i, c in enumerate(coeffs) if c])
         cp = charpoly(mult_matrix(gb, ell), p)
         if upoly_is_squarefree(cp, p):
             return "certified"
     return "not_certified"
 
 
-def in_radical(g: MultiPoly, ideal: Ideal, budget=DEFAULT_BUDGET,
-               generators_are_groebner: bool = False) -> bool:
+def in_radical(g: MultiPoly, ideal: Ideal, budget=DEFAULT_BUDGET) -> bool:
     """Radical membership by the Rabinowitsch trick: g is in the radical of I
     iff 1 lies in I + (1 - t*g) after adjoining a fresh variable t."""
     first = ideal.generators[0]
-    if (g.nvars, g.p, g.order) != (first.nvars, first.p, first.order):
+    if (g.nvars, g.p) != (first.nvars, first.p):
         raise ArityMismatch("polynomial and ideal live in different rings")
     if g.is_zero():
         return True
-    n, p, order = g.nvars, g.p, g.order
+    n, p = g.nvars, g.p
     positions = tuple(range(n))
     gens = [h.embed(n + 1, positions) for h in ideal.generators]
-    t = MultiPoly.variable(n, n + 1, p, order)
-    one = MultiPoly.constant(1, n + 1, p, order)
+    t = MultiPoly.variable(n, n + 1, p)
+    one = MultiPoly.constant(1, n + 1, p)
     gens.append(one - t * g.embed(n + 1, positions))
-    gb = buchberger(gens, budget,
-                    known_groebner_prefix=len(gens) - 1 if generators_are_groebner else 0)
-    return gb.is_unit()
+    return buchberger(gens, budget).is_unit()
 
 
 def is_irrelevant(ideal: Ideal, budget=DEFAULT_BUDGET) -> bool:

@@ -1,9 +1,10 @@
-"""Sparse multivariate polynomials over F_p with monomial orders.
+"""Sparse multivariate polynomials over F_p in grevlex order.
 
 A polynomial is a mapping from exponent tuples to nonzero coefficients in
-[0, p), stored in strictly decreasing monomial order so that equal
-polynomials are bit-identical.  Instances are immutable by convention: no
-method mutates ``terms`` and callers must not either.
+[0, p), stored in strictly decreasing graded reverse lexicographic order
+(``grevlex_key``) so that equal polynomials are bit-identical.  Instances
+are immutable by convention: no method mutates ``terms`` and callers must
+not either.
 
 On first use a polynomial compiles its terms into a list of (coefficient,
 power-table indices).  ``eval`` fills the table with powers of the point's
@@ -15,7 +16,6 @@ bound).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
@@ -23,45 +23,33 @@ from .errors import ArityMismatch, IndexOutOfRange, SingularChange
 from .exactalg import fp_inv, matrix_rank, upoly
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Graded reverse lexicographic order, the one order of the toolkit (the
-    Groebner reducer packs monomials for it)."""
-
-    def key_func(self):
-        """Key whose *ascending* sort lists monomials from largest to
-        smallest."""
-        def key(e):
-            return (-sum(e), e[::-1])
-        return key
+def grevlex_key(e):
+    """Graded reverse lexicographic key, the one monomial order of the toolkit
+    (the Groebner reducer packs monomials for it): an *ascending* sort lists
+    monomials from largest to smallest."""
+    return (-sum(e), e[::-1])
 
 
-GREVLEX = MonomialOrder()
-
-
-def _canonical(nvars: int, p: int, order: MonomialOrder, raw: dict) -> dict:
-    key = order.key_func()
-    items = sorted(((e, c % p) for e, c in raw.items() if c % p), key=lambda t: key(t[0]))
+def _canonical(p: int, raw: dict) -> dict:
+    items = sorted(((e, c % p) for e, c in raw.items() if c % p), key=lambda t: grevlex_key(t[0]))
     return dict(items)
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "p", "order", "terms", "_compiled")
+    __slots__ = ("nvars", "p", "terms", "_compiled")
 
-    def __init__(self, nvars: int, p: int, order: MonomialOrder, terms: dict):
+    def __init__(self, nvars: int, p: int, terms: dict):
         self.nvars = nvars
         self.p = p
-        self.order = order
-        self.terms = _canonical(nvars, p, order, terms)
+        self.terms = _canonical(p, terms)
         self._compiled = None
 
     @classmethod
-    def _make(cls, nvars, p, order, canonical_terms):
+    def _make(cls, nvars, p, canonical_terms):
         # internal fast path: terms already canonical
         self = object.__new__(cls)
         self.nvars = nvars
         self.p = p
-        self.order = order
         self.terms = canonical_terms
         self._compiled = None
         return self
@@ -69,32 +57,32 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, p, order=GREVLEX):
-        return cls._make(nvars, p, order, {})
+    def zero(cls, nvars, p):
+        return cls._make(nvars, p, {})
 
     @classmethod
-    def constant(cls, value, nvars, p, order=GREVLEX):
+    def constant(cls, value, nvars, p):
         value %= p
         if value == 0:
-            return cls.zero(nvars, p, order)
-        return cls._make(nvars, p, order, {(0,) * nvars: value})
+            return cls.zero(nvars, p)
+        return cls._make(nvars, p, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, i, nvars, p, order=GREVLEX):
+    def variable(cls, i, nvars, p):
         if not 0 <= i < nvars:
             raise IndexOutOfRange(f"variable {i} of {nvars}")
         e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._make(nvars, p, order, {e: 1})
+        return cls._make(nvars, p, {e: 1})
 
     @classmethod
-    def from_terms(cls, nvars, p, order, pairs):
+    def from_terms(cls, nvars, p, pairs):
         raw: dict = {}
         for e, c in pairs:
             e = tuple(e)
             if len(e) != nvars:
                 raise ArityMismatch(f"exponent {e} has arity != {nvars}")
             raw[e] = raw.get(e, 0) + c
-        return cls(nvars, p, order, raw)
+        return cls(nvars, p, raw)
 
     # -- basic queries -------------------------------------------------------
 
@@ -121,30 +109,29 @@ class MultiPoly:
         return None
 
     def _check_ctx(self, other: "MultiPoly"):
-        if (self.nvars, self.p, self.order) != (other.nvars, other.p, other.order):
+        if (self.nvars, self.p) != (other.nvars, other.p):
             raise ArityMismatch("operands live in different polynomial rings")
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.constant(other, self.nvars, self.p, self.order)
+            other = MultiPoly.constant(other, self.nvars, self.p)
         self._check_ctx(other)
         raw = dict(self.terms)
         for e, c in other.terms.items():
             raw[e] = raw.get(e, 0) + c
-        return MultiPoly(self.nvars, self.p, self.order, raw)
+        return MultiPoly(self.nvars, self.p, raw)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return MultiPoly._make(self.nvars, self.p, self.order,
-                               {e: self.p - c for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, self.p, {e: self.p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = MultiPoly.constant(other, self.nvars, self.p, self.order)
+            other = MultiPoly.constant(other, self.nvars, self.p)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -160,7 +147,7 @@ class MultiPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 raw[e] = get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, self.p, self.order, raw)
+        return MultiPoly(self.nvars, self.p, raw)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -168,7 +155,7 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = MultiPoly.constant(1, self.nvars, self.p, self.order)
+        out = MultiPoly.constant(1, self.nvars, self.p)
         base = self
         while k:
             if k & 1:
@@ -180,10 +167,9 @@ class MultiPoly:
     def scale(self, a: int):
         a %= self.p
         if a == 0:
-            return MultiPoly.zero(self.nvars, self.p, self.order)
+            return MultiPoly.zero(self.nvars, self.p)
         p = self.p
-        return MultiPoly._make(self.nvars, p, self.order,
-                               {e: c * a % p for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, p, {e: c * a % p for e, c in self.terms.items()})
 
     def monic(self):
         lc = self.lead_coeff()
@@ -194,10 +180,10 @@ class MultiPoly:
     def __eq__(self, other):
         return (isinstance(other, MultiPoly)
                 and self.nvars == other.nvars and self.p == other.p
-                and self.order == other.order and self.terms == other.terms)
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, self.p, self.order, tuple(self.terms.items())))
+        return hash((self.nvars, self.p, tuple(self.terms.items())))
 
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
@@ -216,8 +202,7 @@ class MultiPoly:
                 coeff = c * e[i] % p
                 if coeff:
                     raw[tuple(v - 1 if j == i else v for j, v in enumerate(e))] = coeff
-        return MultiPoly._make(self.nvars, p, self.order,
-                               _canonical(self.nvars, p, self.order, raw))
+        return MultiPoly._make(self.nvars, p, _canonical(p, raw))
 
     def eval(self, point) -> int:
         """The value at a point, coordinates taken mod p.  The term list, with
@@ -298,7 +283,7 @@ class MultiPoly:
                     prod = nxt
             for ee, cc in prod.items():
                 acc[ee] = (acc.get(ee, 0) + cc) % p
-        return MultiPoly(n, p, self.order, acc)
+        return MultiPoly(n, p, acc)
 
     def specialize(self, i: int, value: int):
         """Substitute variable i := value, dropping it from the ring."""
@@ -312,7 +297,7 @@ class MultiPoly:
             if coeff:
                 ne = e[:i] + e[i + 1:]
                 raw[ne] = (raw.get(ne, 0) + coeff) % p
-        return MultiPoly(self.nvars - 1, p, self.order, raw)
+        return MultiPoly(self.nvars - 1, p, raw)
 
     def embed(self, new_nvars: int, positions):
         """Map variable k of self to variable positions[k] of a larger ring."""
@@ -324,7 +309,7 @@ class MultiPoly:
             for k, ek in enumerate(e):
                 ne[positions[k]] = ek
             raw[tuple(ne)] = c
-        return MultiPoly(new_nvars, self.p, self.order, raw)
+        return MultiPoly(new_nvars, self.p, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +332,8 @@ def mp_det(rows) -> MultiPoly:
     for r in grid:
         for entry in r:
             first._check_ctx(entry)
-    one = MultiPoly.constant(1, first.nvars, first.p, first.order)
-    zero = MultiPoly.zero(first.nvars, first.p, first.order)
+    one = MultiPoly.constant(1, first.nvars, first.p)
+    zero = MultiPoly.zero(first.nvars, first.p)
     memo: dict = {}
 
     def det(cols: tuple) -> MultiPoly:
@@ -432,7 +417,7 @@ def format_poly(f: MultiPoly, names) -> str:
     return " + ".join(parts)
 
 
-def parse_poly(text: str, nvars: int, p: int, names, order: MonomialOrder = GREVLEX) -> MultiPoly:
+def parse_poly(text: str, nvars: int, p: int, names) -> MultiPoly:
     """Parse the serialization produced by format_poly (signs +/- accepted)."""
     if len(names) != nvars:
         raise ArityMismatch("one name per variable required")
@@ -471,7 +456,7 @@ def parse_poly(text: str, nvars: int, p: int, names, order: MonomialOrder = GREV
             exps[index[name]] += k
         e = tuple(exps)
         raw[e] = raw.get(e, 0) + coeff
-    return MultiPoly(nvars, p, order, raw)
+    return MultiPoly(nvars, p, raw)
 
 
 @lru_cache(maxsize=None)
@@ -485,5 +470,4 @@ def monomials_of_degree(nvars: int, degree: int) -> tuple:
         for first in range(rem, -1, -1):
             for rest in gen(rem - first, k - 1):
                 yield (first,) + rest
-    key = GREVLEX.key_func()
-    return tuple(sorted(gen(degree, nvars), key=key))
+    return tuple(sorted(gen(degree, nvars), key=grevlex_key))

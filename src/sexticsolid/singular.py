@@ -24,7 +24,7 @@ from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, Ideal, buchberger, is_irrelevant,
                        krull_dim, make_ideal, normal_form, quotient_dim,
                        reducedness_certificate)
-from .multipoly import MultiPoly, mp_det
+from .multipoly import MultiPoly, grevlex_key, mp_det
 
 EXPECTED_NODE_COUNT = 31
 
@@ -91,7 +91,7 @@ def _verdict(zero_dimensional, degree, reduced, points_at_infinity) -> str:
 
 
 def node_census(surface: DiscriminantSurface, seed: int,
-                budget=DEFAULT_BUDGET, certificate_tries: int = 5) -> SingularCensusReport:
+                budget=DEFAULT_BUDGET) -> SingularCensusReport:
     """Census of the singular scheme of the branch sextic.
 
     Pipeline: seeded random linear coordinate change; check the Jacobian
@@ -109,7 +109,7 @@ def node_census(surface: DiscriminantSurface, seed: int,
     parts = [moved.partial(i) for i in range(4)]
     nonzero = [f for f in parts if not f.is_zero()]
 
-    y0 = MultiPoly.variable(0, 4, p, delta.order)
+    y0 = MultiPoly.variable(0, 4, p)
     points_at_infinity = not is_irrelevant(make_ideal(nonzero + [y0]), budget)
 
     affine = [f.specialize(0, 1) for f in parts]
@@ -122,19 +122,18 @@ def node_census(surface: DiscriminantSurface, seed: int,
         return SingularCensusReport(False, -1, "failed", points_at_infinity,
                                     VERDICT_DEGENERATE, seed)
     degree = quotient_dim(gb)
-    reduced = reducedness_certificate(gb, rng, certificate_tries)
+    reduced = reducedness_certificate(gb, rng)
     return SingularCensusReport(True, degree, reduced, points_at_infinity,
                                 _verdict(True, degree, reduced, points_at_infinity), seed,
                                 basis=gb, moved_sextic=moved, sextic=delta)
 
 
-def _certified_census(census, surface, seed, budget, stage,
-                      certificate_tries=5) -> SingularCensusReport:
+def _certified_census(census, surface, seed, budget, stage) -> SingularCensusReport:
     """The census the downstream certificates stand on: generic, certified
     reduced (so its affine ideal is radical), nothing at infinity, and taken
     of this surface's sextic."""
     if census is None:
-        census = node_census(surface, seed, budget, certificate_tries)
+        census = node_census(surface, seed, budget)
     if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
             or census.points_at_infinity or None in (census.basis, census.moved_sextic)):
         raise CensusNotGeneric(f"{stage} needs a certified generic node census "
@@ -146,7 +145,7 @@ def _certified_census(census, surface, seed, budget, stage,
 
 def _double_solid_equation(moved: MultiPoly) -> MultiPoly:
     """w^2 - moved(1, y1, y2, y3) in the variables (w, y1, y2, y3)."""
-    w = MultiPoly.variable(0, 4, moved.p, moved.order)
+    w = MultiPoly.variable(0, 4, moved.p)
     return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
 
 
@@ -158,7 +157,7 @@ def double_solid_chart(surface: DiscriminantSurface, seed: int) -> DoubleSolidCh
 
 
 def double_solid_census(surface: DiscriminantSurface, seed: int,
-                        budget=DEFAULT_BUDGET, certificate_tries: int = 5,
+                        budget=DEFAULT_BUDGET,
                         census: SingularCensusReport | None = None) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
@@ -173,20 +172,18 @@ def double_solid_census(surface: DiscriminantSurface, seed: int,
     basis B = {w} + census basis gives the converse.  So the quotient is the
     census's, and so are degree, reducedness and verdict.
     """
-    census = _certified_census(census, surface, seed, budget, "double-solid census",
-                               certificate_tries)
-    moved, order = census.moved_sextic, census.moved_sextic.order
+    census = _certified_census(census, surface, seed, budget, "double-solid census")
+    moved = census.moved_sextic
     delta_aff = moved.specialize(0, 1)
     parts_aff = [moved.partial(i).specialize(0, 1) for i in range(4)]
-    euler = sum((MultiPoly.variable(i, 3, moved.p, order) * parts_aff[i + 1]
+    euler = sum((MultiPoly.variable(i, 3, moved.p) * parts_aff[i + 1]
                  for i in range(3)), parts_aff[0])
     if (delta_aff.scale(6) != euler
             or any(delta_aff.partial(i) != parts_aff[i + 1] for i in range(3))):
         raise CensusNotGeneric("census sextic fails the Euler identity of a sextic")
-    keyf = order.key_func()
-    B = GBasis(sorted([MultiPoly.variable(0, 4, moved.p, order)]
+    B = GBasis(sorted([MultiPoly.variable(0, 4, moved.p)]
                       + [f.embed(4, (1, 2, 3)) for f in census.basis.basis],
-                      key=lambda f: keyf(f.lead_exp()), reverse=True), order)
+                      key=lambda f: grevlex_key(f.lead_exp()), reverse=True))
     g = _double_solid_equation(moved)
     if not all(normal_form(f, B).is_zero() for f in [g] + [g.partial(i) for i in range(4)]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")

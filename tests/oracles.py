@@ -237,7 +237,7 @@ def naive_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     for e1, c1 in f.terms.items():
         for e2, c2 in g.terms.items():
             pairs.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-    return MultiPoly.from_terms(f.nvars, f.p, f.order, pairs)
+    return MultiPoly.from_terms(f.nvars, f.p, pairs)
 
 
 def eval_by_pow(f: MultiPoly, point) -> int:
@@ -267,10 +267,10 @@ def restrict_by_interpolation(f: MultiPoly, base, direction):
 def det_by_permutations(grid) -> MultiPoly:
     n = len(grid)
     sample = grid[0][0]
-    acc = MultiPoly.zero(sample.nvars, sample.p, sample.order)
+    acc = MultiPoly.zero(sample.nvars, sample.p)
     for perm in permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        prod = MultiPoly.constant(1, sample.nvars, sample.p, sample.order)
+        prod = MultiPoly.constant(1, sample.nvars, sample.p)
         for i in range(n):
             prod = prod * grid[i][perm[i]]
         acc = acc - prod if inv % 2 else acc + prod
@@ -296,7 +296,7 @@ def brute_normal_form(f: MultiPoly, basis, rng) -> MultiPoly:
         c = f.terms[e]
         shift = tuple(b - a for a, b in zip(g.lead_exp(), e))
         factor = c * pow(g.lead_coeff(), p - 2, p) % p
-        mono = MultiPoly.from_terms(f.nvars, p, f.order, [(shift, factor)])
+        mono = MultiPoly.from_terms(f.nvars, p, [(shift, factor)])
         f = f - mono * g
 
 

@@ -6,7 +6,7 @@ from sexticsolid import bundle, fibers
 from sexticsolid.cli import main
 from sexticsolid.exactalg import SplitMix64, charpoly, random_matrix
 from sexticsolid.groebner import buchberger, normal_form, quotient_dim
-from sexticsolid.multipoly import GREVLEX, MultiPoly
+from sexticsolid.multipoly import MultiPoly
 from sexticsolid.singular import double_solid_census, node_census, strata_check
 
 import oracles
@@ -106,7 +106,7 @@ def test_c5_pairing_certificates(census_suite):
 def test_c6_degenerate_diagonal_handling(tmp_path):
     d = bundle.diagonal_instance(P)
     surf = bundle.discriminant(d)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     exact = surf.delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
     census = node_census(surf, seed=6)
     path_ok = (not census.zero_dimensional and census.degree == -1

@@ -9,7 +9,7 @@ from sexticsolid.bundle import (CubicData, cubic_equation, diagonal_instance,
 from sexticsolid.errors import (ArityMismatch, BadPrime, DegenerateDiscriminant,
                                 ZeroPoint)
 from sexticsolid.exactalg import SplitMix64, matrix_rank
-from sexticsolid.multipoly import (GREVLEX, MultiPoly, format_poly,
+from sexticsolid.multipoly import (MultiPoly, format_poly,
                                    monomials_of_degree, parse_poly)
 
 import oracles
@@ -39,11 +39,11 @@ def test_random_instance_bad_prime():
 def test_gram_matrix_diagonal_example_and_symmetry():
     d = diagonal_instance(P)
     m = gram_matrix(d)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     for i in range(4):
         for j in range(4):
             expected = [ys[0], ys[1], ys[2], ys[3] ** 3][i] if i == j \
-                else MultiPoly.zero(4, P, GREVLEX)
+                else MultiPoly.zero(4, P)
             assert m.entries[i][j] == expected
     assert m.degree_pattern_ok()
 
@@ -60,7 +60,7 @@ def test_gram_degree_pattern_on_seeded_instances():
 def test_discriminant_diagonal_and_seeded_degree():
     d = diagonal_instance(P)
     surf = discriminant(d)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     assert surf.delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
     for seed in range(1, 6):
         assert discriminant(random_instance(P, seed)).delta.homogeneous_degree() == 6
@@ -68,7 +68,7 @@ def test_discriminant_diagonal_and_seeded_degree():
 
 def test_discriminant_degenerate_error():
     d0 = diagonal_instance(P)
-    zero = MultiPoly.zero(4, P, GREVLEX)
+    zero = MultiPoly.zero(4, P)
     degenerate = CubicData(p=P, A=d0.A, B=d0.B, C=zero, seed=None)
     with pytest.raises(DegenerateDiscriminant):
         discriminant(degenerate)
@@ -165,7 +165,7 @@ def test_smoothness_fermat_cubic_has_no_singular_samples():
     # X0^3 + ... + Y3^3 in seven variables: the Jacobian is 3*(coordinate^2),
     # which cannot vanish at a projective point
     f = MultiPoly.from_terms(
-        7, P, GREVLEX,
+        7, P,
         [(tuple(3 if j == i else 0 for j in range(7)), 1) for i in range(7)])
     report = smoothness_spotcheck_cubic(f, 50, seed=5)
     assert report.points_checked == 50
@@ -175,7 +175,7 @@ def test_smoothness_fermat_cubic_has_no_singular_samples():
 
 def test_smoothness_detects_constructed_singular_cubes():
     # a perfect cube Y0^3: every point of its zero locus is singular
-    f = MultiPoly.from_terms(7, P, GREVLEX, [((0, 0, 0, 3, 0, 0, 0), 1)])
+    f = MultiPoly.from_terms(7, P, [((0, 0, 0, 3, 0, 0, 0), 1)])
     report = smoothness_spotcheck_cubic(f, 20, seed=6)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
@@ -217,8 +217,8 @@ def test_instance_file_errors():
 
 
 def test_cubic_data_validation():
-    zero = MultiPoly.zero(4, P, GREVLEX)
-    y0 = MultiPoly.variable(0, 4, P, GREVLEX)
+    zero = MultiPoly.zero(4, P)
+    y0 = MultiPoly.variable(0, 4, P)
     good = diagonal_instance(P)
     with pytest.raises(ArityMismatch):
         CubicData(p=P, A=good.A, B=(y0, zero, zero), C=good.C, seed=None)  # B not quadratic

@@ -2,8 +2,9 @@ import pytest
 
 from sexticsolid.errors import BadPrime, NonSquare, ZeroInverse
 from sexticsolid.exactalg import (PRIME_TEST_BOUND, SplitMix64, charpoly,
-                                  ensure_field_prime, fp_inv, fp_sqrt, is_prime,
-                                  matrix_rank, random_invertible, random_matrix,
+                                  ensure_field_prime, fp_inv, fp_sqrt,
+                                  independent_pair, is_prime, matrix_rank,
+                                  random_invertible, random_matrix,
                                   upoly, upoly_deriv, upoly_divmod,
                                   upoly_eval, upoly_fp_roots, upoly_gcd,
                                   upoly_is_squarefree,
@@ -257,6 +258,26 @@ def test_matrix_rank_against_minor_oracle_and_transpose():
         assert r == oracles.rank_by_minors(M, p)
         Mt = [list(col) for col in zip(*M)]
         assert r == matrix_rank(Mt, p)
+
+
+@pytest.mark.parametrize("p", [7, 101, 32003])
+def test_independent_pair_agrees_with_matrix_rank(p):
+    # random, zero and proportional pairs, with coordinates drawn from
+    # [-p, 2p) so that negative ones and ones >= p occur
+    rng = SplitMix64(p)
+    pairs = []
+    for n in (2, 3, 4):
+        for _ in range(60):
+            u = [rng.below(3 * p) - p for _ in range(n)]
+            v = [rng.below(3 * p) - p for _ in range(n)]
+            c = rng.below(3 * p) - p
+            pairs += [(u, v), (u, [c * x + p * rng.below(3) - p for x in u]),
+                      (u, [0] * n), ([0] * n, v), ([p * x for x in u], v)]
+            u[0] = p    # the first nonzero coordinate is not the first one
+            pairs.append((u, v))
+    pairs += [([0, 0, 1], [0, 0, -1]), ([0, 0, 1], [0, 1, 0]), ([3, 0, 0], [0, 0, 0])]
+    for u, v in pairs:
+        assert independent_pair(u, v, p) == (matrix_rank([list(u), list(v)], p) == 2)
 
 
 def test_charpoly_examples():

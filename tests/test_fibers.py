@@ -14,7 +14,7 @@ from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
                                 quadratic_restriction,
                                 restriction_multiplicities, sample_off_delta,
                                 sample_on_delta, sigma_sample)
-from sexticsolid.multipoly import GREVLEX, MultiPoly
+from sexticsolid.multipoly import MultiPoly
 
 P = 32003
 
@@ -26,7 +26,7 @@ def plant_rank2_node(seed=1, p=P):
     partial of the determinant there)."""
     d = random_instance(p, seed)
     e0 = (1, 0, 0, 0)
-    y0 = MultiPoly.variable(0, 4, p, GREVLEX)
+    y0 = MultiPoly.variable(0, 4, p)
     y0sq = y0 * y0
     y0cu = y0sq * y0
     target = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
@@ -90,7 +90,7 @@ def test_sample_on_delta_smooth_surface_accepts_everything():
     # on a smooth sextic (no singular points at all) every root the slicer
     # finds is accepted; the instance argument only supplies the prime
     fermat = MultiPoly.from_terms(
-        4, P, GREVLEX,
+        4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
     from sexticsolid.bundle import DiscriminantSurface
     surf = DiscriminantSurface(fermat)
@@ -163,8 +163,8 @@ def test_quadratic_restriction_detects_ruling_line():
 def test_line_quadric_pairing_on_split_quadric_survives_rulings():
     # diag(1,-1,1,-1) carries lines; random lines avoid them and the
     # pairing still computes 2
-    zero = MultiPoly.zero(4, P, GREVLEX)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    zero = MultiPoly.zero(4, P)
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     A = ((ys[0], zero, zero), (zero, -ys[0], zero), (zero, zero, ys[0]))
     d = CubicData(p=P, A=A, B=(zero, zero, zero), C=-(ys[0] ** 3), seed=None)
     y = (1, 0, 0, 0)
@@ -177,8 +177,8 @@ def test_line_quadric_pairing_on_split_quadric_survives_rulings():
 def test_line_quadric_pairing_exhausts_on_zero_quadric():
     # A, B, C all vanish at y = (0,0,0,1): the "quadric" is the zero form,
     # every line lies inside it, and resampling must give up cleanly
-    zero = MultiPoly.zero(4, P, GREVLEX)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    zero = MultiPoly.zero(4, P)
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     A = ((ys[0], zero, zero), (zero, ys[1], zero), (zero, zero, ys[2]))
     d = CubicData(p=P, A=A, B=(zero, zero, zero), C=ys[0] ** 3, seed=None)
     with pytest.raises(SamplingExhausted):

@@ -2,7 +2,7 @@ import pytest
 
 from sexticsolid.errors import (ArityMismatch, IndexOutOfRange, SingularChange)
 from sexticsolid.exactalg import SplitMix64, random_invertible, upoly_eval
-from sexticsolid.multipoly import (GREVLEX, MultiPoly, format_poly,
+from sexticsolid.multipoly import (MultiPoly, format_poly, grevlex_key,
                                    monomials_of_degree, mp_det, parse_poly,
                                    restrict_to_line)
 
@@ -11,16 +11,16 @@ import oracles
 P = 32003
 
 
-def rand_poly(rng, nvars=2, maxdeg=2, terms=3, p=P, order=GREVLEX):
+def rand_poly(rng, nvars=2, maxdeg=2, terms=3, p=P):
     pairs = []
     for _ in range(rng.below(terms) + 1):
         e = tuple(rng.below(maxdeg + 1) for _ in range(nvars))
         pairs.append((e, rng.below(p)))
-    return MultiPoly.from_terms(nvars, p, order, pairs)
+    return MultiPoly.from_terms(nvars, p, pairs)
 
 
-def V(i, n=2, p=P, order=GREVLEX):
-    return MultiPoly.variable(i, n, p, order)
+def V(i, n=2, p=P):
+    return MultiPoly.variable(i, n, p)
 
 
 def test_grevlex_ordering_of_terms():
@@ -33,7 +33,7 @@ def test_addition_examples():
     x, y = V(0), V(1)
     assert (x + y) + (x - y) == 2 * x
     f = rand_poly(SplitMix64(1))
-    zero = MultiPoly.zero(2, P, GREVLEX)
+    zero = MultiPoly.zero(2, P)
     assert f * zero == zero
 
 
@@ -60,7 +60,7 @@ def test_ring_axioms_on_seeded_triples():
 
 def test_arity_mismatch_raises():
     f = V(0, n=2)
-    g = MultiPoly.variable(0, 3, P, GREVLEX)
+    g = MultiPoly.variable(0, 3, P)
     with pytest.raises(ArityMismatch):
         f + g
     with pytest.raises(ArityMismatch):
@@ -82,11 +82,11 @@ def test_eval_examples_and_homomorphism():
 @pytest.mark.parametrize("nvars", range(1, 8))
 def test_eval_matches_term_by_term_pow_oracle(nvars):
     rng = SplitMix64(100 + nvars)
-    polys = [MultiPoly.zero(nvars, P, GREVLEX),
-             MultiPoly.constant(7, nvars, P, GREVLEX),
-             MultiPoly.constant(-1, nvars, P, GREVLEX)]
+    polys = [MultiPoly.zero(nvars, P),
+             MultiPoly.constant(7, nvars, P),
+             MultiPoly.constant(-1, nvars, P)]
     polys += [rand_poly(rng, nvars=nvars, maxdeg=4, terms=12) for _ in range(6)]
-    polys.append(MultiPoly.from_terms(nvars, P, GREVLEX,
+    polys.append(MultiPoly.from_terms(nvars, P,
                                       [(e, rng.below(P)) for e in monomials_of_degree(nvars, 3)]))
     for f in polys:
         for _ in range(8):
@@ -103,7 +103,7 @@ def test_eval_results_of_partial_and_linear_change_stay_their_own():
     # another
     rng = SplitMix64(77)
     exps = monomials_of_degree(3, 4)
-    f = MultiPoly.from_terms(3, P, GREVLEX, [(e, rng.below(P)) for e in exps])
+    f = MultiPoly.from_terms(3, P, [(e, rng.below(P)) for e in exps])
     pts = [[rng.below(P) for _ in range(3)] for _ in range(5)]
     T = random_invertible(3, P, rng)
     for _ in range(2):
@@ -118,7 +118,7 @@ def test_eval_results_of_partial_and_linear_change_stay_their_own():
 def test_homogeneous_scaling_identity():
     rng = SplitMix64(31)
     exps = [e for e in monomials_of_degree(3, 4)]
-    f = MultiPoly.from_terms(3, P, GREVLEX, [(e, rng.below(P)) for e in exps])
+    f = MultiPoly.from_terms(3, P, [(e, rng.below(P)) for e in exps])
     d = f.homogeneous_degree()
     assert d == 4
     pt = [rng.below(P) for _ in range(3)]
@@ -131,7 +131,7 @@ def test_partial_examples():
     x, y = V(0), V(1)
     f = x * x * y
     assert f.partial(0) == 2 * x * y
-    assert MultiPoly.constant(5, 2, P, GREVLEX).partial(0).is_zero()
+    assert MultiPoly.constant(5, 2, P).partial(0).is_zero()
     with pytest.raises(IndexOutOfRange):
         f.partial(2)
 
@@ -139,10 +139,10 @@ def test_partial_examples():
 def test_euler_relation_for_homogeneous_forms():
     rng = SplitMix64(41)
     exps = monomials_of_degree(4, 6)
-    f = MultiPoly.from_terms(4, P, GREVLEX, [(e, rng.below(P)) for e in exps])
-    acc = MultiPoly.zero(4, P, GREVLEX)
+    f = MultiPoly.from_terms(4, P, [(e, rng.below(P)) for e in exps])
+    acc = MultiPoly.zero(4, P)
     for i in range(4):
-        acc = acc + MultiPoly.variable(i, 4, P, GREVLEX) * f.partial(i)
+        acc = acc + MultiPoly.variable(i, 4, P) * f.partial(i)
     assert acc == 6 * f
 
 
@@ -150,7 +150,7 @@ def test_is_homogeneous_examples():
     x, y = V(0), V(1)
     assert (x * x + x * y).homogeneous_degree() == 2
     assert (x * x + x).homogeneous_degree() is None
-    assert MultiPoly.zero(2, P, GREVLEX).homogeneous_degree() == 0
+    assert MultiPoly.zero(2, P).homogeneous_degree() == 0
 
 
 def test_linear_change_identity_permutation_and_inverse():
@@ -171,7 +171,7 @@ def test_linear_change_identity_permutation_and_inverse():
 def test_linear_change_preserves_degree_and_homogeneity():
     rng = SplitMix64(61)
     exps = monomials_of_degree(4, 6)
-    f = MultiPoly.from_terms(4, P, GREVLEX, [(e, rng.below(P)) for e in exps])
+    f = MultiPoly.from_terms(4, P, [(e, rng.below(P)) for e in exps])
     T = random_invertible(4, P, rng)
     g = f.linear_change(T)
     assert g.homogeneous_degree() == 6
@@ -184,19 +184,19 @@ def test_linear_change_singular_raises():
 
 
 def test_specialize_and_embed():
-    x, y, z = (MultiPoly.variable(i, 3, P, GREVLEX) for i in range(3))
+    x, y, z = (MultiPoly.variable(i, 3, P) for i in range(3))
     f = x * y + z * z
     g = f.specialize(0, 5)
     assert g.nvars == 2
-    assert g == 5 * MultiPoly.variable(0, 2, P, GREVLEX) + \
-        MultiPoly.variable(1, 2, P, GREVLEX) ** 2
+    assert g == 5 * MultiPoly.variable(0, 2, P) + \
+        MultiPoly.variable(1, 2, P) ** 2
     h = g.embed(3, (1, 2))
     assert h == 5 * y.specialize(0, 1).embed(3, (1, 2)) + (z * z).specialize(0, 1).embed(3, (1, 2))
 
 
 def test_mp_det_examples():
-    zero = MultiPoly.zero(4, P, GREVLEX)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    zero = MultiPoly.zero(4, P)
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     diag = [[ys[0], zero, zero, zero],
             [zero, ys[1], zero, zero],
             [zero, zero, ys[2], zero],
@@ -233,7 +233,7 @@ def test_mp_det_multilinearity_spot_check():
 def test_restrict_to_line_matches_direct_evaluation():
     rng = SplitMix64(9)
     exps = monomials_of_degree(4, 6)
-    f = MultiPoly.from_terms(4, P, GREVLEX, [(e, rng.below(P)) for e in exps])
+    f = MultiPoly.from_terms(4, P, [(e, rng.below(P)) for e in exps])
     a = [rng.below(P) for _ in range(4)]
     b = [rng.below(P) for _ in range(4)]
     r = restrict_to_line(f, a, b)
@@ -250,10 +250,10 @@ def test_restrict_to_line_matches_interpolation_oracle(p, nvars, degree):
     # are also taken negative and at or above p
     exps = monomials_of_degree(nvars, degree)
     rng = SplitMix64(nvars * degree)
-    dense = MultiPoly.from_terms(nvars, p, GREVLEX, [(e, rng.below(p)) for e in exps])
-    worst = MultiPoly.from_terms(nvars, p, GREVLEX, [(e, p - 1) for e in exps])
+    dense = MultiPoly.from_terms(nvars, p, [(e, rng.below(p)) for e in exps])
+    worst = MultiPoly.from_terms(nvars, p, [(e, p - 1) for e in exps])
     mixed = dense + MultiPoly.from_terms(
-        nvars, p, GREVLEX, [(e, rng.below(p)) for e in monomials_of_degree(nvars, 1)])
+        nvars, p, [(e, rng.below(p)) for e in monomials_of_degree(nvars, 1)])
     lines = [([p - 1] * nvars, [p - 1] * nvars),
              ([-1] * nvars, [p - 1] * nvars),
              ([-rng.below(p) for _ in range(nvars)], [p + rng.below(p) for _ in range(nvars)]),
@@ -268,10 +268,10 @@ def test_restrict_to_line_matches_interpolation_oracle(p, nvars, degree):
 
 
 def test_restrict_to_line_rejects_wrong_arity_and_maps_zero_to_zero():
-    f = MultiPoly.variable(0, 3, P, GREVLEX)
+    f = MultiPoly.variable(0, 3, P)
     with pytest.raises(ArityMismatch):
         restrict_to_line(f, [1, 2], [3, 4, 5])
-    assert restrict_to_line(MultiPoly.zero(3, P, GREVLEX), [1, 2, 3], [3, 4, 5]) == ()
+    assert restrict_to_line(MultiPoly.zero(3, P), [1, 2, 3], [3, 4, 5]) == ()
 
 
 def test_format_and_parse_round_trip():
@@ -282,7 +282,7 @@ def test_format_and_parse_round_trip():
         text = format_poly(f, names)
         assert parse_poly(text, 4, P, names) == f
         assert format_poly(parse_poly(text, 4, P, names), names) == text
-    assert format_poly(MultiPoly.zero(4, P, GREVLEX), names) == "0"
+    assert format_poly(MultiPoly.zero(4, P), names) == "0"
     assert parse_poly("0", 4, P, names).is_zero()
 
 
@@ -307,5 +307,4 @@ def test_monomials_of_degree_count_and_order():
     assert len(ms) == 10
     assert ms[0] == (2, 0, 0, 0)
     assert ms[-1] == (0, 0, 0, 2)
-    key = GREVLEX.key_func()
-    assert sorted(ms, key=key) == list(ms)
+    assert sorted(ms, key=grevlex_key) == list(ms)

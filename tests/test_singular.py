@@ -8,7 +8,7 @@ from sexticsolid.errors import CensusNotGeneric
 from sexticsolid.groebner import (buchberger, krull_dim, normal_form,
                                   quotient_dim, reducedness_certificate)
 from sexticsolid.exactalg import SplitMix64
-from sexticsolid.multipoly import GREVLEX, MultiPoly
+from sexticsolid.multipoly import MultiPoly
 from sexticsolid.singular import (EXPECTED_NODE_COUNT, double_solid_census,
                                   double_solid_chart, jacobian_ideal,
                                   node_census, rank_stratum_ideal, strata_check)
@@ -20,7 +20,7 @@ P = 32003
 
 def test_jacobian_ideal_of_fermat_sextic():
     f = MultiPoly.from_terms(
-        4, P, GREVLEX,
+        4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
     jac = jacobian_ideal(DiscriminantSurface(f))
     assert len(jac.generators) == 4
@@ -28,7 +28,7 @@ def test_jacobian_ideal_of_fermat_sextic():
     mono = [g.monic() for g in jac.generators]
     for i in range(4):
         e = tuple(5 if j == i else 0 for j in range(4))
-        assert MultiPoly.from_terms(4, P, GREVLEX, [(e, 1)]) in mono
+        assert MultiPoly.from_terms(4, P, [(e, 1)]) in mono
 
 
 def test_jacobian_ideal_seeded_is_four_quintics():
@@ -39,7 +39,7 @@ def test_jacobian_ideal_seeded_is_four_quintics():
 
 def test_node_census_fermat_is_degenerate_with_empty_singular_locus():
     f = MultiPoly.from_terms(
-        4, P, GREVLEX,
+        4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
     rep = node_census(DiscriminantSurface(f), seed=3)
     assert rep.zero_dimensional
@@ -107,7 +107,7 @@ def test_rank_stratum_ideal_diagonal_products():
     d = diagonal_instance(P)
     m = gram_matrix(d)
     minors3 = rank_stratum_ideal(m, 2)
-    ys = [MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4)]
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     expected = ys[0] * ys[1] * ys[2]
     assert any(g == expected for g in minors3.generators)
 
@@ -213,7 +213,7 @@ def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
 
 
 def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
-    y1 = MultiPoly.variable(1, 4, P, GREVLEX)
+    y1 = MultiPoly.variable(1, 4, P)
     moved = seed1.census.moved_sextic
     # not homogeneous of degree 6: the Euler identity fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
@@ -233,7 +233,7 @@ def test_double_solid_census_refuses_degenerate(seed1):
 
 def test_affine_tjurina_census_single_node_toy():
     # w^2 - (y1^2 + y2^2 + y3^2): one ordinary double point at the origin
-    w, y1, y2, y3 = (MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4))
+    w, y1, y2, y3 = (MultiPoly.variable(i, 4, P) for i in range(4))
     g = w * w - (y1 * y1 + y2 * y2 + y3 * y3)
     gens = [g] + [g.partial(i) for i in range(4)]
     gb = buchberger(gens)
@@ -244,7 +244,7 @@ def test_affine_tjurina_census_single_node_toy():
 
 def test_affine_tjurina_census_degenerate_branch_toy():
     # w^2 - y1^2 * y2: non-isolated singular locus, so no finite census
-    w, y1, y2, _ = (MultiPoly.variable(i, 4, P, GREVLEX) for i in range(4))
+    w, y1, y2, _ = (MultiPoly.variable(i, 4, P) for i in range(4))
     g = w * w - y1 * y1 * y2
     gens = [g] + [g.partial(i) for i in range(4)]
     gb = buchberger(gens)
