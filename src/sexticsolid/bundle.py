@@ -37,6 +37,8 @@ _CUBIC_MONOMIALS = tuple(tuple(c.count(i) for i in range(4))
                          for k in range(4) for c in combinations_with_replacement(range(4), k))
 #: Where the quadratic monomials whose smallest variable is Y_i begin.
 _SQUARE_STARTS = (0, 4, 7, 9)
+#: The most monomials of one Gram entry: the 20 cubic monomials of C.
+_GRAM_SLOT_TERMS = sum(1 for e in _CUBIC_MONOMIALS if sum(e) == 3)
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,20 @@ class CubicData:
     @cached_property
     def _gram_vectors(self) -> tuple:
         """The ten distinct Gram entries (the upper triangle of A, then B,
-        then C) as coefficient vectors over _CUBIC_MONOMIALS."""
-        return tuple(tuple(f.terms.get(e, 0) for e in _CUBIC_MONOMIALS)
-                     for f, _ in self._declared())
+        then C), Kronecker-packed over _CUBIC_MONOMIALS: the slot width S and
+        one int per monomial whose slot k, bits k*S up to (k+1)*S, holds that
+        monomial's coefficient in entry k.
+
+        Against a table of monomial values in [0, p), slot k of the dot
+        product is entry k's value before reduction: a sum of at most
+        _GRAM_SLOT_TERMS products, each at most (p-1)^2, since no entry has
+        more monomials than the cubic C.  S is the bit length of
+        _GRAM_SLOT_TERMS * p^2, so no slot overflows into its neighbour."""
+        shift = (_GRAM_SLOT_TERMS * self.p * self.p).bit_length()
+        packed = tuple(sum(f.terms.get(e, 0) << (k * shift)
+                           for k, (f, _) in enumerate(self._declared()))
+                       for e in _CUBIC_MONOMIALS)
+        return shift, packed
 
 
 @dataclass(frozen=True)
@@ -190,21 +203,25 @@ def _check_base_point(d: CubicData, y):
         raise ZeroPoint("the zero vector is not a point of P^3")
 
 
-def _entry_values(vectors, y, p):
-    """Each coefficient vector applied to the values of _CUBIC_MONOMIALS at
-    y, mod p."""
+def _entry_values(d: CubicData, y, count: int):
+    """The first count of the ten Gram entries at y, mod p: one dot product
+    of the packed coefficient vectors with the values of _CUBIC_MONOMIALS at
+    y, reduced mod p, and one extraction per slot."""
+    p = d.p
+    shift, packed = d._gram_vectors
     y = [v % p for v in y]
-    squares = [a * b for i, a in enumerate(y) for b in y[i:]]
-    cubes = [a * b for a, start in zip(y, _SQUARE_STARTS) for b in squares[start:]]
-    table = [1] + y + squares + cubes
-    return [sum(map(mul, vec, table)) % p for vec in vectors]
+    squares = [a * b % p for i, a in enumerate(y) for b in y[i:]]
+    cubes = [a * b % p for a, start in zip(y, _SQUARE_STARTS) for b in squares[start:]]
+    total = sum(map(mul, packed, [1] + y + squares + cubes))
+    mask = (1 << shift) - 1
+    return [(total >> o & mask) % p for o in range(0, count * shift, shift)]
 
 
 def fiber_gram(d: CubicData, y):
     """The 4x4 Gram matrix of the fiber quadric at the base point y: the ten
     distinct entries are evaluated once and mirrored."""
     _check_base_point(d, y)
-    a00, a01, a02, a11, a12, a22, b0, b1, b2, c = _entry_values(d._gram_vectors, y, d.p)
+    a00, a01, a02, a11, a12, a22, b0, b1, b2, c = _entry_values(d, y, 10)
     return [[a00, a01, a02, b0], [a01, a11, a12, b1],
             [a02, a12, a22, b2], [b0, b1, b2, c]]
 
@@ -213,7 +230,7 @@ def exceptional_conic(d: CubicData, y):
     """The 3x3 matrix A(y): the Gram matrix of the conic traced on the
     center plane of the projection over the base point y."""
     _check_base_point(d, y)
-    a00, a01, a02, a11, a12, a22 = _entry_values(d._gram_vectors[:6], y, d.p)
+    a00, a01, a02, a11, a12, a22 = _entry_values(d, y, 6)
     return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 

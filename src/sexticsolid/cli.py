@@ -441,11 +441,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-            cfg = _config_from(args, checks)
-            report, code = run_verify_all(cfg)
         else:
-            cfg = _config_from(args, (args.single_check,))
-            report, code = run_single(cfg, args.single_check)
+            checks = (args.single_check,)
+        report, code = run_verify_all(_config_from(args, checks))
         _emit(render_report(report), args.out)
         return code
     except CensusNotGeneric as exc:  # defensive: gating should prevent this

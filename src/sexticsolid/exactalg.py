@@ -10,9 +10,13 @@ Conventions
 * A matrix is a list of row lists of ``int``.
 * Inside ``upoly_pow_mod`` a residue modulo a monic modulus of degree n is
   one packed ``int`` (Kronecker substitution): coefficient k sits in bits
-  k*S up to (k+1)*S, with S = (2*n*p^2).bit_length() wide enough for every
-  unreduced coefficient of a product and its fold, so one bigint product
-  replaces the schoolbook double loop.
+  k*S up to (k+1)*S.  Each exponent bit costs one bigint square, times the
+  packed base when the bit is set, and one fold of the high slots.  S is
+  the bit length of (n*max(s, 1) + n - 1 + d)*p^2 for a base of degree d and
+  coefficient sum s, a bound on every unreduced slot of that product and its
+  fold; for x^p it is (2*n*p^2).bit_length().
+* Euclid (``upoly_gcd``, ``upoly_divmod``) runs on lists: one inverse per
+  division and one reduction per eliminated coefficient.
 
 All values are immutable (or treated as such) and every operation is a pure
 function, so concurrent use from several threads is safe.
@@ -108,7 +112,7 @@ def fp_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroInverse("0 has no inverse")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +162,9 @@ def upoly_monic(f: UPoly, p: int) -> UPoly:
 
 
 def upoly_divmod(f: UPoly, g: UPoly, p: int) -> tuple[UPoly, UPoly]:
+    """Quotient and remainder of f by g, by long division on a list: one
+    inverse of g's leading coefficient, one reduction of the eliminated
+    coefficient per step, and the remainder reduced at the end."""
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
     r = list(f)
@@ -165,12 +172,11 @@ def upoly_divmod(f: UPoly, g: UPoly, p: int) -> tuple[UPoly, UPoly]:
     inv_lc = fp_inv(g[-1], p)
     q = [0] * max(len(f) - dg, 0)
     for i in range(len(r) - 1, dg - 1, -1):
-        c = r[i] % p
+        c = r[i] % p * inv_lc % p
         if c:
-            c = c * inv_lc % p
             q[i - dg] = c
-            for j in range(dg + 1):
-                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+            for j in range(dg):
+                r[i - dg + j] -= c * g[j]
     return upoly(q, p), upoly(r[:dg], p)
 
 
@@ -179,13 +185,27 @@ def upoly_rem(f: UPoly, g: UPoly, p: int) -> UPoly:
 
 
 def upoly_gcd(f: UPoly, g: UPoly, p: int) -> UPoly:
-    """Monic greatest common divisor (Euclid)."""
+    """Monic greatest common divisor, by Euclid on lists.
+
+    Each division step takes one inverse, to make the divisor monic, and
+    reduces each remainder once, at the end of its long division."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    a, b = f, g
+    a, b = list(f), list(g)
     while b:
-        a, b = b, upoly_rem(a, b, p)
-    return upoly_monic(a, p)
+        inv = fp_inv(b[-1], p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] % p
+            if c:
+                for j in range(db):
+                    a[i - db + j] -= c * b[j]
+        a = [c % p for c in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return upoly_monic(tuple(a), p)
 
 
 def upoly_deriv(f: UPoly, p: int) -> UPoly:
@@ -210,17 +230,26 @@ def upoly_eval(f: UPoly, a: int, p: int) -> int:
 
 def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
     """base**e modulo mod, by left-to-right square-and-multiply on packed
-    residues.
+    residues, with one fold per exponent bit.
 
-    The modulus is made monic once.  A residue r_0 + r_1 x + ... + r_{n-1}
-    x^{n-1} is held as the int sum r_k << (k*S) with S = (2*n*p^2).bit_length(),
-    so a product of two residues is one bigint product whose slot k is the
-    exact, unreduced x^k coefficient (each below n*p^2).  The n-1 high slots
-    are reduced mod p and folded in with the precomputed packed residues of
-    x^n, ..., x^(2n-2) mod m; a low slot then stays below
-    n*p^2 + (n-1)*p^2 < 2^S, and since every slot is non-negative none borrows
-    from or overflows into its neighbour.  The n low slots are reduced mod p
-    and repacked.
+    The modulus m is made monic once, of degree n.  A residue r_0 + r_1 x +
+    ... + r_{n-1} x^{n-1}, every r_k in [0, p), is held as the int sum
+    r_k << (k*S).  The multiplier b is the base itself when its degree is at
+    most n, else its remainder mod m; say b has degree d and coefficient sum s.
+    At each exponent bit the residue is squared, one bigint product whose
+    slot k is the exact, unreduced x^k coefficient (below n*p^2); when the
+    bit is set the square is multiplied by packed b before anything is
+    reduced, which leaves every slot below s*n*p^2.  (For the base x, packed b
+    is 1 << S, a shift.)  The slots from n up to 2n-2 (2n-2+d after a
+    multiply) are then reduced mod p and folded in with the precomputed packed
+    residues of x^n, ..., x^(2n-2+d) mod m, which adds below (n-1+d)*p^2 to a
+    low slot.  So every slot stays below the bound
+
+        (n*max(s, 1) + n - 1 + d) * p^2,
+
+    and S is its bit length; no slot borrows (all are non-negative) or
+    overflows into its neighbour.  The n low slots are then reduced mod p and
+    repacked.  For x^p (s = d = 1) the bound is 2*n*p^2.
     """
     m = upoly_monic(mod, p)
     n = len(m) - 1
@@ -230,35 +259,41 @@ def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
         return UPOLY_ZERO
     if e <= 0:
         return UPOLY_ONE
-    shift = (2 * n * p * p).bit_length()
+    mult = upoly(base, p)
+    if len(mult) > n + 1:
+        mult = upoly_rem(mult, m, p)
+    d = max(len(mult) - 1, 0)
+    shift = ((n * max(sum(mult), 1) + n - 1 + d) * p * p).bit_length()
     mask = (1 << shift) - 1
-    low_mask = (1 << (n * shift)) - 1
-    offsets = range(0, n * shift, shift)
-    high = range(n * shift, (2 * n - 1) * shift, shift)
+    low_bits = n * shift
+    low_mask = (1 << low_bits) - 1
+    offsets = range(0, low_bits, shift)
 
     def pack(coeffs):
-        return sum(c << o for c, o in zip(coeffs, offsets))
+        return sum([c << o for c, o in zip(coeffs, range(0, len(coeffs) * shift, shift))])
 
-    # packed x^(n+k) mod m for k = 0..n-2
-    r = [(-c) % p for c in m[:n]]
+    # packed x^(n+k) mod m for k = 0..n-2+d, each with the offset of its slot:
+    # x times a residue is a shift by S and a fold of its top slot
+    fold = neg = pack([(-c) % p for c in m[:n]])
     folds = []
-    for _ in range(n - 1):
-        folds.append(pack(r))
-        top = r[-1]
-        r = [(-top * m[0]) % p] + [(r[k - 1] - top * m[k]) % p for k in range(1, n)]
+    for o in range(low_bits, low_bits + (n - 1 + d) * shift, shift):
+        folds.append((o, fold))
+        fold <<= shift
+        fold = (fold & low_mask) + (fold >> low_bits) * neg
+        fold = sum([(fold >> s & mask) % p << s for s in offsets])
+    square_folds = folds[:n - 1]
 
-    def reduce(prod):
-        low = prod & low_mask
-        for o, fold in zip(high, folds):
-            low += (prod >> o & mask) % p * fold
-        return sum([(low >> o & mask) % p << o for o in offsets])
-
-    b = pack(upoly_rem(base, m, p))
-    result = b
+    b = pack(mult)
+    result = b if len(mult) <= n else pack(upoly_rem(mult, m, p))
     for bit in bin(e)[3:]:
-        result = reduce(result * result)
         if bit == "1":
-            result = reduce(result * b)
+            prod, high = result * result * b, folds
+        else:
+            prod, high = result * result, square_folds
+        low = prod & low_mask
+        for o, residue in high:
+            low += (prod >> o & mask) % p * residue
+        result = sum([(low >> o & mask) % p << o for o in offsets])
     return upoly([(result >> o) & mask for o in offsets], p)
 
 
@@ -315,7 +350,7 @@ def upoly_fp_roots(f: UPoly, p: int, rng_seed: int) -> set[int]:
         return set()
     fm = upoly_monic(f, p)
     xp = upoly_pow_mod((0, 1), p, fm, p)
-    g = upoly_gcd(upoly_sub(xp, (0, 1), p), fm, p)
+    g = upoly_gcd(fm, upoly_sub(xp, (0, 1), p), p)
     rng = SplitMix64(rng_seed)
     roots: set[int] = set()
     stack = [g]

@@ -1,8 +1,10 @@
 """Independent reference implementations used only as test oracles.
 
 Each oracle deliberately takes a different algorithmic route from the
-library code it checks (extended Euclid instead of Fermat powers, exhaustive
-evaluation instead of factorization, permutation expansion instead of
+library code it checks (extended Euclid instead of built-in modular inverses,
+schoolbook products instead of packed residues, tuple Euclid with a
+reduction per coefficient instead of list Euclid, exhaustive evaluation
+instead of factorization, permutation expansion instead of
 memoized cofactors, randomized single-step reduction instead of the heap
 reducer, Macaulay matrices instead of staircase counting, evaluation and
 Lagrange interpolation instead of Kronecker substitution).
@@ -55,10 +57,9 @@ def splitmix64_reference(seed, count):
 
 # -- univariate helpers ------------------------------------------------------
 
-def pow_mod_by_repeated_products(base, e, mod, p):
-    """base**e mod mod by e schoolbook products, each followed by long
-    division by the (not necessarily monic) modulus, inverting its leading
-    coefficient by extended Euclid."""
+def _schoolbook_mod(mod, p):
+    """Schoolbook product and long division by the (not necessarily monic)
+    modulus, inverting its leading coefficient by extended Euclid."""
     inv_lc = inverse_by_xgcd(mod[-1], p)
     n = len(mod) - 1
 
@@ -80,11 +81,63 @@ def pow_mod_by_repeated_products(base, e, mod, p):
                 out[i + j] += x * y
         return out
 
+    return rem, product
+
+
+def pow_mod_by_repeated_products(base, e, mod, p):
+    """base**e mod mod by e schoolbook products, each followed by long
+    division by the modulus."""
+    rem, product = _schoolbook_mod(mod, p)
     base = rem(list(base))
     acc = rem([1])
     for _ in range(e):
         acc = rem(product(acc, base))
     return tuple(acc)
+
+
+def pow_mod_by_binary_products(base, e, mod, p):
+    """base**e mod mod by right-to-left binary powering with the schoolbook
+    products and long division of pow_mod_by_repeated_products, for
+    exponents too large for e products."""
+    rem, product = _schoolbook_mod(mod, p)
+    square = rem(list(base))
+    acc = rem([1])
+    while e:
+        if e & 1:
+            acc = rem(product(acc, square))
+        square = rem(product(square, square))
+        e >>= 1
+    return tuple(acc)
+
+
+def gcd_by_tuple_euclid(f, g, p):
+    """Monic gcd by Euclid on coefficient tuples: each remainder by long
+    division with every coefficient reduced at every step, and the leading
+    coefficient inverted by extended Euclid."""
+    def canonical(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c)
+
+    def rem(a, b):
+        r = list(a)
+        db = len(b) - 1
+        inv_lc = inverse_by_xgcd(b[-1], p)
+        for i in range(len(r) - 1, db - 1, -1):
+            c = r[i] % p
+            if c:
+                c = c * inv_lc % p
+                for j in range(db + 1):
+                    r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+        return canonical(r[:db])
+
+    a, b = canonical(f), canonical(g)
+    assert a or b, "gcd(0, 0) is undefined"
+    while b:
+        a, b = b, rem(a, b)
+    inv = inverse_by_xgcd(a[-1], p)
+    return canonical(c * inv for c in a)
 
 
 def upoly_interpolate(points, p):

@@ -127,6 +127,26 @@ def test_fiber_gram_matches_entrywise_gram_matrix(which):
         assert exceptional_conic(d, y) == [row[:3] for row in want[:3]]
 
 
+def test_fiber_gram_at_the_packed_slot_bound():
+    # every coefficient p - 1 and every coordinate p - 1 at p = 2^61 - 1: the
+    # cubic entry's slot reaches 20*(p-1)^2, next to the bound 20*p^2 that
+    # the slot width is sized from
+    p = 2**61 - 1
+
+    def full(degree):
+        return MultiPoly.from_terms(4, p, [(e, p - 1) for e in monomials_of_degree(4, degree)])
+
+    linear = full(1)
+    d = CubicData(p=p, A=((linear,) * 3,) * 3, B=(full(2),) * 3, C=full(3))
+    entries = gram_matrix(d).entries
+    rng = SplitMix64(61)
+    for y in [(p - 1,) * 4, (1, p - 1, 1, p - 1)] + \
+            [tuple(rng.below(p) for _ in range(4)) for _ in range(20)]:
+        want = [[oracles.eval_by_pow(entries[i][j], y) for j in range(4)] for i in range(4)]
+        assert fiber_gram(d, y) == want
+        assert exceptional_conic(d, y) == [row[:3] for row in want[:3]]
+
+
 def test_fiber_gram_rank_scale_invariance():
     d = random_instance(P, 3)
     rng = SplitMix64(11)

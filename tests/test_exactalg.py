@@ -71,6 +71,14 @@ def test_fp_inv_involution():
         assert fp_inv(fp_inv(a, 32003), 32003) == a
 
 
+@pytest.mark.parametrize("p", [7, 32003, 2**61 - 1])
+def test_fp_inv_matches_extended_euclid(p):
+    rng = SplitMix64(p % 1000)
+    for a in [1, p - 1] + [1 + rng.below(p - 1) for _ in range(300)]:
+        assert fp_inv(a, p) == oracles.inverse_by_xgcd(a, p)
+        assert fp_inv(a + p, p) == fp_inv(a - p, p) == fp_inv(a, p)
+
+
 def test_upoly_gcd_examples():
     p = 7
     x2m1 = upoly((-1, 0, 1), p)
@@ -93,6 +101,29 @@ def test_upoly_gcd_divides_both_inputs():
         d = upoly_gcd(f, g, p)
         assert not f or upoly_rem(f, d, p) == ()
         assert not g or upoly_rem(g, d, p) == ()
+
+
+@pytest.mark.parametrize("p", [7, 101, 32003])
+def test_upoly_gcd_matches_tuple_euclid(p):
+    rng = SplitMix64(p + 3)
+
+    def draw(k):
+        return upoly([rng.below(p) for _ in range(k)], p)
+
+    pairs = [((), (3,)), ((3,), ()), ((), (0, 2, 5)), ((2,), (5,)), ((4,), (1, 2, 3)),
+             ((0, 1), (0, 1)), ((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (2, 4, 6))]
+    for _ in range(150):
+        common = draw(rng.below(4) + 1)
+        f = upoly_mul(common, draw(rng.below(5) + 1), p)
+        g = upoly_mul(common, draw(rng.below(5) + 1), p)
+        pairs += [(f, g), (g, f), (f, f), (f, upoly_scale(f, 1 + rng.below(p - 1), p))]
+    for f, g in pairs:
+        f, g = upoly(f, p), upoly(g, p)
+        if not f and not g:
+            continue
+        assert upoly_gcd(f, g, p) == oracles.gcd_by_tuple_euclid(f, g, p)
+    with pytest.raises(ValueError):
+        upoly_gcd((), (), p)
 
 
 def test_upoly_divmod_reconstructs():
@@ -162,6 +193,22 @@ def test_upoly_roots_of_two_distinct_linear_factors(p):
         assert upoly_fp_roots(g, p, trial) == {r1, r2}
 
 
+@pytest.mark.parametrize("p", [101, 997])
+def test_upoly_roots_of_three_to_six_distinct_linear_factors(p):
+    # the gcd with x^p - x has degree 3 or more, so these go through the
+    # seeded equal-degree splitting
+    rng = SplitMix64(p + 7)
+    for trial in range(60):
+        k = 3 + trial % 4
+        roots = set()
+        while len(roots) < k:
+            roots.add(rng.below(p))
+        f = upoly((1 + rng.below(p - 1),), p)
+        for r in sorted(roots):
+            f = upoly_mul(f, upoly((-r, 1), p), p)
+        assert upoly_fp_roots(f, p, trial) == oracles.brute_roots(f, p) == roots
+
+
 def _non_residue_by_search(p):
     squares = {a * a % p for a in range(p)}
     return next(z for z in range(2, p) if z not in squares)
@@ -192,6 +239,33 @@ def test_upoly_pow_mod_packed_slots_at_a_61_bit_prime():
                 for e in (1, 2, 3, 37, 64):
                     assert upoly_pow_mod(b, e, m, p) == \
                         oracles.pow_mod_by_repeated_products(b, e, m, p)
+
+
+def test_upoly_pow_mod_at_the_packed_slot_bound():
+    # at p = 2^61 - 1, moduli with every coefficient p - 1 (as given, and
+    # monic) and the bases x and x + p - 1 fill the slots close to the bound
+    # (n*max(s, 1) + n - 1 + d)*p^2 that the slot width is sized from
+    p = 2**61 - 1
+    for n in range(1, 7):
+        for mod in (tuple([p - 1] * (n + 1)), tuple([p - 1] * n) + (1,)):
+            for base in ((0, 1), (p - 1, 1)):
+                for e in (1, 2, (p - 1) // 2, p):
+                    assert upoly_pow_mod(base, e, mod, p) == \
+                        oracles.pow_mod_by_binary_products(base, e, mod, p)
+                for e in (1, 2, 3, 7):
+                    assert upoly_pow_mod(base, e, mod, p) == \
+                        oracles.pow_mod_by_repeated_products(base, e, mod, p)
+
+
+def test_binary_powering_oracle_matches_repeated_products():
+    p = 101
+    rng = SplitMix64(404)
+    for degree in range(1, 6):
+        mod = upoly([rng.below(p) for _ in range(degree)] + [1 + rng.below(p - 1)], p)
+        base = upoly([rng.below(p) for _ in range(degree + 2)], p)
+        for e in range(0, 40):
+            assert oracles.pow_mod_by_binary_products(base, e, mod, p) == \
+                oracles.pow_mod_by_repeated_products(base, e, mod, p)
 
 
 def test_upoly_pow_mod_and_eval():
