@@ -55,14 +55,21 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection."""
+        """Uniform integer in [0, n), bias-free via rejection.  The step of
+        ``next_u64`` is inlined: the fiber stage draws tens of thousands of
+        values per batch."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         limit = ((1 << 64) // n) * n
+        state = self.state
         while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
+            if z < limit:
+                self.state = state
+                return z % n
 
 
 #: Miller-Rabin with the thirteen prime bases 2..41 is proven exact below this

@@ -19,6 +19,17 @@ above one guard-bit field per exponent, so a product is ``+``, grevlex
 comparison is ``<``, and divisibility is one mask test.  Exponent tuples
 appear only where a ``MultiPoly`` or ``GBasis`` enters or leaves the engine;
 a monomial of degree above ``MAX_PACKED_DEGREE`` raises ``DegreeOverflow``.
+
+One reducer serves every reduction of a completion (about 200 calls for
+the census basis), and it memoises across them: for each monomial it has
+reduced, the first reducer in list order whose lead divides it, kept as
+that reducer's tail already shifted to the monomial; for each irreducible
+one, how many reducers were tested.  The reducer list only grows, so the
+first divisor of a monomial never changes once found, and an ``add`` only
+makes the memo test the new reducers.  The reducer chosen for every term,
+the step count and the output are those of a scan of the whole list.  A
+``GBasis`` keeps the reducer of its elements, so its normal forms share the
+memos too.
 """
 from __future__ import annotations
 
@@ -75,7 +86,7 @@ class GBasis:
     """Reduced grevlex Groebner basis, elements monic and sorted by increasing
     lead monomial (canonical for the ideal)."""
 
-    __slots__ = ("basis", "nvars", "p")
+    __slots__ = ("basis", "nvars", "p", "_reducer")
 
     #: Not a parameter: the order is always grevlex.  A class constant only
     #: because perfbench/tracing.py's basis_fingerprint reads repr(gb.order).
@@ -85,6 +96,7 @@ class GBasis:
         self.basis = tuple(basis)
         self.nvars = self.basis[0].nvars
         self.p = self.basis[0].p
+        self._reducer = None
 
     def lead_exps(self):
         return tuple(g.lead_exp() for g in self.basis)
@@ -170,68 +182,91 @@ def _packing(nvars: int) -> _Packing:
 
 
 class _Reducer:
-    """Full normal-form reduction against a (growing) list of monic reducers.
+    """Full normal-form reduction against a growing list of monic reducers.
 
     Reducers and terms are packed monomials.  Terms are processed
-    largest-first through a heap with lazy deletion; every inserted monomial
-    is strictly smaller than the one being reduced, so each monomial is
+    largest-first through a heap; every inserted monomial is strictly
+    smaller than the one being reduced, so each monomial is pushed and
     visited once, the output comes out largest first, and no product
-    outgrows the packed fields of its input.
+    outgrows the packed fields of its input.  Coefficients accumulate
+    unreduced and are taken mod p once, when their monomial is popped; a
+    monomial whose coefficient cancels is popped and skipped.
+
+    The reduction of a monomial e always uses the *first* reducer in list
+    order whose lead divides e.  The list only grows, so once found that
+    reducer never changes, and the reducer keeps two memos across calls:
+    ``shifted`` maps e to that reducer's tail shifted to e, as
+    [(q + m, cm)], and ``scanned`` maps an irreducible e to the number of
+    reducers already tested against it, so after an ``add`` only the new
+    reducers are tested.  The memos live and die with the reducer: one
+    completion, or one ``GBasis`` for its normal forms.
     """
 
-    __slots__ = ("reducers", "guard", "p", "budget")
+    __slots__ = ("reducers", "guard", "p", "budget", "shifted", "scanned")
 
     def __init__(self, packing: _Packing, p: int, budget=None):
         self.reducers = []
         self.guard = packing.guard
         self.p = p
         self.budget = budget
+        self.shifted: dict = {}
+        self.scanned: dict = {}
 
     def add(self, items):
         """Register a monic reducer given as (packed, coeff) items, largest
         first."""
         self.reducers.append((items[0][0], items[1:]))
 
+    def _first_divisor(self, e):
+        """The tail of the first reducer whose lead divides e, shifted to e,
+        or None; tests only the reducers added since e was last looked up."""
+        reducers = self.reducers
+        start = self.scanned.get(e, 0)
+        guard = self.guard
+        eg = e | guard
+        for k in range(start, len(reducers)):
+            lead, tail = reducers[k]
+            if (eg - lead) & guard == guard:
+                q = e - lead
+                hit = self.shifted[e] = [(q + m, cm) for m, cm in tail]
+                self.scanned.pop(e, None)
+                return hit
+        self.scanned[e] = len(reducers)
+        return None
+
     def reduce_terms(self, pairs) -> dict:
         p = self.p
-        guard = self.guard
-        reducers = self.reducers
         budget = self.budget
+        shifted = self.shifted
+        first_divisor = self._first_divisor
         work: dict = {}
+        get = work.get
         for e, c in pairs:
-            c = (work.get(e, 0) + c) % p
-            if c:
-                work[e] = c
-            else:
-                work.pop(e, None)
+            work[e] = get(e, 0) + c
         heap = [-e for e in work]
         heapify(heap)
         out: dict = {}
         while heap:
             e = -heappop(heap)
-            c = work.pop(e, 0)
+            c = work.pop(e) % p
             if not c:
                 continue
-            eg = e | guard
-            for lead, tail in reducers:
-                if (eg - lead) & guard == guard:
-                    break
-            else:
-                out[e] = c
-                continue
+            hit = shifted.get(e)
+            if hit is None:
+                hit = first_divisor(e)
+                if hit is None:
+                    out[e] = c
+                    continue
             if budget is not None:
                 budget.spend()
-            q = e - lead
-            for m, cm in tail:
-                em = q + m
-                prev = work.get(em, 0)
-                nv = (prev - c * cm) % p
-                if nv:
-                    if not prev:
-                        heappush(heap, -em)
-                    work[em] = nv
-                elif prev:
-                    del work[em]
+            c = p - c
+            for em, cm in hit:
+                v = get(em)
+                if v is None:
+                    work[em] = c * cm
+                    heappush(heap, -em)
+                else:
+                    work[em] = v + c * cm
         return out
 
 
@@ -244,11 +279,15 @@ def _monic_items(items, p):
 
 
 def _basis_reducer(gb: GBasis) -> _Reducer:
-    packing = _packing(gb.nvars)
-    red = _Reducer(packing, gb.p)
-    for g in gb.basis:
-        red.add(packing.encode(g))
-    return red
+    """The reducer of the basis elements, built on first use and kept with
+    the basis, so its normal forms and multiplication matrices share one
+    set of memos."""
+    if gb._reducer is None:
+        packing = _packing(gb.nvars)
+        gb._reducer = _Reducer(packing, gb.p)
+        for g in gb.basis:
+            gb._reducer.add(packing.encode(g))
+    return gb._reducer
 
 
 def _lcm(a, b):
@@ -319,7 +358,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
     leads: list = []         # lead exponent tuples, for the pair criteria
     basis_items: list = []   # packed (monomial, coeff) items, largest first
     sugars: list = []        # sugar minus lead degree, per basis element
-    pairs: set = set()
+    pairs: dict = {}         # pair (i, j) -> its selection key
 
     def append(items, sugar):
         basis_items.append(items)
@@ -332,6 +371,11 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         lcm = pack(_lcm(leads[i], leads[j]))
         return (max(sugars[i], sugars[j]) + (lcm >> deg_shift), -lcm, i, j)
 
+    def update_pairs():
+        # a pair's key never changes, so each is computed once
+        kept = _update_pairs(leads, pairs, len(leads) - 1)
+        return {ij: pairs[ij] if ij in pairs else selection_key(ij) for ij in kept}
+
     for g in gens:
         nf = reducer.reduce_terms(packing.encode(g))
         if not nf:
@@ -340,16 +384,15 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         if items[0][0] == 0:
             return GBasis((one,))
         append(items, g.total_degree())
-        pairs = _update_pairs(leads, pairs, len(leads) - 1)
+        pairs = update_pairs()
 
     while pairs:
         if rng is not None:
             ordered = sorted(pairs)
             pair = ordered[rng.below(len(ordered))]
         else:
-            pair = min(pairs, key=selection_key)
-        pairs.discard(pair)
-        sugar, neg_lcm, i, j = selection_key(pair)
+            pair = min(pairs.values())[2:]
+        sugar, neg_lcm, i, j = pairs.pop(pair)
         qi = -neg_lcm - basis_items[i][0][0]
         qj = -neg_lcm - basis_items[j][0][0]
         spairs = [(e + qi, c) for e, c in basis_items[i]]
@@ -361,7 +404,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         if items[0][0] == 0:
             return GBasis((one,))
         append(items, sugar)
-        pairs = _update_pairs(leads, pairs, len(leads) - 1)
+        pairs = update_pairs()
 
     # minimalize: keep only elements whose lead divides no other kept lead
     kept: list = []

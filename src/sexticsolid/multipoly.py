@@ -13,6 +13,12 @@ a_k + (b_k << S), so that one pass yields every t^i coefficient of the
 restriction in slot i of a single int, S bits wide with S =
 (nterms * p * (2p)^deg).bit_length() (see ``restrict_to_line`` for the
 bound).
+
+``linear_change`` multiplies on exponents packed into one int, one field of
+max(deg, 1).bit_length() bits per variable, so a monomial product is ``+``
+and no exponent of the expansion can overflow its field; the power tables
+of the rows of T are built once per variable and the result is unpacked
+once.
 """
 from __future__ import annotations
 
@@ -241,49 +247,45 @@ class MultiPoly:
         return self._compiled
 
     def linear_change(self, T):
-        """Substitute variables -> T @ variables for an invertible matrix T."""
+        """Substitute variables -> T @ variables for an invertible matrix T.
+
+        Exponents are packed into one int, variable k in a field of
+        w = max(deg, 1).bit_length() bits, so a monomial product is ``+``:
+        every monomial of the expansion has degree at most deg < 2^w, so no
+        field overflows.  The powers of each row of T are built once, each
+        term's product is reduced mod p after every factor, and the sum is
+        unpacked once at the end."""
         n = self.nvars
         p = self.p
         if len(T) != n or any(len(row) != n for row in T):
             raise ArityMismatch("change-of-coordinates matrix has wrong shape")
         if matrix_rank(T, p) != n:
             raise SingularChange("coordinate change is not invertible")
-        lin = [{(tuple(1 if j == k else 0 for k in range(n))): T[i][j] % p
-                for j in range(n) if T[i][j] % p}
-               for i in range(n)]
-        pow_cache: dict = {}
-
-        def lin_pow(i, k):
-            if (i, k) in pow_cache:
-                return pow_cache[(i, k)]
-            if k == 0:
-                r = {(0,) * n: 1}
-            else:
-                prev = lin_pow(i, k - 1)
-                r = {}
-                for e1, c1 in prev.items():
-                    for e2, c2 in lin[i].items():
-                        e = tuple(a + b for a, b in zip(e1, e2))
-                        r[e] = (r.get(e, 0) + c1 * c2) % p
-                r = {e: c for e, c in r.items() if c}
-            pow_cache[(i, k)] = r
-            return r
-
+        w = max(self.total_degree(), 1).bit_length()
+        shifts = [w * (n - 1 - k) for k in range(n)]
+        maxes = [max(col) for col in zip(*self.terms)] or [0] * n
+        powers = []
+        for row, top in zip(T, maxes):
+            lin = [(1 << s, t % p) for s, t in zip(shifts, row) if t % p]
+            table = [{0: 1}]
+            for _ in range(top):
+                table.append(_packed_product(table[-1], lin, p))
+            powers.append(table)
         acc: dict = {}
+        get = acc.get
         for e, c in self.terms.items():
-            prod = {(0,) * n: c}
-            for i, ei in enumerate(e):
+            prod = None
+            for table, ei in zip(powers, e):
                 if ei:
-                    nxt = {}
-                    factor = lin_pow(i, ei)
-                    for e1, c1 in prod.items():
-                        for e2, c2 in factor.items():
-                            ee = tuple(a + b for a, b in zip(e1, e2))
-                            nxt[ee] = (nxt.get(ee, 0) + c1 * c2) % p
-                    prod = nxt
-            for ee, cc in prod.items():
-                acc[ee] = (acc.get(ee, 0) + cc) % p
-        return MultiPoly(n, p, acc)
+                    factor = table[ei]
+                    prod = factor if prod is None else _packed_product(prod, factor.items(), p)
+            if prod is None:                      # the constant term
+                prod = {0: 1}
+            for m, cm in prod.items():
+                acc[m] = get(m, 0) + c * cm
+        mask = (1 << w) - 1
+        return MultiPoly(n, p, {tuple((m >> s) & mask for s in shifts): c
+                                for m, c in acc.items()})
 
     def specialize(self, i: int, value: int):
         """Substitute variable i := value, dropping it from the ring."""
@@ -310,6 +312,18 @@ class MultiPoly:
                 ne[positions[k]] = ek
             raw[tuple(ne)] = c
         return MultiPoly(new_nvars, self.p, raw)
+
+
+def _packed_product(a: dict, b, p: int) -> dict:
+    """Product of a {packed monomial: coeff} dict and (packed, coeff) items,
+    coefficients reduced mod p once at the end."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c % p for m, c in out.items()}
 
 
 # ---------------------------------------------------------------------------

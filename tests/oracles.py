@@ -6,12 +6,15 @@ schoolbook products instead of packed residues, tuple Euclid with a
 reduction per coefficient instead of list Euclid, exhaustive evaluation
 instead of factorization, permutation expansion instead of
 memoized cofactors, randomized single-step reduction instead of the heap
-reducer, Macaulay matrices instead of staircase counting, evaluation and
-Lagrange interpolation instead of Kronecker substitution).
+reducer, a heap reducer that scans every reducer for every term instead of
+the memoised one, Macaulay matrices instead of staircase counting,
+evaluation and Lagrange interpolation instead of Kronecker substitution,
+exponent tuples instead of packed exponents).
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 from operator import mul
 
@@ -293,6 +296,39 @@ def naive_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly.from_terms(f.nvars, f.p, pairs)
 
 
+def linear_change_by_tuples(f: MultiPoly, T) -> MultiPoly:
+    """f(T @ variables) on exponent tuples: each term expanded against the
+    cached powers of the rows of T, every coefficient reduced at every step."""
+    n, p = f.nvars, f.p
+    lin = [{tuple(1 if j == k else 0 for k in range(n)): T[i][j] % p
+            for j in range(n) if T[i][j] % p}
+           for i in range(n)]
+    pow_cache: dict = {}
+
+    def times(a, b):
+        r: dict = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                r[e] = (r.get(e, 0) + c1 * c2) % p
+        return r
+
+    def lin_pow(i, k):
+        if (i, k) not in pow_cache:
+            pow_cache[(i, k)] = {(0,) * n: 1} if k == 0 else times(lin_pow(i, k - 1), lin[i])
+        return pow_cache[(i, k)]
+
+    acc: dict = {}
+    for e, c in f.terms.items():
+        prod = {(0,) * n: c}
+        for i, ei in enumerate(e):
+            if ei:
+                prod = times(prod, lin_pow(i, ei))
+        for ee, cc in prod.items():
+            acc[ee] = (acc.get(ee, 0) + cc) % p
+    return MultiPoly(n, p, acc)
+
+
 def eval_by_pow(f: MultiPoly, point) -> int:
     """Term-by-term evaluation: each term is its coefficient times the
     built-in modular power of every coordinate."""
@@ -351,6 +387,61 @@ def brute_normal_form(f: MultiPoly, basis, rng) -> MultiPoly:
         factor = c * pow(g.lead_coeff(), p - 2, p) % p
         mono = MultiPoly.from_terms(f.nvars, p, [(shift, factor)])
         f = f - mono * g
+
+
+class HeapReducer:
+    """Normal-form reduction against a growing list of monic reducers, on
+    packed monomials, scanning every reducer for every popped term and
+    reducing every coefficient mod p as it is updated; the same interface as
+    ``groebner._Reducer`` without its memos."""
+
+    def __init__(self, packing, p: int, budget=None):
+        self.reducers = []
+        self.guard = packing.guard
+        self.p = p
+        self.budget = budget
+
+    def add(self, items):
+        self.reducers.append((items[0][0], items[1:]))
+
+    def reduce_terms(self, pairs) -> dict:
+        p, guard = self.p, self.guard
+        work: dict = {}
+        for e, c in pairs:
+            c = (work.get(e, 0) + c) % p
+            if c:
+                work[e] = c
+            else:
+                work.pop(e, None)
+        heap = [-e for e in work]
+        heapify(heap)
+        out: dict = {}
+        while heap:
+            e = -heappop(heap)
+            c = work.pop(e, 0)
+            if not c:
+                continue
+            eg = e | guard
+            for lead, tail in self.reducers:
+                if (eg - lead) & guard == guard:
+                    break
+            else:
+                out[e] = c
+                continue
+            if self.budget is not None:
+                self.budget.spend()
+            q = e - lead
+            for m, cm in tail:
+                em = q + m
+                prev = work.get(em, 0)
+                nv = (prev - c * cm) % p
+                if nv:
+                    if not prev:
+                        heappush(heap, -em)
+                    work[em] = nv
+                elif prev:
+                    del work[em]
+        return out
 
 
 def _monomials_up_to(nvars, D):

@@ -30,6 +30,24 @@ def test_splitmix64_below_is_uniform_range_and_deterministic():
     assert vals == [rng2.below(32003) for _ in range(2000)]
 
 
+def test_splitmix64_below_is_rejection_sampling_on_the_reference_stream():
+    # bounds just above 2^63 reject about half the draws, so the state must
+    # advance over rejected draws exactly as next_u64 would
+    bounds = [32003, 2 ** 63 + 1, 1, 2 ** 64 - 1, 3 * 2 ** 62, 2 ** 61 - 1] * 40
+    rng = SplitMix64(11)
+    got = [rng.below(n) for n in bounds] + [rng.next_u64()]
+    stream = iter(oracles.splitmix64_reference(11, 4000))
+    want = []
+    for n in bounds:
+        limit = ((1 << 64) // n) * n
+        u = next(stream)
+        while u >= limit:
+            u = next(stream)
+        want.append(u % n)
+    want.append(next(stream))
+    assert got == want
+
+
 def test_is_prime():
     assert is_prime(32003)
     assert is_prime(7)

@@ -5,8 +5,9 @@ from sexticsolid.cli import stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
 from sexticsolid.exactalg import SplitMix64, charpoly, upoly, upoly_is_squarefree
-from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _packing,
-                                  buchberger, in_radical, is_irrelevant,
+from sexticsolid import groebner
+from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
+                                  _Reducer, buchberger, in_radical, is_irrelevant,
                                   krull_dim, make_ideal, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
@@ -173,11 +174,87 @@ def test_census_basis_within_sugar_step_count(seed1):
     # the census's affine Jacobian ideal: four dehomogenized quintics.  Sugar
     # selection reduces it in about 7 000 steps, selection by smallest lcm
     # alone needs about 47 000
+    gb = buchberger(census_affine_ideal(seed1), budget=15_000)
+    assert quotient_dim(gb) == 31
+
+
+def census_affine_ideal(seed1):
     T, _ = _chart_rng(P, stage_seed(1, 0, "census"))
     moved = seed1.surface.delta.linear_change(T)
-    affine = [moved.partial(i).specialize(0, 1) for i in range(4)]
-    gb = buchberger([f for f in affine if not f.is_zero()], budget=15_000)
-    assert quotient_dim(gb) == 31
+    return [f for f in (moved.partial(i).specialize(0, 1) for i in range(4))
+            if not f.is_zero()]
+
+
+def test_census_basis_step_count_is_pinned(seed1):
+    # 7 027 steps exactly: the memoised reducer picks the same reducer for
+    # every term as a scan of the whole list would
+    affine = census_affine_ideal(seed1)
+    assert quotient_dim(buchberger(affine, budget=7027)) == 31
+    with pytest.raises(ResourceBudgetExceeded):
+        buchberger(affine, budget=7026)
+
+
+def basis_and_steps(gens, reducer_class, monkeypatch):
+    budgets = []
+
+    class RecordedBudget(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(groebner, "_Reducer", reducer_class)
+    monkeypatch.setattr(groebner, "_Budget", RecordedBudget)
+    gb = buchberger(gens)
+    (budget,) = budgets
+    return gb, budget.limit - budget.left
+
+
+def test_memoised_reducer_matches_heap_oracle_in_buchberger(monkeypatch):
+    # same basis and the same reduction-step count as the scanning reducer
+    ideals = small_ideals(58, 8) + small_ideals(59, 4, nvars=3) + mixed_degree_ideals(64, 8)
+    steps = 0
+    for gens in ideals:
+        got = basis_and_steps(gens, _Reducer, monkeypatch)
+        assert got == basis_and_steps(gens, oracles.HeapReducer, monkeypatch)
+        steps += got[1]
+    assert steps > 1000
+
+
+def test_memoised_reducer_matches_heap_oracle_as_the_list_grows():
+    # reducers are added one at a time and every reducer is reused across
+    # calls, so memo entries made before an add are consulted after it
+    rng = SplitMix64(60)
+    for gens in small_ideals(61, 6) + mixed_degree_ideals(62, 6):
+        nvars = gens[0].nvars
+        packing = _packing(nvars)
+        memo = _Reducer(packing, P, _Budget(10 ** 6))
+        scan = oracles.HeapReducer(packing, P, _Budget(10 ** 6))
+        for g in gens + list(buchberger(gens).basis):
+            items = packing.encode(g.monic())
+            memo.add(items)
+            scan.add(items)
+            for _ in range(4):
+                f = packing.encode(rand_poly(rng, nvars, maxdeg=4, terms=8))
+                assert memo.reduce_terms(f) == scan.reduce_terms(f)
+                assert memo.budget.left == scan.budget.left
+
+
+def test_reducer_memo_rescans_after_add():
+    x, y = V(0), V(1)
+    packing = _packing(2)
+    red = _Reducer(packing, P)
+    red.add(packing.encode(x * x - 1))
+    y2 = [(packing.pack((0, 2)), 1)]
+    x2y = [(packing.pack((2, 1)), 1)]
+    assert red.reduce_terms(y2) == dict(y2)          # irreducible so far
+    assert red.reduce_terms(x2y) == {packing.pack((0, 1)): 1}
+    red.add(packing.encode(y - 3))
+    assert red.reduce_terms(y2) == {0: 9}            # y^2 -> 9 after the add
+    # x^2*y still goes through x^2 - 1, the first reducer that divides it
+    scan = oracles.HeapReducer(packing, P)
+    scan.add(packing.encode(x * x - 1))
+    scan.add(packing.encode(y - 3))
+    assert red.reduce_terms(x2y) == scan.reduce_terms(x2y) == {0: 3}
 
 
 def test_buchberger_budget_error():

@@ -177,6 +177,40 @@ def test_linear_change_preserves_degree_and_homogeneity():
     assert g.homogeneous_degree() == 6
 
 
+@pytest.mark.parametrize("p", [7, P, 2 ** 61 - 1])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_linear_change_matches_tuple_oracle_at_field_widths(p, degree):
+    # packed fields are max(degree, 1).bit_length() bits wide, so degrees
+    # 2^k - 1 fill a field and 2^k widen it; x_k^degree reaches the top
+    rng = SplitMix64(900 + degree)
+    for nvars in (1, 3, 4):
+        pairs = [(tuple(degree if j == k else 0 for j in range(nvars)), rng.below(p - 1) + 1)
+                 for k in range(nvars)]
+        for _ in range(6):
+            cuts = sorted(rng.below(degree + 1) for _ in range(nvars - 1))
+            e = tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+            pairs.append((e, rng.below(p)))
+        f = MultiPoly.from_terms(nvars, p, pairs)
+        assert f.total_degree() == degree
+        for _ in range(2):
+            T = random_invertible(nvars, p, rng)
+            assert f.linear_change(T) == oracles.linear_change_by_tuples(f, T)
+
+
+def test_linear_change_of_zero_and_of_a_polynomial_missing_a_variable():
+    rng = SplitMix64(62)
+    for p in (P, 2 ** 61 - 1):
+        T = random_invertible(3, p, rng)
+        zero = MultiPoly.zero(3, p)
+        assert zero.linear_change(T) == zero
+        with pytest.raises(SingularChange):
+            zero.linear_change([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        x0, x2 = MultiPoly.variable(0, 3, p), MultiPoly.variable(2, 3, p)
+        f = x0 ** 3 * x2 + x2 ** 2 * 5 + 1       # no x1
+        assert f.linear_change(T) == oracles.linear_change_by_tuples(f, T)
+        assert f.linear_change(T).homogeneous_degree() is None
+
+
 def test_linear_change_singular_raises():
     f = V(0) * V(1)
     with pytest.raises(SingularChange):
