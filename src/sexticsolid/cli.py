@@ -99,33 +99,49 @@ def render_report(report: dict) -> str:
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def _acquire_instance(cfg: RunConfig, need_census: bool):
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall-clock seconds of the block to timings[key]."""
+    t0 = time.monotonic()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.monotonic() - t0
+
+
+def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
     """Build or load the instance; seeded instances are resampled (seed+k)
-    up to cfg.retries times while the census verdict stays non-generic."""
+    up to cfg.retries times while the census verdict stays non-generic.
+    The seconds spent building instances, discriminants and node censuses
+    are added to timings["instance"], ["discriminant"] and ["census"]."""
     history = []
     if cfg.instance_file is not None:
-        loaded = bundle.load_instance(cfg.instance_file)
+        with _timed(timings, "instance"):
+            loaded = bundle.load_instance(cfg.instance_file)
         attempts = [(0, loaded)]
     else:
         attempts = [(k, None) for k in range(cfg.retries + 1)]
     last = None
     for attempt, preloaded in attempts:
-        d = preloaded if preloaded is not None else bundle.random_instance(
-            cfg.prime, (cfg.seed + attempt) & _MASK64)
+        with _timed(timings, "instance"):
+            d = preloaded if preloaded is not None else bundle.random_instance(
+                cfg.prime, (cfg.seed + attempt) & _MASK64)
         entry = {"attempt": attempt, "seed": d.seed}
         if not need_census:
             entry["outcome"] = "accepted"
             history.append(entry)
             return attempt, d, None, None, history
         try:
-            surface = bundle.discriminant(d)
+            with _timed(timings, "discriminant"):
+                surface = bundle.discriminant(d)
         except DegenerateDiscriminant:
             entry["outcome"] = "degenerate_discriminant"
             history.append(entry)
             last = (attempt, d, None, None)
             continue
-        census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
-                                      cfg.budget)
+        with _timed(timings, "census"):
+            census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
+                                          cfg.budget)
         entry["outcome"] = census.verdict
         history.append(entry)
         last = (attempt, d, surface, census)
@@ -275,12 +291,10 @@ def run_verify_all(cfg: RunConfig):
     maps them to exit code 2.
     """
     t_start = time.monotonic()
-    timings: dict = {}
+    timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
     need_census = bool(set(cfg.checks) & ({"census"} | _GATED))
-    t0 = time.monotonic()
     with _stage("census"):
-        attempt, d, surface, census, history = _acquire_instance(cfg, need_census)
-    timings["instance_and_census"] = time.monotonic() - t0
+        attempt, d, surface, census, history = _acquire_instance(cfg, need_census, timings)
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -308,26 +322,25 @@ def run_verify_all(cfg: RunConfig):
     for check in CHECKS:
         if check not in cfg.checks:
             continue
-        t0 = time.monotonic()
-        if check == "census":
-            if surface is None:
-                section = _blocked_section("discriminant vanishes identically")
-            else:
-                section = _census_section(census)
-        elif check in _GATED:
-            if not generic:
-                section = _blocked_section("node census verdict is not generic_31_nodes")
-            elif check == "strata":
-                section = _strata_section(d, surface, census, cfg)
-            elif check == "double_solid":
-                section = _double_solid_section(surface, census, cfg)
-            elif check == "fibers":
-                section = _fibers_section(d, surface, cfg, attempt)
-            else:
-                section = _pairings_section(d, surface, cfg, attempt)
-        else:  # smoothness: independent of the census
-            section = _smoothness_section(d, cfg, attempt)
-        timings[check] = time.monotonic() - t0
+        with _timed(timings, check):
+            if check == "census":
+                if surface is None:
+                    section = _blocked_section("discriminant vanishes identically")
+                else:
+                    section = _census_section(census)
+            elif check in _GATED:
+                if not generic:
+                    section = _blocked_section("node census verdict is not generic_31_nodes")
+                elif check == "strata":
+                    section = _strata_section(d, surface, census, cfg)
+                elif check == "double_solid":
+                    section = _double_solid_section(surface, census, cfg)
+                elif check == "fibers":
+                    section = _fibers_section(d, surface, cfg, attempt)
+                else:
+                    section = _pairings_section(d, surface, cfg, attempt)
+            else:  # smoothness: independent of the census
+                section = _smoothness_section(d, cfg, attempt)
         report[check] = section
         passed.append(bool(section.get("pass")))
 

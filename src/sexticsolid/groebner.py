@@ -12,13 +12,15 @@ budget turns pathological inputs into clean ``ResourceBudgetExceeded``
 errors instead of runaway computations.
 
 The order is grevlex, the one order of ``multipoly``, so no function here
-takes an order.  Inside the engine every monomial is packed into one int
-(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007): a degree and partial-sum header
-above one guard-bit field per exponent, so a product is ``+``, grevlex
-comparison is ``<``, and divisibility is one mask test.  Exponent tuples
-appear only where a ``MultiPoly`` or ``GBasis`` enters or leaves the engine;
-a monomial of degree above ``MAX_PACKED_DEGREE`` raises ``DegreeOverflow``.
+takes an order.  The engine works on the packed monomials that key every
+``MultiPoly`` (``multipoly._Packing``; Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), so a product is ``+``, grevlex comparison is ``<``, and divisibility
+is one mask test.  A polynomial enters as its packed items, lead first, and
+a basis element leaves as a ``MultiPoly`` made from its packed dict, with
+no conversion either way; a monomial of degree above ``MAX_PACKED_DEGREE``
+raises ``DegreeOverflow``.  The pair criteria alone read exponent tuples:
+the leads, and each pair's lcm, computed once when the pair is made.
 
 One reducer serves every reduction of a completion (about 200 calls for
 the census basis), and it memoises across them: for each monomial it has
@@ -34,14 +36,15 @@ memos too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .errors import (ArityMismatch, DegreeOverflow, NotHomogeneous,
+from .errors import (ArityMismatch, NotHomogeneous,
                      NotZeroDimensional, ResourceBudgetExceeded)
 from .exactalg import SplitMix64, charpoly, fp_inv, upoly_is_squarefree
-from .multipoly import MultiPoly, grevlex_key
+# MAX_PACKED_DEGREE is re-exported: the engine's degree bound is the packing's
+from .multipoly import (MAX_PACKED_DEGREE, MultiPoly, _check_degree, _Packing,  # noqa: F401
+                        _packing, grevlex_key)
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -49,10 +52,6 @@ DEFAULT_BUDGET = 1_000_000
 CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
-
-_FIELD_BITS = 16                          # per packed field, guard bit included
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
 @dataclass(frozen=True)
@@ -122,63 +121,6 @@ class _Budget:
         if self.left < 0:
             raise ResourceBudgetExceeded(
                 f"reduction-step budget of {self.limit} steps exhausted")
-
-
-def _check_degree(d: int):
-    if d > MAX_PACKED_DEGREE:
-        raise DegreeOverflow(f"monomial of degree {d} exceeds the packed limit "
-                             f"of {MAX_PACKED_DEGREE}")
-
-
-class _Packing:
-    """Packed grevlex monomials in ``nvars`` variables.
-
-    Fields of ``_FIELD_BITS`` bits, most significant first: the degree d,
-    the partial sums d - x_{n-1}, d - x_{n-1} - x_{n-2}, ..., d - x_{n-1} -
-    ... - x_2, then the exponents x_0, x_1, ..., x_{n-1}.  Every field is a
-    nonnegative linear form in the exponents, so packing is additive, and
-    comparing the ints compares degree, then the reversed exponents with the
-    smaller last exponent winning: grevlex.  The top bit of each field is a
-    guard that stays clear, so l divides m iff ``((m | guard) - l) & guard
-    == guard`` (no borrow crosses a field).
-    """
-
-    __slots__ = ("units", "shifts", "guard", "deg_shift")
-
-    def __init__(self, nvars: int):
-        w = _FIELD_BITS
-        # variable sets of the fields, least significant first
-        fields = [(i,) for i in reversed(range(nvars))]
-        fields += [tuple(range(nvars - k)) for k in reversed(range(nvars - 1))]
-        self.units = tuple(sum(1 << (w * f) for f, vs in enumerate(fields) if i in vs)
-                           for i in range(nvars))
-        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
-        self.guard = sum(1 << (w * f + w - 1) for f in range(len(fields)))
-        self.deg_shift = w * (len(fields) - 1)
-
-    def pack(self, e) -> int:
-        _check_degree(sum(e))
-        m = 0
-        for a, u in zip(e, self.units):
-            m += a * u
-        return m
-
-    def unpack(self, m: int) -> tuple:
-        return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
-
-    def encode(self, f: MultiPoly) -> list:
-        """Terms of f as (packed, coeff), largest first."""
-        pack = self.pack
-        return [(pack(e), c) for e, c in f.terms.items()]
-
-    def decode(self, items, nvars, p) -> MultiPoly:
-        unpack = self.unpack
-        return MultiPoly._make(nvars, p, {unpack(m): c for m, c in items})
-
-
-@lru_cache(maxsize=None)
-def _packing(nvars: int) -> _Packing:
-    return _Packing(nvars)
 
 
 class _Reducer:
@@ -302,18 +244,22 @@ def _divides(a, b):
 
 
 def _update_pairs(leads, pairs, m):
-    """Gebauer-Moeller pair update after appending element m = len(leads)-1."""
+    """Gebauer-Moeller pair update after appending element m = len(leads)-1.
+
+    ``pairs`` maps each pending pair (i, j) to the lcm of its leads; the
+    result maps the pairs kept and the new ones the same way.  The lcm of
+    each old lead with the new one is computed once."""
     lmf = leads[m]
-    kept = set()
-    for (i, j) in pairs:
-        lij = _lcm(leads[i], leads[j])
+    new_lcms = [_lcm(leads[i], lmf) for i in range(m)]
+    kept = {}
+    for (i, j), lij in pairs.items():
         if (not _divides(lmf, lij)
-                or _lcm(leads[i], lmf) == lij
-                or _lcm(leads[j], lmf) == lij):
-            kept.add((i, j))
+                or new_lcms[i] == lij
+                or new_lcms[j] == lij):
+            kept[(i, j)] = lij
     groups: dict = {}
-    for i in range(m):
-        groups.setdefault(_lcm(leads[i], lmf), []).append(i)
+    for i, L in enumerate(new_lcms):
+        groups.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(groups, key=lambda t: (sum(t), t)):
         if all(not _divides(Lk, L) for Lk in minimal):
@@ -321,9 +267,8 @@ def _update_pairs(leads, pairs, m):
     for L in minimal:
         # Buchberger's product criterion: drop the group if some member has
         # disjoint-support lead with the new element.
-        if not any(_lcm(leads[i], lmf) == tuple(a + b for a, b in zip(leads[i], lmf))
-                   for i in groups[L]):
-            kept.add((min(groups[L]), m))
+        if all(any(a and b for a, b in zip(leads[i], lmf)) for i in groups[L]):
+            kept[(min(groups[L]), m)] = L
     return kept
 
 
@@ -359,6 +304,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
     basis_items: list = []   # packed (monomial, coeff) items, largest first
     sugars: list = []        # sugar minus lead degree, per basis element
     pairs: dict = {}         # pair (i, j) -> its selection key
+    lcms: dict = {}          # pair (i, j) -> the lcm of its leads, a tuple
 
     def append(items, sugar):
         basis_items.append(items)
@@ -366,25 +312,26 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         sugars.append(sugar - (items[0][0] >> deg_shift))
         reducer.add(items)
 
-    def selection_key(ij):
+    def selection_key(ij, lcm):
         i, j = ij
-        lcm = pack(_lcm(leads[i], leads[j]))
+        lcm = pack(lcm)
         return (max(sugars[i], sugars[j]) + (lcm >> deg_shift), -lcm, i, j)
 
     def update_pairs():
-        # a pair's key never changes, so each is computed once
-        kept = _update_pairs(leads, pairs, len(leads) - 1)
-        return {ij: pairs[ij] if ij in pairs else selection_key(ij) for ij in kept}
+        # a pair's lcm and key never change, so each is computed once
+        kept = _update_pairs(leads, lcms, len(leads) - 1)
+        return kept, {ij: pairs[ij] if ij in pairs else selection_key(ij, L)
+                      for ij, L in kept.items()}
 
     for g in gens:
-        nf = reducer.reduce_terms(packing.encode(g))
+        nf = reducer.reduce_terms(g.packed.items())
         if not nf:
             continue
         items = _monic_items(list(nf.items()), p)
         if items[0][0] == 0:
             return GBasis((one,))
         append(items, g.total_degree())
-        pairs = update_pairs()
+        lcms, pairs = update_pairs()
 
     while pairs:
         if rng is not None:
@@ -393,6 +340,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         else:
             pair = min(pairs.values())[2:]
         sugar, neg_lcm, i, j = pairs.pop(pair)
+        del lcms[pair]
         qi = -neg_lcm - basis_items[i][0][0]
         qj = -neg_lcm - basis_items[j][0][0]
         spairs = [(e + qi, c) for e, c in basis_items[i]]
@@ -404,7 +352,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
         if items[0][0] == 0:
             return GBasis((one,))
         append(items, sugar)
-        pairs = update_pairs()
+        lcms, pairs = update_pairs()
 
     # minimalize: keep only elements whose lead divides no other kept lead
     kept: list = []
@@ -420,16 +368,16 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
                 other.add(items)
         polys[t] = _monic_items(list(other.reduce_terms(polys[t]).items()), p)
     polys.sort(key=lambda items: items[0][0])
-    return GBasis(tuple(packing.decode(items, nvars, p) for items in polys))
+    return GBasis(tuple(MultiPoly._make(nvars, p, dict(items), items[0][0])
+                        for items in polys))
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:
     """The unique remainder of f modulo the basis (zero iff f is in the ideal)."""
     if (f.nvars, f.p) != (gb.nvars, gb.p):
         raise ArityMismatch("polynomial and basis live in different rings")
-    packing = _packing(f.nvars)
-    nf = _basis_reducer(gb).reduce_terms(packing.encode(f))
-    return packing.decode(nf.items(), f.nvars, f.p)
+    nf = _basis_reducer(gb).reduce_terms(f.packed.items())
+    return MultiPoly._make(f.nvars, f.p, nf, next(iter(nf), None))
 
 
 def krull_dim(gb: GBasis) -> int:
@@ -500,7 +448,7 @@ def mult_matrix(gb: GBasis, ell: MultiPoly):
     D = len(B)
     M = [[0] * D for _ in range(D)]
     red = _basis_reducer(gb)
-    ell_items = packing.encode(ell)
+    ell_items = ell.packed.items()
     for j, b in enumerate(index):
         nf = red.reduce_terms([(b + e, c) for e, c in ell_items])
         for e, c in nf.items():

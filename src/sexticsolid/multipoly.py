@@ -1,62 +1,162 @@
 """Sparse multivariate polynomials over F_p in grevlex order.
 
-A polynomial is a mapping from exponent tuples to nonzero coefficients in
-[0, p), stored in strictly decreasing graded reverse lexicographic order
-(``grevlex_key``) so that equal polynomials are bit-identical.  Instances
-are immutable by convention: no method mutates ``terms`` and callers must
-not either.
+A polynomial is a dict ``packed`` from packed monomials to coefficients in
+[1, p), in no particular order.  A monomial is packed into one int
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007; see ``_Packing``): a degree and
+partial-sum header above one guard-bit field per exponent, so a monomial
+product is ``+``, grevlex comparison is ``<`` and divisibility is one mask
+test.  The Groebner engine works on the same ints.  Equal polynomials have
+equal dicts, so ``==`` is dict equality and the hash ignores insertion
+order; the lead monomial is the largest key, found once and kept.
+Instances are immutable by convention: no method mutates ``packed`` and
+callers must not either.
 
-On first use a polynomial compiles its terms into a list of (coefficient,
-power-table indices).  ``eval`` fills the table with powers of the point's
-coordinates mod p; ``restrict_to_line`` fills it with packed ints
-a_k + (b_k << S), so that one pass yields every t^i coefficient of the
+Nothing sorts terms except where an order leaves the object: the ``terms``
+view (exponent tuples in decreasing grevlex order, built on first access
+and kept, for tests, oracles and the instance's Gram coefficient vectors),
+``format_poly`` through it, and ``monomials_of_degree``.
+
+Every field is ``_FIELD_BITS`` wide with its top bit a guard, so no
+monomial of any ``MultiPoly`` may exceed degree ``MAX_PACKED_DEGREE``
+(32,767): a product and ``mp_det`` check the sum of their factors' lead
+degrees, and every exponent tuple that is packed (by the constructor,
+``from_terms``, ``parse_poly`` and ``specialize``) is checked for its
+degree, its arity and its signs; too high a degree raises
+``DegreeOverflow``.
+
+On first use a polynomial unpacks its terms once into a list of
+(coefficient, power-table indices).  ``eval`` fills the table with powers
+of the point's coordinates mod p; ``restrict_to_line`` fills it with packed
+ints a_k + (b_k << S), so that one pass yields every t^i coefficient of the
 restriction in slot i of a single int, S bits wide with S =
 (nterms * p * (2p)^deg).bit_length() (see ``restrict_to_line`` for the
 bound).
 
-``linear_change`` multiplies on exponents packed into one int, one field of
-max(deg, 1).bit_length() bits per variable, so a monomial product is ``+``
-and no exponent of the expansion can overflow its field; the power tables
-of the rows of T are built once per variable and the result is unpacked
-once.
+``mp_det`` expands cofactors on the packed dicts directly: each memoised
+column subset's expansion accumulates unreduced in one dict and is reduced
+mod p once.  ``linear_change`` runs Horner's scheme, so that every product
+it forms is by a linear form.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
-from .errors import ArityMismatch, IndexOutOfRange, SingularChange
+from .errors import ArityMismatch, DegreeOverflow, IndexOutOfRange, SingularChange
 from .exactalg import fp_inv, matrix_rank, upoly
+
+_FIELD_BITS = 16                          # per packed field, guard bit included
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_PACKED_DEGREE = (1 << (_FIELD_BITS - 1)) - 1
 
 
 def grevlex_key(e):
-    """Graded reverse lexicographic key, the one monomial order of the toolkit
-    (the Groebner reducer packs monomials for it): an *ascending* sort lists
-    monomials from largest to smallest."""
+    """Graded reverse lexicographic key on exponent tuples, the one monomial
+    order of the toolkit (packed monomials compare the same way): an
+    *ascending* sort lists monomials from largest to smallest."""
     return (-sum(e), e[::-1])
 
 
-def _canonical(p: int, raw: dict) -> dict:
-    items = sorted(((e, c % p) for e, c in raw.items() if c % p), key=lambda t: grevlex_key(t[0]))
-    return dict(items)
+def _check_degree(d: int):
+    if d > MAX_PACKED_DEGREE:
+        raise DegreeOverflow(f"monomial of degree {d} exceeds the packed limit "
+                             f"of {MAX_PACKED_DEGREE}")
+
+
+class _Packing:
+    """Packed grevlex monomials in ``nvars`` variables.
+
+    Fields of ``_FIELD_BITS`` bits, most significant first: the degree d,
+    the partial sums d - x_{n-1}, d - x_{n-1} - x_{n-2}, ..., d - x_{n-1} -
+    ... - x_2, then the exponents x_0, x_1, ..., x_{n-1}.  Every field is a
+    nonnegative linear form in the exponents, so packing is additive, and
+    comparing the ints compares degree, then the reversed exponents with the
+    smaller last exponent winning: grevlex.  The top bit of each field is a
+    guard that stays clear, so l divides m iff ``((m | guard) - l) & guard
+    == guard`` (no borrow crosses a field).
+    """
+
+    __slots__ = ("units", "shifts", "guard", "deg_shift")
+
+    def __init__(self, nvars: int):
+        w = _FIELD_BITS
+        # variable sets of the fields, least significant first
+        fields = [(i,) for i in reversed(range(nvars))]
+        fields += [tuple(range(nvars - k)) for k in reversed(range(nvars - 1))]
+        self.units = tuple(sum(1 << (w * f) for f, vs in enumerate(fields) if i in vs)
+                           for i in range(nvars))
+        self.shifts = tuple(w * (nvars - 1 - i) for i in range(nvars))
+        self.guard = sum(1 << (w * f + w - 1) for f in range(len(fields)))
+        self.deg_shift = w * max(len(fields) - 1, 0)
+
+    def pack(self, e) -> int:
+        """The packed form of an exponent tuple, which must have one
+        nonnegative entry per variable and degree at most
+        ``MAX_PACKED_DEGREE``."""
+        if len(e) != len(self.units):
+            raise ArityMismatch(f"exponent {tuple(e)} has arity != {len(self.units)}")
+        if min(e, default=0) < 0:
+            raise ValueError(f"negative exponent in {tuple(e)}")
+        _check_degree(sum(e))
+        m = 0
+        for a, u in zip(e, self.units):
+            m += a * u
+        return m
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
+
+    @staticmethod
+    def encode(f: "MultiPoly") -> list:
+        """Terms of f as (packed, coeff) items, the lead item first and the
+        rest in no order (what a Groebner reducer registers)."""
+        if not f.packed:
+            return []
+        lead = f.lead_key()
+        return [(lead, f.packed[lead])] + [(m, c) for m, c in f.packed.items() if m != lead]
+
+
+@lru_cache(maxsize=None)
+def _packing(nvars: int) -> _Packing:
+    return _Packing(nvars)
+
+
+def _reduced(p: int, raw: dict) -> dict:
+    """raw with every coefficient taken mod p and the zeros dropped."""
+    out = {}
+    for m, c in raw.items():
+        c %= p
+        if c:
+            out[m] = c
+    return out
 
 
 class MultiPoly:
-    __slots__ = ("nvars", "p", "terms", "_compiled")
+    __slots__ = ("nvars", "p", "packed", "_lead", "_terms", "_compiled")
 
     def __init__(self, nvars: int, p: int, terms: dict):
+        """From a dict of exponent tuples to integer coefficients, reduced
+        mod p here."""
+        pack = _packing(nvars).pack
         self.nvars = nvars
         self.p = p
-        self.terms = _canonical(p, terms)
+        self.packed = _reduced(p, {pack(e): c for e, c in terms.items()})
+        self._lead = None
+        self._terms = None
         self._compiled = None
 
     @classmethod
-    def _make(cls, nvars, p, canonical_terms):
-        # internal fast path: terms already canonical
+    def _make(cls, nvars, p, packed, lead=None):
+        # internal fast path: ``packed`` already reduced, zeros dropped, and
+        # ``lead`` its largest key when the caller knows it
         self = object.__new__(cls)
         self.nvars = nvars
         self.p = p
-        self.terms = canonical_terms
+        self.packed = packed
+        self._lead = lead
+        self._terms = None
         self._compiled = None
         return self
 
@@ -71,43 +171,62 @@ class MultiPoly:
         value %= p
         if value == 0:
             return cls.zero(nvars, p)
-        return cls._make(nvars, p, {(0,) * nvars: value})
+        return cls._make(nvars, p, {0: value}, 0)
 
     @classmethod
     def variable(cls, i, nvars, p):
         if not 0 <= i < nvars:
             raise IndexOutOfRange(f"variable {i} of {nvars}")
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls._make(nvars, p, {e: 1})
+        m = _packing(nvars).units[i]
+        return cls._make(nvars, p, {m: 1}, m)
 
     @classmethod
     def from_terms(cls, nvars, p, pairs):
+        pack = _packing(nvars).pack
         raw: dict = {}
         for e, c in pairs:
-            e = tuple(e)
-            if len(e) != nvars:
-                raise ArityMismatch(f"exponent {e} has arity != {nvars}")
-            raw[e] = raw.get(e, 0) + c
-        return cls(nvars, p, raw)
+            m = pack(e)
+            raw[m] = raw.get(m, 0) + c
+        return cls._make(nvars, p, _reduced(p, raw))
 
     # -- basic queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """Exponent tuple -> coefficient, in decreasing grevlex order: a view
+        built on first access and kept, never read on a hot path."""
+        if self._terms is None:
+            unpack = _packing(self.nvars).unpack
+            self._terms = {unpack(m): self.packed[m]
+                           for m in sorted(self.packed, reverse=True)}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
+
+    def lead_key(self):
+        """The packed lead monomial (the largest key), or None for zero."""
+        if self._lead is None and self.packed:
+            self._lead = max(self.packed)
+        return self._lead
 
     def lead_exp(self):
-        return next(iter(self.terms)) if self.terms else None
+        lead = self.lead_key()
+        return None if lead is None else _packing(self.nvars).unpack(lead)
 
     def lead_coeff(self) -> int:
-        return next(iter(self.terms.values())) if self.terms else 0
+        lead = self.lead_key()
+        return 0 if lead is None else self.packed[lead]
 
     def total_degree(self) -> int:
-        """Maximum term degree; -1 for the zero polynomial."""
-        return max(map(sum, self.terms), default=-1)
+        """Maximum term degree, read off the lead's header; -1 for zero."""
+        lead = self.lead_key()
+        return -1 if lead is None else lead >> _packing(self.nvars).deg_shift
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None; zero polynomial -> 0."""
-        degs = {sum(e) for e in self.terms}
+        shift = _packing(self.nvars).deg_shift
+        degs = {m >> shift for m in self.packed}
         if not degs:
             return 0
         if len(degs) == 1:
@@ -124,16 +243,24 @@ class MultiPoly:
         if isinstance(other, int):
             other = MultiPoly.constant(other, self.nvars, self.p)
         self._check_ctx(other)
-        raw = dict(self.terms)
-        for e, c in other.terms.items():
-            raw[e] = raw.get(e, 0) + c
-        return MultiPoly(self.nvars, self.p, raw)
+        p = self.p
+        out = dict(self.packed)
+        get = out.get
+        for m, c in other.packed.items():
+            c = (get(m, 0) + c) % p
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return MultiPoly._make(self.nvars, p, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return MultiPoly._make(self.nvars, self.p, {e: self.p - c for e, c in self.terms.items()})
+        p = self.p
+        return MultiPoly._make(self.nvars, p, {m: p - c for m, c in self.packed.items()},
+                               self._lead)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -147,13 +274,19 @@ class MultiPoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check_ctx(other)
+        if not self.packed or not other.packed:
+            return MultiPoly.zero(self.nvars, self.p)
+        _check_degree(self.total_degree() + other.total_degree())
         raw: dict = {}
         get = raw.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                raw[e] = get(e, 0) + c1 * c2
-        return MultiPoly(self.nvars, self.p, raw)
+        b = other.packed.items()
+        for m1, c1 in self.packed.items():
+            for m2, c2 in b:
+                m = m1 + m2
+                raw[m] = get(m, 0) + c1 * c2
+        # over a field the lead of a product is the product of the leads
+        return MultiPoly._make(self.nvars, self.p, _reduced(self.p, raw),
+                               self.lead_key() + other.lead_key())
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -175,7 +308,8 @@ class MultiPoly:
         if a == 0:
             return MultiPoly.zero(self.nvars, self.p)
         p = self.p
-        return MultiPoly._make(self.nvars, p, {e: c * a % p for e, c in self.terms.items()})
+        return MultiPoly._make(self.nvars, p, {m: c * a % p for m, c in self.packed.items()},
+                               self._lead)
 
     def monic(self):
         lc = self.lead_coeff()
@@ -186,10 +320,10 @@ class MultiPoly:
     def __eq__(self, other):
         return (isinstance(other, MultiPoly)
                 and self.nvars == other.nvars and self.p == other.p
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def __hash__(self):
-        return hash((self.nvars, self.p, tuple(self.terms.items())))
+        return hash((self.nvars, self.p, frozenset(self.packed.items())))
 
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
@@ -201,14 +335,17 @@ class MultiPoly:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.nvars:
             raise IndexOutOfRange(f"variable {i} of {self.nvars}")
+        packing = _packing(self.nvars)
+        s, unit = packing.shifts[i], packing.units[i]
         p = self.p
-        raw = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                coeff = c * e[i] % p
-                if coeff:
-                    raw[tuple(v - 1 if j == i else v for j, v in enumerate(e))] = coeff
-        return MultiPoly._make(self.nvars, p, _canonical(p, raw))
+        out = {}
+        for m, c in self.packed.items():
+            ei = (m >> s) & _FIELD_MASK
+            if ei:
+                c = c * ei % p
+                if c:
+                    out[m - unit] = c
+        return MultiPoly._make(self.nvars, p, out)
 
     def eval(self, point) -> int:
         """The value at a point, coordinates taken mod p.  The term list, with
@@ -235,57 +372,57 @@ class MultiPoly:
 
     def _compiled_form(self):
         """(term list, per-variable maximum degrees, total degree), built on
-        first use and kept: each term is its coefficient and the indices of
-        its variable powers in one flat table holding 1, x_k, ..., x_k^max_k
-        for each variable in turn (eval and restrict_to_line fill it)."""
+        first use and kept: the monomials are unpacked once, and each term is
+        its coefficient and the indices of its variable powers in one flat
+        table holding 1, x_k, ..., x_k^max_k for each variable in turn (eval
+        and restrict_to_line fill it)."""
         if self._compiled is None:
-            maxes = [max(col) for col in zip(*self.terms)] or [0] * self.nvars
+            unpack = _packing(self.nvars).unpack
+            exps = [unpack(m) for m in self.packed]
+            maxes = [max(col) for col in zip(*exps)] or [0] * self.nvars
             starts = list(accumulate((m + 1 for m in maxes), initial=0))
             terms = [(c, tuple(o + ei for o, ei in zip(starts, e) if ei))
-                     for e, c in self.terms.items()]
+                     for e, c in zip(exps, self.packed.values())]
             self._compiled = (terms, maxes, self.total_degree())
         return self._compiled
 
     def linear_change(self, T):
         """Substitute variables -> T @ variables for an invertible matrix T.
 
-        Exponents are packed into one int, variable k in a field of
-        w = max(deg, 1).bit_length() bits, so a monomial product is ``+``:
-        every monomial of the expansion has degree at most deg < 2^w, so no
-        field overflows.  The powers of each row of T are built once, each
-        term's product is reduced mod p after every factor, and the sum is
-        unpacked once at the end."""
+        Multivariate Horner on the packed products: with L_k the linear
+        form of row k of T, f = sum_j x_k^j f_j splits on its last variable
+        x_k and becomes (..(f_top(L) * L_k + f_{top-1}(L)) * L_k ..) + f_0(L),
+        each f_j(L) found the same way on the variables before x_k.  So
+        every product is by a linear form, and the exponents are unpacked
+        once."""
         n = self.nvars
         p = self.p
         if len(T) != n or any(len(row) != n for row in T):
             raise ArityMismatch("change-of-coordinates matrix has wrong shape")
         if matrix_rank(T, p) != n:
             raise SingularChange("coordinate change is not invertible")
-        w = max(self.total_degree(), 1).bit_length()
-        shifts = [w * (n - 1 - k) for k in range(n)]
-        maxes = [max(col) for col in zip(*self.terms)] or [0] * n
-        powers = []
-        for row, top in zip(T, maxes):
-            lin = [(1 << s, t % p) for s, t in zip(shifts, row) if t % p]
-            table = [{0: 1}]
-            for _ in range(top):
-                table.append(_packed_product(table[-1], lin, p))
-            powers.append(table)
-        acc: dict = {}
-        get = acc.get
-        for e, c in self.terms.items():
-            prod = None
-            for table, ei in zip(powers, e):
-                if ei:
-                    factor = table[ei]
-                    prod = factor if prod is None else _packed_product(prod, factor.items(), p)
-            if prod is None:                      # the constant term
-                prod = {0: 1}
-            for m, cm in prod.items():
-                acc[m] = get(m, 0) + c * cm
-        mask = (1 << w) - 1
-        return MultiPoly(n, p, {tuple((m >> s) & mask for s in shifts): c
-                                for m, c in acc.items()})
+        if not self.packed:
+            return self
+        packing = _packing(n)
+        forms = [MultiPoly._make(n, p, _reduced(p, dict(zip(packing.units, row)))) for row in T]
+        zero = MultiPoly.zero(n, p)
+
+        def substitute(terms, k):
+            # sum of c x^e over the (e, c), all supported on x_0..x_{k-1}
+            if k == 0:
+                return MultiPoly.constant(terms[0][1], n, p)
+            parts: dict = {}
+            for e, c in terms:
+                parts.setdefault(e[k - 1], []).append((e, c))
+            acc = zero
+            for j in range(max(parts), -1, -1):
+                if acc.packed:
+                    acc = acc * forms[k - 1]
+                if j in parts:
+                    acc = acc + substitute(parts[j], k - 1)
+            return acc
+
+        return substitute([(packing.unpack(m), c) for m, c in self.packed.items()], n)
 
     def specialize(self, i: int, value: int):
         """Substitute variable i := value, dropping it from the ring."""
@@ -293,37 +430,28 @@ class MultiPoly:
             raise IndexOutOfRange(f"variable {i} of {self.nvars}")
         p = self.p
         value %= p
+        unpack = _packing(self.nvars).unpack
+        pack = _packing(self.nvars - 1).pack
         raw: dict = {}
-        for e, c in self.terms.items():
-            coeff = c * pow(value, e[i], p) % p if e[i] else c
-            if coeff:
-                ne = e[:i] + e[i + 1:]
-                raw[ne] = (raw.get(ne, 0) + coeff) % p
-        return MultiPoly(self.nvars - 1, p, raw)
+        for m, c in self.packed.items():
+            e = unpack(m)
+            if e[i]:
+                c = c * pow(value, e[i], p)
+            ne = pack(e[:i] + e[i + 1:])
+            raw[ne] = raw.get(ne, 0) + c
+        return MultiPoly._make(self.nvars - 1, p, _reduced(p, raw))
 
     def embed(self, new_nvars: int, positions):
         """Map variable k of self to variable positions[k] of a larger ring."""
-        if len(positions) != self.nvars or any(not 0 <= q < new_nvars for q in positions):
+        if (len(positions) != self.nvars or len(set(positions)) != self.nvars
+                or any(not 0 <= q < new_nvars for q in positions)):
             raise ArityMismatch("bad embedding positions")
-        raw = {}
-        for e, c in self.terms.items():
-            ne = [0] * new_nvars
-            for k, ek in enumerate(e):
-                ne[positions[k]] = ek
-            raw[tuple(ne)] = c
-        return MultiPoly(new_nvars, self.p, raw)
-
-
-def _packed_product(a: dict, b, p: int) -> dict:
-    """Product of a {packed monomial: coeff} dict and (packed, coeff) items,
-    coefficients reduced mod p once at the end."""
-    out: dict = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b:
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
-    return {m: c % p for m, c in out.items()}
+        unpack = _packing(self.nvars).unpack
+        units = _packing(new_nvars).units
+        targets = [units[q] for q in positions]
+        return MultiPoly._make(new_nvars, self.p,
+                               {sum(map(mul, unpack(m), targets)): c
+                                for m, c in self.packed.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +462,10 @@ def mp_det(rows) -> MultiPoly:
     """Determinant of a square matrix of polynomials.
 
     Cofactor expansion memoized on the surviving column subset: exact, and
-    cheap at the 4x4 sizes that occur here.
+    cheap at the 4x4 sizes that occur here.  Each subset's expansion
+    accumulates its products unreduced in one packed dict, reduced mod p
+    once; the degree bound is checked once, from the largest entry degree
+    of every row.
     """
     n = len(rows)
     if n == 0:
@@ -346,28 +477,33 @@ def mp_det(rows) -> MultiPoly:
     for r in grid:
         for entry in r:
             first._check_ctx(entry)
-    one = MultiPoly.constant(1, first.nvars, first.p)
-    zero = MultiPoly.zero(first.nvars, first.p)
-    memo: dict = {}
+    _check_degree(sum(max(entry.total_degree() for entry in r) for r in grid))
+    p = first.p
+    packed = [[entry.packed for entry in r] for r in grid]
+    memo: dict = {(): {0: 1}}
 
-    def det(cols: tuple) -> MultiPoly:
-        if not cols:
-            return one
-        if cols in memo:
-            return memo[cols]
-        r = n - len(cols)
-        acc = zero
+    def det(cols: tuple) -> dict:
+        hit = memo.get(cols)
+        if hit is not None:
+            return hit
+        row = packed[n - len(cols)]
+        acc: dict = {}
+        get = acc.get
         for idx, ci in enumerate(cols):
-            entry = grid[r][ci]
-            if entry.is_zero():
+            entry = row[ci]
+            if not entry:
                 continue
-            sub = det(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
+            sub = det(cols[:idx] + cols[idx + 1:]).items()
+            for m1, c1 in entry.items():
+                if idx % 2:
+                    c1 = p - c1
+                for m2, c2 in sub:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        acc = memo[cols] = _reduced(p, acc)
         return acc
 
-    return det(tuple(range(n)))
+    return MultiPoly._make(first.nvars, p, det(tuple(range(n))))
 
 
 def restrict_to_line(f: MultiPoly, base, direction) -> tuple:
@@ -414,6 +550,7 @@ def restrict_to_line(f: MultiPoly, base, direction) -> tuple:
 # ---------------------------------------------------------------------------
 
 def format_poly(f: MultiPoly, names) -> str:
+    """Terms in decreasing grevlex order (through the ``terms`` view)."""
     if len(names) != f.nvars:
         raise ArityMismatch("one name per variable required")
     if f.is_zero():
@@ -440,7 +577,7 @@ def parse_poly(text: str, nvars: int, p: int, names) -> MultiPoly:
     if not s:
         raise ValueError("empty polynomial text")
     s = s.replace("-", "+-")
-    raw: dict = {}
+    pairs = []
     for chunk in s.split("+"):
         if not chunk:
             continue
@@ -468,9 +605,8 @@ def parse_poly(text: str, nvars: int, p: int, names) -> MultiPoly:
             if k < 0:
                 raise ValueError("negative exponent")
             exps[index[name]] += k
-        e = tuple(exps)
-        raw[e] = raw.get(e, 0) + coeff
-    return MultiPoly(nvars, p, raw)
+        pairs.append((exps, coeff))
+    return MultiPoly.from_terms(nvars, p, pairs)
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,12 @@ memoized cofactors, randomized single-step reduction instead of the heap
 reducer, a heap reducer that scans every reducer for every term instead of
 the memoised one, Macaulay matrices instead of staircase counting,
 evaluation and Lagrange interpolation instead of Kronecker substitution,
-exponent tuples instead of packed exponents).
+exponent tuples instead of packed exponents, term-by-term expansion
+instead of Horner's scheme).
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import permutations
@@ -353,6 +355,78 @@ def restrict_by_interpolation(f: MultiPoly, base, direction):
     return upoly_interpolate(pts, f.p)
 
 
+# -- the tuple-keyed arithmetic that MultiPoly used before it keyed its terms
+# by packed monomials: exponent tuples, a dict per result, every result
+# rebuilt from a tuple-keyed dict
+
+def _from_tuples(nvars, p, raw) -> MultiPoly:
+    return MultiPoly(nvars, p, {e: c % p for e, c in raw.items() if c % p})
+
+
+def tuple_add(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    raw = dict(f.terms)
+    for e, c in g.terms.items():
+        raw[e] = raw.get(e, 0) + c
+    return _from_tuples(f.nvars, f.p, raw)
+
+
+def tuple_sub(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    raw = dict(f.terms)
+    for e, c in g.terms.items():
+        raw[e] = raw.get(e, 0) - c
+    return _from_tuples(f.nvars, f.p, raw)
+
+
+def tuple_mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    raw: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            raw[e] = raw.get(e, 0) + c1 * c2
+    return _from_tuples(f.nvars, f.p, raw)
+
+
+def tuple_partial(f: MultiPoly, i: int) -> MultiPoly:
+    raw = {}
+    for e, c in f.terms.items():
+        if e[i]:
+            raw[tuple(v - 1 if j == i else v for j, v in enumerate(e))] = c * e[i]
+    return _from_tuples(f.nvars, f.p, raw)
+
+
+def tuple_specialize(f: MultiPoly, i: int, value: int) -> MultiPoly:
+    p = f.p
+    raw: dict = {}
+    for e, c in f.terms.items():
+        ne = e[:i] + e[i + 1:]
+        raw[ne] = raw.get(ne, 0) + c * pow(value % p, e[i], p)
+    return _from_tuples(f.nvars - 1, p, raw)
+
+
+def tuple_det(rows) -> MultiPoly:
+    """Cofactor expansion memoized on the surviving column subset, every
+    product and sum through the tuple-keyed arithmetic above."""
+    n = len(rows)
+    first = rows[0][0]
+    one = MultiPoly.constant(1, first.nvars, first.p)
+    zero = MultiPoly.zero(first.nvars, first.p)
+    memo: dict = {}
+
+    def det(cols):
+        if not cols:
+            return one
+        if cols not in memo:
+            r = n - len(cols)
+            acc = zero
+            for idx, ci in enumerate(cols):
+                term = tuple_mul(rows[r][ci], det(cols[:idx] + cols[idx + 1:]))
+                acc = tuple_sub(acc, term) if idx % 2 else tuple_add(acc, term)
+            memo[cols] = acc
+        return memo[cols]
+
+    return det(tuple(range(n)))
+
+
 def det_by_permutations(grid) -> MultiPoly:
     n = len(grid)
     sample = grid[0][0]
@@ -444,57 +518,50 @@ class HeapReducer:
         return out
 
 
-def _monomials_up_to(nvars, D):
-    def gen(rem, k):
-        if k == 1:
-            for e in range(rem + 1):
-                yield (e,)
-            return
-        for first in range(rem + 1):
-            for rest in gen(rem - first, k - 1):
-                yield (first,) + rest
-    return sorted(gen(D, nvars))
+def _monomials_of_degree(nvars, D):
+    """Exponent tuples of total degree exactly D."""
+    if nvars == 1:
+        return [(D,)]
+    return [(a,) + rest for a in range(D + 1)
+            for rest in _monomials_of_degree(nvars - 1, D - a)]
 
 
-def _row_rank(rows, p):
-    """Dense row reduction with each row packed into one big integer of
-    64-bit lanes.  Eliminations accumulate row += (p - f) * pivot, which
-    keeps every lane non-negative and (for fewer than ~2^20 eliminations
-    per row) below 2^64, so a single C-speed bigint operation replaces the
-    per-entry Python loop."""
-    import struct
+class _Echelon:
+    """Row echelon form over F_p of a growing set of rows, for its rank.
 
-    rows = [r for r in rows if any(v % p for v in r)]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    fmt = "<%dQ" % n
-    nbytes = 8 * n
+    A row is one integer of 64-bit lanes, lane k holding the entry of column
+    k, so columns can be appended at any time: every row already added is
+    zero there.  A row is reduced from its highest nonzero lane down: adding
+    (p - f) times the pivot row of that lane (pivot lane exactly 1, zero
+    above it) makes the lane a multiple of p, which is then subtracted, so
+    one bigint update replaces a loop over entries.  Every lane stays
+    nonnegative, and each addition raises a lane by less than p^2, so for
+    fewer than 2^64 / p^2 additions per row no lane carries into the next."""
 
-    def decode(R):
-        return struct.unpack(fmt, R.to_bytes(nbytes, "little"))
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}    # lane -> pivot row, lanes in [0, p)
 
-    pivots = {}  # col -> pivot bigint, lanes in [0, p), pivot lane exactly 1
-    rank = 0
-    for row in rows:
-        R = int.from_bytes(struct.pack(fmt, *[v % p for v in row]), "little")
-        start = 0
+    def add(self, R) -> bool:
+        """Reduce R against the pivots; True iff it became a new pivot."""
+        p, pivots = self.p, self.pivots
         while R:
-            lanes = decode(R)
-            c = next((i for i in range(start, n) if lanes[i] % p), None)
-            if c is None:
-                break
-            f = lanes[c] % p
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(f, p - 2, p)
-                norm = [0] * c + [v % p * inv % p for v in lanes[c:]]
-                pivots[c] = int.from_bytes(struct.pack(fmt, *norm), "little")
-                rank += 1
-                break
-            R += (p - f) * piv
-            start = c + 1
-    return rank
+            c = (R.bit_length() - 1) >> 6
+            s = c << 6
+            lane = R >> s
+            f = lane % p
+            if f:
+                piv = pivots.get(c)
+                if piv is None:
+                    inv = pow(f, -1, p)
+                    lanes = array("Q", R.to_bytes(8 * (c + 1), "little"))
+                    pivots[c] = int.from_bytes(
+                        array("Q", [v % p * inv % p for v in lanes]).tobytes(), "little")
+                    return True
+                R += (p - f) * piv
+                lane += p - f
+            R -= lane << s
+        return False
 
 
 def macaulay_quotient_dim(gens, max_degree=16, window=4):
@@ -503,26 +570,35 @@ def macaulay_quotient_dim(gens, max_degree=16, window=4):
     generators is reduced and its codimension tracked until it stabilizes
     for ``window`` consecutive degrees.
 
+    The elimination is incremental: the multiples of degree at most D span
+    a subspace of those of degree at most D + 1, so going from D to D + 1
+    appends the columns of degree D + 1 and reduces only the multiples of
+    degree exactly D + 1 against the echelon rows kept from D.
+
     The stopping rule is a heuristic, so only feed this tame inputs (the
     test ideals are built with pure-power leads and strictly lower-degree
     noise, for which the row space reaches the ideal quickly)."""
     p = gens[0].p
     n = gens[0].nvars
     base = max(g.total_degree() for g in gens)
+    forms = [(g.total_degree(), list(g.terms.items())) for g in gens]
+    index: dict = {}
+    echelon = _Echelon(p)
     history: list = []
-    for D in range(base, max_degree + 1):
-        monos = _monomials_up_to(n, D)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for g in gens:
-            dg = g.total_degree()
-            for shift in _monomials_up_to(n, D - dg):
-                row = [0] * len(monos)
-                for e, c in g.terms.items():
-                    row[index[tuple(a + b for a, b in zip(e, shift))]] = c
-                rows.append(row)
-        dim = len(monos) - _row_rank(rows, p)
-        history.append(dim)
+    for D in range(max_degree + 1):
+        for m in _monomials_of_degree(n, D):
+            index[m] = len(index)
+        for dg, items in forms:
+            if D < dg:
+                continue
+            for shift in _monomials_of_degree(n, D - dg):
+                row = 0
+                for e, c in items:
+                    row |= c << (index[tuple(a + b for a, b in zip(e, shift))] << 6)
+                echelon.add(row)
+        if D < base:
+            continue
+        history.append(len(index) - len(echelon.pivots))
         if len(history) >= window and len(set(history[-window:])) == 1:
-            return dim
+            return history[-1]
     raise AssertionError(f"Macaulay dimensions did not stabilize: {history}")

@@ -287,9 +287,17 @@ def test_timings_flag_adds_section():
     report, code = run_single(RunConfig(seed=1, n_samples=5, timings=True),
                               "smoothness")
     assert code == 0
-    assert "timings" in report
+    assert set(report["timings"]) == {"instance", "discriminant", "census", "smoothness",
+                                      "total"}
     report2, _ = run_single(RunConfig(seed=1, n_samples=5), "smoothness")
     assert "timings" not in report2
+    # the node census runs while the instance is acquired; its time is the
+    # census entry's, not the instance's
+    report3, code3 = run_single(RunConfig(seed=1, timings=True), "census")
+    assert code3 == 0
+    assert set(report3["timings"]) == {"instance", "discriminant", "census", "total"}
+    assert report3["timings"]["census"] != "0.000s"
+    assert all(v.endswith("s") and float(v[:-1]) >= 0 for v in report3["timings"].values())
 
 
 @pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])

@@ -1,10 +1,12 @@
 import pytest
 
-from sexticsolid.errors import (ArityMismatch, IndexOutOfRange, SingularChange)
+from sexticsolid.bundle import AMBIENT_NAMES, cubic_equation, random_instance
+from sexticsolid.errors import (ArityMismatch, DegreeOverflow, IndexOutOfRange,
+                                SingularChange)
 from sexticsolid.exactalg import SplitMix64, random_invertible, upoly_eval
-from sexticsolid.multipoly import (MultiPoly, format_poly, grevlex_key,
-                                   monomials_of_degree, mp_det, parse_poly,
-                                   restrict_to_line)
+from sexticsolid.multipoly import (MAX_PACKED_DEGREE, MultiPoly, format_poly,
+                                   grevlex_key, monomials_of_degree, mp_det,
+                                   parse_poly, restrict_to_line)
 
 import oracles
 
@@ -65,6 +67,17 @@ def test_arity_mismatch_raises():
         f + g
     with pytest.raises(ArityMismatch):
         f.eval([1, 2, 3])
+
+
+def test_exponents_must_fit_the_ring():
+    with pytest.raises(ArityMismatch):
+        MultiPoly.from_terms(2, P, [((1, 2, 3), 1)])
+    with pytest.raises(ArityMismatch):
+        MultiPoly(2, P, {(1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        MultiPoly.from_terms(2, P, [((2, -1), 1)])
+    with pytest.raises(ValueError):
+        MultiPoly(2, P, {(-1, 0): 1})
 
 
 def test_eval_examples_and_homomorphism():
@@ -226,6 +239,8 @@ def test_specialize_and_embed():
         MultiPoly.variable(1, 2, P) ** 2
     h = g.embed(3, (1, 2))
     assert h == 5 * y.specialize(0, 1).embed(3, (1, 2)) + (z * z).specialize(0, 1).embed(3, (1, 2))
+    with pytest.raises(ArityMismatch):
+        g.embed(3, (1, 1))
 
 
 def test_mp_det_examples():
@@ -342,3 +357,87 @@ def test_monomials_of_degree_count_and_order():
     assert ms[0] == (2, 0, 0, 0)
     assert ms[-1] == (0, 0, 0, 2)
     assert sorted(ms, key=grevlex_key) == list(ms)
+
+
+# -- the packed representation against the tuple-keyed arithmetic -------------
+
+PRIMES = [7, P, 2 ** 61 - 1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_arithmetic_matches_tuple_oracles(p):
+    rng = SplitMix64(700 + p % 1000)
+    for nvars in (1, 2, 4, 7):
+        for _ in range(25):
+            f = rand_poly(rng, nvars=nvars, maxdeg=4, terms=8, p=p)
+            g = rand_poly(rng, nvars=nvars, maxdeg=4, terms=8, p=p)
+            assert f + g == oracles.tuple_add(f, g)
+            assert f - g == oracles.tuple_sub(f, g)
+            assert f - f == MultiPoly.zero(nvars, p)
+            assert f * g == oracles.tuple_mul(f, g)
+            for i in range(nvars):
+                assert f.partial(i) == oracles.tuple_partial(f, i)
+                if nvars > 1:
+                    v = rng.below(p)
+                    assert f.specialize(i, v) == oracles.tuple_specialize(f, i, v)
+            # the cached lead and degree of every result agree with its terms
+            for h in (f + g, f * g, f.partial(0), -f, f.scale(3)):
+                if not h.is_zero():
+                    assert h.lead_exp() == next(iter(h.terms))
+                    assert h.lead_coeff() == next(iter(h.terms.values()))
+                    assert h.total_degree() == max(map(sum, h.terms))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_mp_det_matches_tuple_oracle(p):
+    rng = SplitMix64(800 + p % 1000)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            grid = [[rand_poly(rng, nvars=3, maxdeg=2, terms=4, p=p) for _ in range(n)]
+                    for _ in range(n)]
+            if n > 1:
+                grid[0][1] = MultiPoly.zero(3, p)      # a zero entry is skipped
+            assert mp_det(grid) == oracles.tuple_det(grid)
+
+
+def test_insertion_order_does_not_matter():
+    rng = SplitMix64(88)
+    for _ in range(50):
+        pairs = [(tuple(rng.below(5) for _ in range(3)), rng.below(P)) for _ in range(10)]
+        f = MultiPoly.from_terms(3, P, pairs)
+        g = MultiPoly.from_terms(3, P, pairs[::-1])
+        h = MultiPoly(3, P, dict(reversed(list(f.terms.items()))))
+        assert f == g == h
+        assert hash(f) == hash(g) == hash(h)
+        assert list(f.terms) == list(g.terms) == sorted(f.terms, key=grevlex_key)
+        # a sum built in the other order, and one whose terms cancel on the way
+        assert f + g == g + f and hash(f + g) == hash(g + f)
+        assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+
+
+def test_degree_beyond_the_packed_limit_raises():
+    x = MultiPoly.variable(0, 2, P)
+    half = x ** (MAX_PACKED_DEGREE // 2 + 1)            # degree 16,384
+    top = x ** MAX_PACKED_DEGREE                        # degree 32,767 still packs
+    assert top.total_degree() == MAX_PACKED_DEGREE
+    with pytest.raises(DegreeOverflow):
+        half * half                                     # degree 32,768
+    with pytest.raises(DegreeOverflow):
+        top * x
+    with pytest.raises(DegreeOverflow):
+        x ** (MAX_PACKED_DEGREE + 1)
+    with pytest.raises(DegreeOverflow):
+        MultiPoly.from_terms(2, P, [((MAX_PACKED_DEGREE, 1), 1)])
+    with pytest.raises(DegreeOverflow):
+        parse_poly(f"x^{MAX_PACKED_DEGREE + 1}", 2, P, ("x", "y"))
+    with pytest.raises(DegreeOverflow):
+        mp_det([[half, x], [x, half]])
+
+
+def test_ambient_cubic_round_trips_through_the_serialization():
+    f = cubic_equation(random_instance(P, 1))
+    assert f.nvars == 7 and f.homogeneous_degree() == 3
+    text = format_poly(f, AMBIENT_NAMES)
+    g = parse_poly(text, 7, P, AMBIENT_NAMES)
+    assert g == f and hash(g) == hash(f)
+    assert format_poly(g, AMBIENT_NAMES) == text

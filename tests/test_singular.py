@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,22 @@ def test_rank_stratum_ideal_shapes():
 
     with pytest.raises(ValueError):
         rank_stratum_ideal(m, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gram_minors_and_delta_match_the_tuple_determinant(seed):
+    d = random_instance(P, seed)
+    m = gram_matrix(d)
+    assert discriminant(d).delta == oracles.tuple_det(m.entries)
+    for r in (1, 2):
+        expected = []
+        for rows in combinations(range(4), r + 1):
+            for cols in combinations(range(4), r + 1):
+                if cols >= rows:
+                    minor = oracles.tuple_det([[m.entries[i][j] for j in cols] for i in rows])
+                    if not minor.is_zero() and minor not in expected:
+                        expected.append(minor)
+        assert list(rank_stratum_ideal(m, r).generators) == expected
 
 
 def test_rank_stratum_ideal_diagonal_products():
