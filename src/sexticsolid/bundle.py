@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from operator import mul
 
 from .errors import ArityMismatch, DegenerateDiscriminant, ZeroPoint
 from .exactalg import (SplitMix64, ensure_field_prime, fp_inv, independent_pair,
-                       random_nonzero_vector, upoly_fp_roots)
+                       upoly_fp_roots)
 from .multipoly import (MultiPoly, format_poly, monomials_of_degree, mp_det,
                         parse_poly, restrict_to_line)
 
@@ -236,20 +236,50 @@ def exceptional_conic(d: CubicData, y):
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    """Spot-check of nonsingularity at sampled rational points."""
+    """Spot-check of nonsingularity at sampled rational points.  It passes
+    only when every requested point was found and none is singular."""
 
+    points_requested: int
     points_checked: int
     failures: tuple
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.points_checked == self.points_requested and not self.failures
+
+
+def points_on_lines(f: MultiPoly, rng: SplitMix64, lines: int):
+    """Yield the distinct F_p points of f = 0 on up to ``lines`` seeded
+    random lines, normalized (first nonzero coordinate 1).
+
+    Draw order, per line: the f.nvars coordinates of a, then those of b, each
+    one rng.below(p); a zero or dependent pair uses up the line.  f is
+    restricted to a + t b, and its roots, found with the seed
+    rng.next_u64(), give the points in increasing order of t.  A point
+    already yielded, from this line or an earlier one, is skipped; a line
+    inside f = 0 yields nothing.
+    """
+    p, n = f.p, f.nvars
+    seen = set()
+    for _ in range(lines):
+        a = tuple(rng.below(p) for _ in range(n))
+        b = tuple(rng.below(p) for _ in range(n))
+        if not independent_pair(a, b, p):
+            continue
+        r = restrict_to_line(f, a, b)
+        if not r:
+            continue  # the line lies inside f = 0
+        for t in sorted(upoly_fp_roots(r, p, rng.next_u64())):
+            pt = _normalize_projective([(x + t * y) % p for x, y in zip(a, b)], p)
+            if pt not in seen:
+                seen.add(pt)
+                yield pt
 
 
 def smoothness_spotcheck_cubic(f: MultiPoly, n_samples: int, seed: int) -> SmoothnessReport:
-    """Sample up to n_samples rational points of the hypersurface f = 0 by
-    slicing along seeded random lines, and verify the Jacobian does not
-    vanish at any of them."""
+    """Sample n_samples rational points of the hypersurface f = 0 on seeded
+    random lines (points_on_lines, 64 n_samples + 256 lines at most), and
+    verify the Jacobian does not vanish at any of them."""
     return _spotcheck(f, [f.partial(i) for i in range(f.nvars)], n_samples, seed)
 
 
@@ -262,33 +292,12 @@ def smoothness_spotcheck(d: CubicData, n_samples: int, seed: int) -> SmoothnessR
 def _spotcheck(f: MultiPoly, partials, n_samples: int, seed: int) -> SmoothnessReport:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    p = f.p
-    n = f.nvars
-    rng = SplitMix64(seed)
-    points = []
-    seen = set()
-    max_lines = 64 * n_samples + 256
-    for _ in range(max_lines):
-        if len(points) >= n_samples:
-            break
-        a = random_nonzero_vector(n, p, rng)
-        b = random_nonzero_vector(n, p, rng)
-        if not independent_pair(a, b, p):
-            continue
-        r = restrict_to_line(f, a, b)
-        if not r:
-            continue  # line inside the hypersurface
-        for t0 in sorted(upoly_fp_roots(r, p, rng.next_u64())):
-            pt = _normalize_projective([(a[k] + t0 * b[k]) % p for k in range(n)], p)
-            if pt is None or pt in seen:
-                continue
-            seen.add(pt)
-            points.append(pt)
-            if len(points) >= n_samples:
-                break
+    points = list(islice(points_on_lines(f, SplitMix64(seed), 64 * n_samples + 256),
+                         n_samples))
     failures = tuple(pt for pt in points
                      if all(g.eval(pt) == 0 for g in partials))
-    return SmoothnessReport(points_checked=len(points), failures=failures)
+    return SmoothnessReport(points_requested=n_samples, points_checked=len(points),
+                            failures=failures)
 
 
 def _normalize_projective(v, p):

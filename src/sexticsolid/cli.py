@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import bundle, fibers, singular
 from .errors import (CensusNotGeneric, ConfigError, DegenerateDiscriminant,
@@ -179,8 +179,7 @@ def _blocked_section(reason: str) -> dict:
 
 def _strata_section(d, surface, census, cfg: RunConfig) -> dict:
     with _stage("strata"):
-        report = singular.strata_check(d, surface, census.chart_change_seed,
-                                       cfg.budget, census=census)
+        report = singular.strata_check(d, surface, census, cfg.budget)
     return {
         "rank2_equals_sigma": report.rank2_equals_sigma,
         "rank1_empty": report.rank1_empty,
@@ -188,12 +187,6 @@ def _strata_section(d, surface, census, cfg: RunConfig) -> dict:
         "details": [[label, ok] for label, ok in report.details],
         "pass": report.passed,
     }
-
-
-def _double_solid_section(surface, census, cfg: RunConfig) -> dict:
-    report = singular.double_solid_census(surface, census.chart_change_seed,
-                                          cfg.budget, census=census)
-    return _census_section(report)
 
 
 def _fiber_group(d, samples) -> dict:
@@ -334,7 +327,7 @@ def run_verify_all(cfg: RunConfig):
                 elif check == "strata":
                     section = _strata_section(d, surface, census, cfg)
                 elif check == "double_solid":
-                    section = _double_solid_section(surface, census, cfg)
+                    section = _census_section(singular.double_solid_census(surface, census))
                 elif check == "fibers":
                     section = _fibers_section(d, surface, cfg, attempt)
                 else:
@@ -350,12 +343,6 @@ def run_verify_all(cfg: RunConfig):
         timings["total"] = time.monotonic() - t_start
         report["timings"] = {k: f"{v:.3f}s" for k, v in timings.items()}
     return report, 0 if ok else 1
-
-
-def run_single(cfg: RunConfig, check: str):
-    """One pipeline stage, prerequisites computed silently (RunConfig rejects
-    an unknown check)."""
-    return run_verify_all(replace(cfg, checks=(check,)))
 
 
 # ---------------------------------------------------------------------------

@@ -489,10 +489,3 @@ def random_invertible(n: int, p: int, rng: SplitMix64):
         M = random_matrix(n, p, rng)
         if matrix_rank(M, p) == n:
             return M
-
-
-def random_nonzero_vector(n: int, p: int, rng: SplitMix64) -> tuple[int, ...]:
-    while True:
-        v = tuple(rng.below(p) for _ in range(n))
-        if any(v):
-            return v

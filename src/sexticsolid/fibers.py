@@ -16,18 +16,24 @@ quadratic, restriction_multiplicities sums to 2.  So pairing_h2 and
 pairing_pl are always 2; the stage can fail only when the fiber quadric or
 the conic vanishes on all 256 lines drawn for it (SamplingExhausted).
 
-The samplers return points only; fiber_rank_check evaluates each fiber's
-Gram matrix and computes its rank once.
+How points are sampled: off the sextic, by rejection: uniform vectors of
+F_p^4 are drawn until delta is nonzero at one.  On the sextic, by lines:
+bundle.points_on_lines meets seeded random lines with delta = 0, and the
+points where some partial of delta is nonzero are kept.  The pairings draw
+their lines the same way, as two independent vectors from one seed, and
+restrict the fiber quadric or the conic to each.  Every sampler is a pure
+function of its seed and gives up with SamplingExhausted after a fixed
+budget.  The samplers return points only; fiber_rank_check evaluates each
+fiber's Gram matrix and computes its rank once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .bundle import (CubicData, DiscriminantSurface, _normalize_projective,
-                     exceptional_conic, fiber_gram)
+                     exceptional_conic, fiber_gram, points_on_lines)
 from .errors import SamplingExhausted, StratumViolation
-from .exactalg import SplitMix64, independent_pair, matrix_rank, upoly_fp_roots
-from .multipoly import restrict_to_line
+from .exactalg import SplitMix64, independent_pair, matrix_rank
 
 STRATUM_OFF_DELTA = "off_delta"
 STRATUM_ON_DELTA_SMOOTH = "on_delta_smooth"
@@ -88,43 +94,18 @@ def sample_off_delta(d: CubicData, surface: DiscriminantSurface,
 
 def sample_on_delta(d: CubicData, surface: DiscriminantSurface,
                     seed: int, n: int):
-    """n distinct smooth points of the branch sextic.
-
-    Seeded random lines are intersected with the sextic: the restriction is
-    a univariate sextic whose F_p roots give candidate points; roots where
-    every partial of delta vanishes (singular points) are excluded.
-    """
+    """n distinct smooth points of the branch sextic: the points of
+    points_on_lines (64 n + 512 lines at most) where some partial of delta
+    is nonzero, in the order they are drawn."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = d.p
-    delta = surface.delta
-    partials = surface.partials
-    rng = SplitMix64(seed)
     samples = []
-    seen = set()
-    for _ in range(64 * n + 512):
-        if len(samples) == n:
-            break
-        a = tuple(rng.below(p) for _ in range(4))
-        b = tuple(rng.below(p) for _ in range(4))
-        if not independent_pair(a, b, p):
-            continue
-        r = restrict_to_line(delta, a, b)
-        if not r:
-            continue  # line inside the sextic: only happens for degenerate surfaces
-        for t0 in sorted(upoly_fp_roots(r, p, rng.next_u64())):
-            if len(samples) == n:
-                break
-            y = _normalize_projective([(a[k] + t0 * b[k]) % p for k in range(4)], p)
-            if y is None or y in seen:
-                continue
-            seen.add(y)
-            if all(g.eval(y) == 0 for g in partials):
-                continue  # a singular point: not in this stratum
+    for y in points_on_lines(surface.delta, SplitMix64(seed), 64 * n + 512):
+        if any(g.eval(y) for g in surface.partials):
             samples.append(FiberSample(y=y, stratum=STRATUM_ON_DELTA_SMOOTH))
-    if len(samples) < n:
-        raise SamplingExhausted("could not find enough smooth points on the branch sextic")
-    return samples
+            if len(samples) == n:
+                return samples
+    raise SamplingExhausted("could not find enough smooth points on the branch sextic")
 
 
 def sigma_sample(d: CubicData, surface: DiscriminantSurface, y) -> FiberSample:
@@ -191,45 +172,33 @@ def restriction_multiplicities(a, b, c):
     return (0, 2)
 
 
-def line_quadric_pairing(d: CubicData, y, seed: int) -> int:
-    """Intersection multiplicity of a seeded random line with the smooth
-    fiber quadric over an off-sextic base point: always 2.
-
-    If the line happens to lie inside the quadric (restriction identically
-    zero) a fresh line is drawn, with a bounded number of retries.
-    """
-    p = d.p
-    gram = fiber_gram(d, y)
+def _line_pairing(gram, p: int, seed: int, what: str) -> int:
+    """Intersection multiplicity of a seeded random line with the quadric of
+    the given Gram matrix: always 2.  A line inside the quadric (restriction
+    identically zero) is redrawn, at most 256 lines in all."""
     rng = SplitMix64(seed)
     for _ in range(256):
-        u = tuple(rng.below(p) for _ in range(4))
-        v = tuple(rng.below(p) for _ in range(4))
+        u = tuple(rng.below(p) for _ in gram)
+        v = tuple(rng.below(p) for _ in gram)
         if not independent_pair(u, v, p):
             continue
         mult = restriction_multiplicities(*quadratic_restriction(gram, u, v, p))
-        if mult is None:
-            continue  # line inside the quadric: resample
-        return mult[0] + mult[1]
-    raise SamplingExhausted("no line met the fiber quadric properly")
+        if mult is not None:
+            return sum(mult)
+    raise SamplingExhausted(f"no line met {what} properly")
+
+
+def line_quadric_pairing(d: CubicData, y, seed: int) -> int:
+    """Intersection multiplicity of a seeded random line with the smooth
+    fiber quadric over an off-sextic base point: always 2."""
+    return _line_pairing(fiber_gram(d, y), d.p, seed, "the fiber quadric")
 
 
 def conic_line_pairing(d: CubicData, y, seed: int) -> int:
     """Intersection multiplicity of a seeded random line of the center plane
-    with the exceptional conic over y: always 2 (expects a conic of rank at
-    least 2; for degenerate instances resample the base point)."""
-    p = d.p
-    gram = exceptional_conic(d, y)
-    rng = SplitMix64(seed)
-    for _ in range(256):
-        u = tuple(rng.below(p) for _ in range(3))
-        v = tuple(rng.below(p) for _ in range(3))
-        if not independent_pair(u, v, p):
-            continue
-        mult = restriction_multiplicities(*quadratic_restriction(gram, u, v, p))
-        if mult is None:
-            continue  # line inside the conic (degenerate conic): resample
-        return mult[0] + mult[1]
-    raise SamplingExhausted("no line met the exceptional conic properly")
+    with the exceptional conic over y: always 2, unless A(y) = 0 and every
+    line lies inside the conic (SamplingExhausted)."""
+    return _line_pairing(exceptional_conic(d, y), d.p, seed, "the exceptional conic")
 
 
 def pairing_certificate(d: CubicData, y, seed: int) -> PairingCertificate:

@@ -128,12 +128,10 @@ def node_census(surface: DiscriminantSurface, seed: int,
                                 basis=gb, moved_sextic=moved, sextic=delta)
 
 
-def _certified_census(census, surface, seed, budget, stage) -> SingularCensusReport:
+def _certified_census(census, surface, stage) -> SingularCensusReport:
     """The census the downstream certificates stand on: generic, certified
     reduced (so its affine ideal is radical), nothing at infinity, and taken
     of this surface's sextic."""
-    if census is None:
-        census = node_census(surface, seed, budget)
     if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
             or census.points_at_infinity or None in (census.basis, census.moved_sextic)):
         raise CensusNotGeneric(f"{stage} needs a certified generic node census "
@@ -156,23 +154,22 @@ def double_solid_chart(surface: DiscriminantSurface, seed: int) -> DoubleSolidCh
     return DoubleSolidChart(_double_solid_equation(surface.delta.linear_change(T)))
 
 
-def double_solid_census(surface: DiscriminantSurface, seed: int,
-                        budget=DEFAULT_BUDGET,
-                        census: SingularCensusReport | None = None) -> SingularCensusReport:
+def double_solid_census(surface: DiscriminantSurface,
+                        census: SingularCensusReport) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
     Its Tjurina ideal I_DS (the equation g = w^2 - delta_aff and its
     partials) has one reduced point above each surface node, so the
-    expected degree is again 31.  It runs in the chart of a certified
-    generic node census (computed from ``seed`` when none is given), with no
-    Groebner completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
+    expected degree is again 31.  It runs in the chart of the given
+    certified generic node census of this surface, with no Groebner
+    completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
     sum y_i (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked
     as polynomial identities, put (w) + J_aff inside I_DS (2 and 6 are
     units), and each Tjurina generator reducing to zero modulo the reduced
     basis B = {w} + census basis gives the converse.  So the quotient is the
     census's, and so are degree, reducedness and verdict.
     """
-    census = _certified_census(census, surface, seed, budget, "double-solid census")
+    census = _certified_census(census, surface, "double-solid census")
     moved = census.moved_sextic
     delta_aff = moved.specialize(0, 1)
     parts_aff = [moved.partial(i).specialize(0, 1) for i in range(4)]
@@ -209,9 +206,8 @@ def rank_stratum_ideal(M: GramMatrix, r: int) -> Ideal:
     return make_ideal(minors)
 
 
-def strata_check(d: CubicData, surface: DiscriminantSurface, seed: int,
-                 budget=DEFAULT_BUDGET,
-                 census: SingularCensusReport | None = None) -> StrataReport:
+def strata_check(d: CubicData, surface: DiscriminantSurface,
+                 census: SingularCensusReport, budget=DEFAULT_BUDGET) -> StrataReport:
     """Certify the rank stratification of the Gram matrix.
 
     The locus where the rank drops to 2 must coincide with the singular set
@@ -222,14 +218,14 @@ def strata_check(d: CubicData, surface: DiscriminantSurface, seed: int,
     (Laplace expansion makes the determinant an exact member).
 
     Both memberships are certified as exact ones, by normal forms.  Minors
-    -> Jacobian runs in the chart of a certified generic node census
-    (computed from ``seed`` when none is given): it has no singular point at
-    infinity, so a minor vanishes on the singular locus iff its
-    dehomogenization lies in the radical of J_aff, which is J_aff itself
-    (certified reduced).  Jacobian -> minors: Jacobi's formula d_i det M =
-    tr(adj M * d_i M) makes every partial a combination of the 3x3 minors.
+    -> Jacobian runs in the chart of the given certified generic node census
+    of this surface: it has no singular point at infinity, so a minor
+    vanishes on the singular locus iff its dehomogenization lies in the
+    radical of J_aff, which is J_aff itself (certified reduced).  Jacobian
+    -> minors: Jacobi's formula d_i det M = tr(adj M * d_i M) makes every
+    partial a combination of the 3x3 minors.
     """
-    census = _certified_census(census, surface, seed, budget, "strata check")
+    census = _certified_census(census, surface, "strata check")
     M = gram_matrix(d)
     gb_minors = buchberger(rank_stratum_ideal(M, 2), budget)
 

@@ -48,7 +48,7 @@ def test_c1_node_census_10_seeds(census_suite):
 def test_c2_double_solid_census(census_suite):
     results = {}
     for e in _passing(census_suite):
-        rep = double_solid_census(e.surface, e.seed, census=e.census)
+        rep = double_solid_census(e.surface, e.census)
         results[e.seed] = (rep.degree, rep.reduced)
     ok = bool(results) and all(v == (31, "certified") for v in results.values())
     assert _report("C2 double-solid census", ok, f"degrees {results}")
@@ -57,7 +57,7 @@ def test_c2_double_solid_census(census_suite):
 def test_c3_rank_stratification(census_suite):
     results = {}
     for e in _passing(census_suite):
-        rep = strata_check(e.d, e.surface, e.seed, census=e.census)
+        rep = strata_check(e.d, e.surface, e.census)
         results[e.seed] = (rep.rank2_equals_sigma, rep.rank1_empty,
                           rep.delta_in_minor_ideal)
     ok = bool(results) and all(v == (True, True, True) for v in results.values())

@@ -4,8 +4,8 @@ from sexticsolid.bundle import (CubicData, cubic_equation, diagonal_instance,
                                 discriminant, exceptional_conic,
                                 explicit_instance_text, fiber_gram,
                                 format_instance, gram_matrix, parse_instance,
-                                random_instance, smoothness_spotcheck,
-                                smoothness_spotcheck_cubic)
+                                points_on_lines, random_instance,
+                                smoothness_spotcheck, smoothness_spotcheck_cubic)
 from sexticsolid.errors import (ArityMismatch, BadPrime, DegenerateDiscriminant,
                                 ZeroPoint)
 from sexticsolid.exactalg import SplitMix64, matrix_rank
@@ -200,6 +200,29 @@ def test_smoothness_detects_constructed_singular_cubes():
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
     assert not report.passed
+
+
+def test_smoothness_zero_cubic_checks_nothing_and_fails():
+    # every line lies inside the zero cubic: no point is found, and a check
+    # of none of the requested points is not a pass
+    report = smoothness_spotcheck_cubic(MultiPoly.zero(7, P), 5, seed=8)
+    assert (report.points_requested, report.points_checked, report.failures) == (5, 0, ())
+    assert not report.passed
+
+
+def test_points_on_lines_yields_distinct_normalized_zeros():
+    f = MultiPoly.from_terms(
+        4, P, [(tuple(3 if j == i else 0 for j in range(4)), 1) for i in range(4)])
+    points = list(points_on_lines(f, SplitMix64(9), 40))
+    assert len(points) > 10
+    assert len(set(points)) == len(points)
+    for pt in points:
+        assert f.eval(pt) == 0
+        assert next(x for x in pt if x) == 1
+
+
+def test_points_on_lines_yields_nothing_inside_the_zero_polynomial():
+    assert list(points_on_lines(MultiPoly.zero(4, P), SplitMix64(10), 40)) == []
 
 
 def test_smoothness_seeded_instance_clean():

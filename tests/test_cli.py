@@ -7,7 +7,7 @@ import pytest
 
 from sexticsolid import bundle, fibers, groebner, multipoly, singular
 from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
-                             main, render_report, run_single, run_verify_all)
+                             main, render_report, run_verify_all)
 from sexticsolid.errors import ConfigError, ResourceBudgetExceeded, UnknownCheck
 
 P = 32003
@@ -43,7 +43,7 @@ def test_config_validation():
     with pytest.raises(UnknownCheck):
         RunConfig(checks=("nodes",))
     with pytest.raises(UnknownCheck):
-        run_single(RunConfig(), "everything")
+        RunConfig(checks=("everything",))
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
@@ -88,8 +88,8 @@ def test_seed_changes_fingerprint(tmp_path):
     assert outs[0]["instance"]["fingerprint"] != outs[1]["instance"]["fingerprint"]
 
 
-def test_run_single_census_section_only():
-    report, code = run_single(RunConfig(seed=1, n_samples=5), "census")
+def test_single_check_census_section_only():
+    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("census",)))
     assert code == 0
     assert "census" in report and "strata" not in report and "fibers" not in report
     assert report["census"]["pass"] is True
@@ -98,8 +98,8 @@ def test_run_single_census_section_only():
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
     inst = tmp_path / "diagonal.txt"
     inst.write_text(bundle.format_instance(bundle.diagonal_instance(P)))
-    report, code = run_single(RunConfig(instance_file=str(inst), n_samples=5),
-                              "pairings")
+    report, code = run_verify_all(RunConfig(instance_file=str(inst), n_samples=5,
+                                            checks=("pairings",)))
     assert code == 1
     assert report["pairings"]["status"] == "blocked"
     assert report["pairings"]["pass"] is False
@@ -116,6 +116,20 @@ def test_diagonal_instance_verify_exit_1(tmp_path):
     report = read_json(out)
     assert report["census"]["verdict"] == "degenerate"
     assert report["census"]["zero_dimensional"] is False
+    assert report["verdict"] == "fail"
+
+
+def test_smoothness_of_the_zero_cubic_fails(tmp_path, capsys):
+    # all ten forms zero: the cubic vanishes identically, every line lies in
+    # it, and a spot-check that found none of its points must not pass
+    inst = tmp_path / "zero.txt"
+    inst.write_text("prime: 32003\n" + "".join(
+        f"{key}: 0\n" for key in ("A00", "A01", "A02", "A11", "A12", "A22",
+                                  "B0", "B1", "B2", "C")))
+    assert main(["smoothness", "--instance", str(inst), "--samples", "5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["smoothness"]["points_checked"] == "0"
+    assert report["smoothness"]["pass"] is False
     assert report["verdict"] == "fail"
 
 
@@ -267,9 +281,9 @@ def test_sigma_point_flag(tmp_path):
     d = plant_rank2_node()
     inst = tmp_path / "planted.txt"
     inst.write_text(bundle.format_instance(d))
-    report, code = run_single(
+    report, code = run_verify_all(
         RunConfig(instance_file=str(inst), n_samples=5,
-                  sigma_points=((1, 0, 0, 0),)), "fibers")
+                  sigma_points=((1, 0, 0, 0),), checks=("fibers",)))
     section = report["fibers"]
     if section.get("status") == "blocked":
         pytest.skip("planted instance lost genericity; sigma check exercised elsewhere")
@@ -284,16 +298,16 @@ def test_render_report_stringifies_numbers():
 
 
 def test_timings_flag_adds_section():
-    report, code = run_single(RunConfig(seed=1, n_samples=5, timings=True),
-                              "smoothness")
+    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, timings=True,
+                                            checks=("smoothness",)))
     assert code == 0
     assert set(report["timings"]) == {"instance", "discriminant", "census", "smoothness",
                                       "total"}
-    report2, _ = run_single(RunConfig(seed=1, n_samples=5), "smoothness")
+    report2, _ = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("smoothness",)))
     assert "timings" not in report2
     # the node census runs while the instance is acquired; its time is the
     # census entry's, not the instance's
-    report3, code3 = run_single(RunConfig(seed=1, timings=True), "census")
+    report3, code3 = run_verify_all(RunConfig(seed=1, timings=True, checks=("census",)))
     assert code3 == 0
     assert set(report3["timings"]) == {"instance", "discriminant", "census", "total"}
     assert report3["timings"]["census"] != "0.000s"

@@ -4,8 +4,8 @@ import json
 import pytest
 
 from sexticsolid import bundle
-from sexticsolid.bundle import (CubicData, diagonal_instance, discriminant,
-                                fiber_gram, random_instance)
+from sexticsolid.bundle import (CubicData, DiscriminantSurface, diagonal_instance,
+                                discriminant, fiber_gram, random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
@@ -88,16 +88,23 @@ def test_sample_on_delta_diagonal_line_slice():
 
 def test_sample_on_delta_smooth_surface_accepts_everything():
     # on a smooth sextic (no singular points at all) every root the slicer
-    # finds is accepted; the instance argument only supplies the prime
+    # finds is accepted; the points come from the surface alone
     fermat = MultiPoly.from_terms(
         4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
-    from sexticsolid.bundle import DiscriminantSurface
     surf = DiscriminantSurface(fermat)
     samples = sample_on_delta(diagonal_instance(P), surf, seed=14, n=10)
     assert len(samples) == 10
     assert all(s.stratum == "on_delta_smooth" for s in samples)
     assert all(fermat.eval(s.y) == 0 for s in samples)
+
+
+def test_sample_on_delta_exhausts_when_every_point_is_singular(seed1):
+    # delta = Y0^6: every point of delta = 0 is singular, so no line gives a
+    # smooth point and the sampler gives up after its line budget
+    y0 = MultiPoly.variable(0, 4, P)
+    with pytest.raises(SamplingExhausted, match="smooth points"):
+        sample_on_delta(seed1.d, DiscriminantSurface(y0 ** 6), seed=3, n=1)
 
 
 def test_conic_restriction_diagonal_example():
@@ -183,6 +190,16 @@ def test_line_quadric_pairing_exhausts_on_zero_quadric():
     d = CubicData(p=P, A=A, B=(zero, zero, zero), C=ys[0] ** 3, seed=None)
     with pytest.raises(SamplingExhausted):
         line_quadric_pairing(d, (0, 0, 0, 1), seed=1)
+
+
+def test_conic_line_pairing_exhausts_on_zero_conic():
+    # A = 0: the exceptional conic is the zero form over every base point
+    zero = MultiPoly.zero(4, P)
+    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
+    d = CubicData(p=P, A=((zero,) * 3,) * 3, B=(ys[0] ** 2, ys[1] ** 2, ys[2] ** 2),
+                  C=ys[3] ** 3, seed=None)
+    with pytest.raises(SamplingExhausted, match="exceptional conic"):
+        conic_line_pairing(d, (1, 2, 3, 4), seed=1)
 
 
 def test_conic_line_pairing_rank1_double_line():

@@ -140,7 +140,7 @@ def test_rank_loci_are_nested():
 
 
 def test_strata_check_passes_on_pinned_instance(seed1):
-    report = strata_check(seed1.d, seed1.surface, 1, census=seed1.census)
+    report = strata_check(seed1.d, seed1.surface, seed1.census)
     assert report.rank2_equals_sigma
     assert report.rank1_empty
     assert report.delta_in_minor_ideal
@@ -154,8 +154,10 @@ def test_strata_check_passes_on_pinned_instance(seed1):
 def test_strata_check_refuses_degenerate_census():
     d = diagonal_instance(P)
     surf = discriminant(d)
+    census = node_census(surf, 5)
+    assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        strata_check(d, surf, seed=5)
+        strata_check(d, surf, census)
 
 
 def test_double_solid_chart_shape(seed1):
@@ -168,7 +170,7 @@ def test_double_solid_chart_shape(seed1):
 
 
 def test_double_solid_census_matches_node_census(seed1):
-    rep = double_solid_census(seed1.surface, 1, census=seed1.census)
+    rep = double_solid_census(seed1.surface, seed1.census)
     assert rep.degree == seed1.census.degree == 31
     assert rep.reduced == "certified"
     assert rep.verdict == "generic_31_nodes"
@@ -183,7 +185,7 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
     else:
         surface = discriminant(random_instance(P, seed))
         census = node_census(surface, seed)
-    rep = double_solid_census(surface, seed, census=census)
+    rep = double_solid_census(surface, census)
     g = double_solid_chart(surface, seed).g
     assert rep.basis == buchberger([g] + [g.partial(i) for i in range(4)])
     assert rep.degree == census.degree == 31
@@ -199,21 +201,21 @@ def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
     census = replace(seed1.census, **change)
     assert census.verdict == "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        strata_check(seed1.d, seed1.surface, 1, census=census)
+        strata_check(seed1.d, seed1.surface, census)
     with pytest.raises(CensusNotGeneric):
-        double_solid_census(seed1.surface, 1, census=census)
+        double_solid_census(seed1.surface, census)
 
 
 def test_double_solid_census_refuses_a_census_of_another_surface(seed1):
     surface2 = discriminant(random_instance(P, 2))
     with pytest.raises(CensusNotGeneric, match="another sextic"):
-        double_solid_census(surface2, 2, census=seed1.census)
+        double_solid_census(surface2, seed1.census)
 
 
 def test_strata_check_refuses_a_census_of_another_surface(seed1):
     d2 = random_instance(P, 2)
     with pytest.raises(CensusNotGeneric, match="another sextic"):
-        strata_check(d2, discriminant(d2), 2, census=seed1.census)
+        strata_check(d2, discriminant(d2), seed1.census)
 
 
 def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
@@ -225,7 +227,7 @@ def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
         return original(self, T)
 
     monkeypatch.setattr(MultiPoly, "linear_change", counted)
-    assert strata_check(seed1.d, seed1.surface, 1, census=seed1.census).passed
+    assert strata_check(seed1.d, seed1.surface, seed1.census).passed
     assert len(calls) == 10
 
 
@@ -234,18 +236,20 @@ def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
     moved = seed1.census.moved_sextic
     # not homogeneous of degree 6: the Euler identity fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
-        double_solid_census(seed1.surface, 1,
-                            census=replace(seed1.census, moved_sextic=moved + y1 ** 5))
+        double_solid_census(seed1.surface,
+                            replace(seed1.census, moved_sextic=moved + y1 ** 5))
     # another sextic: its Tjurina ideal is not (w) + the census ideal
     with pytest.raises(CensusNotGeneric, match="Tjurina"):
-        double_solid_census(seed1.surface, 1,
-                            census=replace(seed1.census, moved_sextic=moved + y1 ** 6))
+        double_solid_census(seed1.surface,
+                            replace(seed1.census, moved_sextic=moved + y1 ** 6))
 
 
 def test_double_solid_census_refuses_degenerate(seed1):
     surf = discriminant(diagonal_instance(P))
+    census = node_census(surf, 6)
+    assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        double_solid_census(surf, seed=6)
+        double_solid_census(surf, census)
 
 
 def test_affine_tjurina_census_single_node_toy():
