@@ -20,15 +20,15 @@ from .fibers import (FiberSample, PairingCertificate, conic_line_pairing,
                      fiber_rank_check, line_quadric_pairing,
                      pairing_certificate, sample_off_delta, sample_on_delta,
                      sigma_sample)
-from .groebner import (DEFAULT_BUDGET, GBasis, Ideal, buchberger, in_radical,
-                       is_irrelevant, krull_dim, make_ideal, mult_matrix,
+from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, in_radical,
+                       is_irrelevant, is_zero_dimensional, mult_matrix,
                        normal_form, quotient_dim, reducedness_certificate,
                        standard_monomials)
 from .multipoly import (MultiPoly, format_poly, grevlex_key, mp_det, parse_poly,
                         restrict_to_line)
 from .singular import (EXPECTED_NODE_COUNT, DoubleSolidChart,
                        SingularCensusReport, StrataReport, double_solid_census,
-                       double_solid_chart, jacobian_ideal, node_census,
+                       double_solid_chart, node_census,
                        rank_stratum_ideal, strata_check)
 
 __version__ = "0.1.0"

@@ -128,7 +128,10 @@ class DiscriminantSurface:
 
     @cached_property
     def partials(self) -> tuple:
-        """The four partials of delta, built once per surface."""
+        """The four partials of delta, built once per surface.  They generate
+        the Jacobian ideal of the sextic: delta itself is redundant, as six
+        times it is the Euler combination of the partials and 6 is a unit
+        because p > 6."""
         return tuple(self.delta.partial(i) for i in range(4))
 
 

@@ -73,6 +73,8 @@ class RunConfig:
             raise ConfigError("--retries must be >= 0")
         if self.budget < 1:
             raise ConfigError("--budget must be >= 1")
+        if not self.checks:
+            raise ConfigError("--checks names no check")
         for c in self.checks:
             if c not in CHECKS:
                 raise UnknownCheck(f"unknown check {c!r}; known: {', '.join(CHECKS)}")
@@ -337,7 +339,7 @@ def run_verify_all(cfg: RunConfig):
         report[check] = section
         passed.append(bool(section.get("pass")))
 
-    ok = all(passed) if passed else True
+    ok = all(passed)
     report["verdict"] = "pass" if ok else "fail"
     if cfg.timings:
         timings["total"] = time.monotonic() - t_start

@@ -1,5 +1,9 @@
 """Buchberger-based Groebner engine and zero-dimensional ideal toolkit.
 
+An ideal is given as a sequence of its generators (``MultiPoly`` in one
+ring; zero generators are ignored), and every question about it is asked of
+its reduced basis, a ``GBasis``.
+
 The completion uses the Gebauer-Moeller pair update (product + chain
 criteria), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
 "One sugar cube, please", ISSAC 1991), full tail reduction through a lazy
@@ -35,9 +39,7 @@ memos too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
 from .errors import (ArityMismatch, NotHomogeneous,
                      NotZeroDimensional, ResourceBudgetExceeded)
@@ -52,33 +54,6 @@ DEFAULT_BUDGET = 1_000_000
 CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class Ideal:
-    """A presented ideal: nonzero generators in a common ring."""
-
-    generators: tuple
-    homogeneous: bool = field(default=False)
-
-    @property
-    def nvars(self):
-        return self.generators[0].nvars
-
-    @property
-    def p(self):
-        return self.generators[0].p
-
-
-def make_ideal(generators) -> Ideal:
-    gens = tuple(g for g in generators if not g.is_zero())
-    if not gens:
-        raise ValueError("an ideal presentation needs at least one nonzero generator")
-    first = gens[0]
-    for g in gens[1:]:
-        first._check_ctx(g)
-    homogeneous = all(g.homogeneous_degree() is not None for g in gens)
-    return Ideal(gens, homogeneous)
 
 
 class GBasis:
@@ -272,8 +247,8 @@ def _update_pairs(leads, pairs, m):
     return kept
 
 
-def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
-    """Reduced Groebner basis of the given ideal.
+def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are processed by smallest sugar, then smallest grevlex lcm.
     An input generator's sugar is its total degree; the S-pair of elements i
@@ -282,10 +257,7 @@ def buchberger(gens_or_ideal, budget=DEFAULT_BUDGET, selection_seed=None) -> GBa
     ``selection_seed`` makes the pair-processing order random (a test hook:
     the reduced result is independent of it).
     """
-    if isinstance(gens_or_ideal, Ideal):
-        gens = list(gens_or_ideal.generators)
-    else:
-        gens = [g for g in gens_or_ideal if not g.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("buchberger needs at least one nonzero generator")
     first = gens[0]
@@ -380,30 +352,25 @@ def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:
     return MultiPoly._make(f.nvars, f.p, nf, next(iter(nf), None))
 
 
-def krull_dim(gb: GBasis) -> int:
-    """Krull dimension of the quotient ring, from the leading-term ideal:
-    the largest set of variables supporting no lead monomial. -1 for (1)."""
+def is_zero_dimensional(gb: GBasis) -> bool:
+    """True iff the quotient algebra is finite-dimensional.
+
+    By the Finiteness Theorem (Cox, Little & O'Shea, "Ideals, Varieties, and
+    Algorithms", ch. 5 section 3) that holds iff, for every variable, some
+    lead monomial is a pure power of it.  The lead 1 of the unit ideal is
+    the zeroth power of every variable, so the unit ideal counts."""
     leads = gb.lead_exps()
-    n = gb.nvars
-    if any(sum(e) == 0 for e in leads):
-        return -1
-    for size in range(n, -1, -1):
-        for S in combinations(range(n), size):
-            inside = set(S)
-            if all(any(e[i] for i in range(n) if i not in inside) for e in leads):
-                return size
-    raise AssertionError("unreachable: the empty set is always independent")
+    return all(any(sum(e) == e[i] for e in leads) for i in range(gb.nvars))
 
 
 def standard_monomials(gb: GBasis) -> list:
-    """Monomials outside the leading-term ideal, in increasing order.
-
-    Finite exactly when the quotient is zero-dimensional (or the unit ideal,
-    which yields the empty list)."""
+    """Monomials outside the leading-term ideal, in increasing order (empty
+    for the unit ideal).  Raises ``NotZeroDimensional`` unless the quotient
+    is zero-dimensional, when the list would be infinite."""
+    if not is_zero_dimensional(gb):
+        raise NotZeroDimensional("staircase is not finite")
     leads = gb.lead_exps()
     n = gb.nvars
-    if any(sum(e) == 0 for e in leads):
-        return []
     start = (0,) * n
     seen = {start}
     stack = [start]
@@ -414,7 +381,8 @@ def standard_monomials(gb: GBasis) -> list:
             continue
         out.append(m)
         if len(out) > _STANDARD_MONOMIAL_CAP:
-            raise NotZeroDimensional("staircase is not finite")
+            raise ResourceBudgetExceeded(
+                f"staircase has more than {_STANDARD_MONOMIAL_CAP} monomials")
         for i in range(n):
             m2 = tuple(v + 1 if j == i else v for j, v in enumerate(m))
             if m2 not in seen:
@@ -426,8 +394,6 @@ def standard_monomials(gb: GBasis) -> list:
 def quotient_dim(gb: GBasis) -> int:
     """Vector-space dimension of the quotient algebra (number of standard
     monomials); the degree of a zero-dimensional scheme."""
-    if krull_dim(gb) > 0:
-        raise NotZeroDimensional("quotient algebra is infinite dimensional")
     return len(standard_monomials(gb))
 
 
@@ -438,8 +404,6 @@ def mult_matrix(gb: GBasis, ell: MultiPoly):
         raise ArityMismatch("linear form lives in a different ring")
     if ell.is_zero() or ell.total_degree() > 1:
         raise ValueError("multiplication operator wants a nonzero linear form")
-    if krull_dim(gb) > 0:
-        raise NotZeroDimensional("multiplication matrices need a finite staircase")
     B = standard_monomials(gb)
     if B:
         _check_degree(sum(B[-1]) + 1)   # B ascends, so B[-1] has top degree
@@ -464,8 +428,7 @@ def reducedness_certificate(gb: GBasis, rng: SplitMix64) -> str:
     ``CERTIFICATE_TRIES`` random forms are attempted; failure to certify is
     reported as "not_certified", never as "not reduced".
     """
-    B = standard_monomials(gb)
-    if not B:
+    if gb.is_unit():
         return "certified"
     n, p = gb.nvars, gb.p
     for _ in range(CERTIFICATE_TRIES):
@@ -481,34 +444,26 @@ def reducedness_certificate(gb: GBasis, rng: SplitMix64) -> str:
     return "not_certified"
 
 
-def in_radical(g: MultiPoly, ideal: Ideal, budget=DEFAULT_BUDGET) -> bool:
-    """Radical membership by the Rabinowitsch trick: g is in the radical of I
-    iff 1 lies in I + (1 - t*g) after adjoining a fresh variable t."""
-    first = ideal.generators[0]
-    if (g.nvars, g.p) != (first.nvars, first.p):
+def in_radical(g: MultiPoly, gens, budget=DEFAULT_BUDGET) -> bool:
+    """Radical membership by the Rabinowitsch trick: g is in the radical of
+    I = (gens) iff 1 lies in I + (1 - t*g) after adjoining a fresh variable t."""
+    if any((h.nvars, h.p) != (g.nvars, g.p) for h in gens):
         raise ArityMismatch("polynomial and ideal live in different rings")
     if g.is_zero():
         return True
     n, p = g.nvars, g.p
     positions = tuple(range(n))
-    gens = [h.embed(n + 1, positions) for h in ideal.generators]
+    lifted = [h.embed(n + 1, positions) for h in gens]
     t = MultiPoly.variable(n, n + 1, p)
     one = MultiPoly.constant(1, n + 1, p)
-    gens.append(one - t * g.embed(n + 1, positions))
-    return buchberger(gens, budget).is_unit()
+    lifted.append(one - t * g.embed(n + 1, positions))
+    return buchberger(lifted, budget).is_unit()
 
 
-def is_irrelevant(ideal: Ideal, budget=DEFAULT_BUDGET) -> bool:
-    """True iff the projective zero locus of a homogeneous ideal is empty,
-    i.e. the reduced basis exposes a pure power of every variable."""
-    if not ideal.homogeneous:
+def is_irrelevant(gens, budget=DEFAULT_BUDGET) -> bool:
+    """True iff the homogeneous generators have no common projective zero,
+    i.e. their ideal is zero-dimensional: its affine zero locus is at most
+    the origin."""
+    if any(g.homogeneous_degree() is None for g in gens):
         raise NotHomogeneous("projective emptiness needs a homogeneous ideal")
-    gb = buchberger(ideal, budget)
-    if gb.is_unit():
-        return True
-    n = gb.nvars
-    leads = gb.lead_exps()
-    for i in range(n):
-        if not any(e[i] and sum(e) == e[i] for e in leads):
-            return False
-    return True
+    return is_zero_dimensional(buchberger(gens, budget))

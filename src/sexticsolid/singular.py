@@ -21,8 +21,8 @@ from itertools import combinations
 from .bundle import CubicData, DiscriminantSurface, GramMatrix, gram_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
-from .groebner import (DEFAULT_BUDGET, GBasis, Ideal, buchberger, is_irrelevant,
-                       krull_dim, make_ideal, normal_form, quotient_dim,
+from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
+                       is_zero_dimensional, normal_form, quotient_dim,
                        reducedness_certificate)
 from .multipoly import MultiPoly, grevlex_key, mp_det
 
@@ -67,15 +67,6 @@ class DoubleSolidChart:
     g: MultiPoly
 
 
-def jacobian_ideal(surface: DiscriminantSurface) -> Ideal:
-    """Homogeneous ideal of the four partials of delta.
-
-    delta itself is redundant: six times it is the Euler combination of the
-    partials, and 6 is a unit because p > 6.
-    """
-    return make_ideal(surface.partials)
-
-
 def _chart_rng(p: int, seed: int):
     rng = SplitMix64(seed)
     T = random_invertible(4, p, rng)
@@ -96,7 +87,8 @@ def node_census(surface: DiscriminantSurface, seed: int,
 
     Pipeline: seeded random linear coordinate change; check the Jacobian
     ideal has no projective zeros on the plane at infinity of the chart;
-    dehomogenize in that chart; Groebner basis; Krull dimension must be 0;
+    dehomogenize in that chart; Groebner basis; the quotient must be
+    zero-dimensional (a pure power of each variable among the leads);
     degree = dimension of the quotient algebra; reducedness by the
     multiplication-operator certificate.  Structural failures produce
     verdict "degenerate" (with the honestly computed degree), never a wrong
@@ -107,18 +99,16 @@ def node_census(surface: DiscriminantSurface, seed: int,
     T, rng = _chart_rng(p, seed)
     moved = delta.linear_change(T)
     parts = [moved.partial(i) for i in range(4)]
-    nonzero = [f for f in parts if not f.is_zero()]
 
     y0 = MultiPoly.variable(0, 4, p)
-    points_at_infinity = not is_irrelevant(make_ideal(nonzero + [y0]), budget)
+    points_at_infinity = not is_irrelevant(parts + [y0], budget)
 
     affine = [f.specialize(0, 1) for f in parts]
-    affine = [f for f in affine if not f.is_zero()]
-    if not affine:
+    if all(f.is_zero() for f in affine):
         return SingularCensusReport(False, -1, "failed", points_at_infinity,
                                     VERDICT_DEGENERATE, seed)
     gb = buchberger(affine, budget)
-    if krull_dim(gb) > 0:
+    if not is_zero_dimensional(gb):
         return SingularCensusReport(False, -1, "failed", points_at_infinity,
                                     VERDICT_DEGENERATE, seed)
     degree = quotient_dim(gb)
@@ -187,10 +177,11 @@ def double_solid_census(surface: DiscriminantSurface,
     return replace(census, basis=B, moved_sextic=None, sextic=None)
 
 
-def rank_stratum_ideal(M: GramMatrix, r: int) -> Ideal:
-    """Ideal of the locus where the Gram matrix has rank <= r, generated by
-    all (r+1) x (r+1) minors.  By symmetry, minor(I, J) = minor(J, I), so
-    only I <= J is enumerated; exact duplicates are dropped."""
+def rank_stratum_ideal(M: GramMatrix, r: int) -> tuple:
+    """Generators of the ideal of the locus where the Gram matrix has rank
+    <= r: the nonzero (r+1) x (r+1) minors.  By symmetry, minor(I, J) =
+    minor(J, I), so only I <= J is enumerated; exact duplicates are
+    dropped."""
     if not 1 <= r <= 3:
         raise ValueError("rank stratum only meaningful for 1 <= r <= 3")
     k = r + 1
@@ -203,7 +194,7 @@ def rank_stratum_ideal(M: GramMatrix, r: int) -> Ideal:
             m = mp_det(sub)
             if not m.is_zero() and m not in minors:
                 minors.append(m)
-    return make_ideal(minors)
+    return tuple(minors)
 
 
 def strata_check(d: CubicData, surface: DiscriminantSurface,
@@ -239,9 +230,9 @@ def strata_check(d: CubicData, surface: DiscriminantSurface,
 
     details = [(f"minor3_{k}_in_radical_of_jacobian",
                 normal_form(m.specialize(0, 1), census.basis).is_zero())
-               for k, m in enumerate(rank_stratum_ideal(moved, 2).generators)]
+               for k, m in enumerate(rank_stratum_ideal(moved, 2))]
     details += [(f"jacobian_{k}_in_radical_of_minors3", normal_form(g, gb_minors).is_zero())
-                for k, g in enumerate(jacobian_ideal(surface).generators)]
+                for k, g in enumerate(surface.partials)]
     rank2_equals_sigma = all(ok for _, ok in details)
 
     rank1_empty = is_irrelevant(rank_stratum_ideal(M, 1), budget)

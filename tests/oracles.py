@@ -18,7 +18,7 @@ from array import array
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import permutations
-from operator import mul
+from operator import add, mul
 
 from sexticsolid.exactalg import UPOLY_ONE, fp_inv, upoly, upoly_mul, upoly_scale
 from sexticsolid.multipoly import MultiPoly
@@ -300,7 +300,7 @@ def naive_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def linear_change_by_tuples(f: MultiPoly, T) -> MultiPoly:
     """f(T @ variables) on exponent tuples: each term expanded against the
-    cached powers of the rows of T, every coefficient reduced at every step."""
+    cached powers of the rows of T, each product reduced mod p once."""
     n, p = f.nvars, f.p
     lin = [{tuple(1 if j == k else 0 for k in range(n)): T[i][j] % p
             for j in range(n) if T[i][j] % p}
@@ -311,9 +311,9 @@ def linear_change_by_tuples(f: MultiPoly, T) -> MultiPoly:
         r: dict = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                r[e] = (r.get(e, 0) + c1 * c2) % p
-        return r
+                e = tuple(map(add, e1, e2))
+                r[e] = r.get(e, 0) + c1 * c2
+        return {e: c % p for e, c in r.items()}
 
     def lin_pow(i, k):
         if (i, k) not in pow_cache:

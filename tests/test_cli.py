@@ -44,6 +44,17 @@ def test_config_validation():
         RunConfig(checks=("nodes",))
     with pytest.raises(UnknownCheck):
         RunConfig(checks=("everything",))
+    with pytest.raises(ConfigError):
+        RunConfig(checks=())
+
+
+@pytest.mark.parametrize("checks", ["", ",,"])
+def test_verify_with_no_checks_exits_2(checks, capsys):
+    # a report that checked nothing must not read "pass"
+    assert main(["verify", "--seed", "1", "--checks", checks]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --checks names no check\n"
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -8,7 +8,7 @@ from sexticsolid.exactalg import SplitMix64, charpoly, upoly, upoly_is_squarefre
 from sexticsolid import groebner
 from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
                                   _Reducer, buchberger, in_radical, is_irrelevant,
-                                  krull_dim, make_ideal, mult_matrix,
+                                  is_zero_dimensional, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
 from sexticsolid.multipoly import MultiPoly, grevlex_key, mp_det
@@ -314,25 +314,50 @@ def test_quotient_dim_raises_on_positive_dimension():
         quotient_dim(gb)
 
 
+def test_staircase_users_raise_on_positive_dimension():
+    # the leading terms decide at once; no monomial is listed first
+    x, y = V(0), V(1)
+    gb = buchberger([x])
+    with pytest.raises(NotZeroDimensional):
+        standard_monomials(gb)
+    with pytest.raises(NotZeroDimensional):
+        mult_matrix(gb, x + y)
+    with pytest.raises(NotZeroDimensional):
+        reducedness_certificate(gb, SplitMix64(1))
+
+
+def test_staircase_cap_is_a_resource_limit(monkeypatch):
+    # a finite staircase larger than the cap is not "not zero-dimensional"
+    x, y = V(0), V(1)
+    monkeypatch.setattr(groebner, "_STANDARD_MONOMIAL_CAP", 5)
+    with pytest.raises(ResourceBudgetExceeded):
+        standard_monomials(buchberger([x ** 2, y ** 3]))
+
+
 def test_quotient_dim_against_macaulay_oracle_spot():
     for gens in tame_zero_dim_ideals(57, 5):
         gb = buchberger(gens)
-        assert krull_dim(gb) <= 0
+        assert is_zero_dimensional(gb)
         assert quotient_dim(gb) == oracles.macaulay_quotient_dim(gens)
 
 
-def test_krull_dim_examples():
+def test_is_zero_dimensional_examples():
     x, y = V(0), V(1)
-    assert krull_dim(buchberger([x])) == 1
-    assert krull_dim(buchberger([x, y])) == 0
+    assert not is_zero_dimensional(buchberger([x]))
+    assert is_zero_dimensional(buchberger([x, y]))
+    assert not is_zero_dimensional(buchberger([x * y]))
+    assert is_zero_dimensional(buchberger([x * y, x ** 2 - y ** 3]))
     one = MultiPoly.constant(1, 2, P)
-    assert krull_dim(buchberger([one])) == -1
+    assert is_zero_dimensional(buchberger([one]))
 
 
 def test_in_radical_examples():
     x, y = V(0), V(1)
-    assert in_radical(x, make_ideal([x * x]))
-    assert not in_radical(y, make_ideal([x]))
+    assert in_radical(x, [x * x])
+    assert not in_radical(y, [x])
+    # the zero ideal: only zero is nilpotent
+    assert not in_radical(y, [])
+    assert in_radical(MultiPoly.zero(2, P), [])
 
 
 def test_in_radical_determinant_in_minor_ideal():
@@ -341,7 +366,7 @@ def test_in_radical_determinant_in_minor_ideal():
     delta = mp_det(m.entries)
     minors = rank_stratum_ideal(m, 2)
     gb = buchberger(minors)
-    assert in_radical(delta, make_ideal(gb.basis))
+    assert in_radical(delta, gb.basis)
 
 
 def test_in_radical_agrees_with_power_membership():
@@ -351,7 +376,7 @@ def test_in_radical_agrees_with_power_membership():
     x, y = V(0), V(1)
     for _ in range(20):
         a, b = rng.below(3) + 1, rng.below(3) + 1
-        ideal = make_ideal([x ** a, y ** b])
+        ideal = [x ** a, y ** b]
         gb = buchberger(ideal)
         f = rand_poly(rng, maxdeg=2, terms=4)
         expected = f.terms.get((0, 0), 0) == 0
@@ -364,10 +389,11 @@ def test_in_radical_agrees_with_power_membership():
 def test_is_irrelevant_examples():
     n = 4
     ys = [MultiPoly.variable(i, n, P) for i in range(n)]
-    assert is_irrelevant(make_ideal(ys))
-    assert not is_irrelevant(make_ideal([ys[0]]))
+    assert is_irrelevant(ys)
+    assert not is_irrelevant([ys[0]])
+    assert not is_irrelevant([ys[0] * ys[1], ys[2], ys[3]])
     with pytest.raises(NotHomogeneous):
-        is_irrelevant(make_ideal([ys[0] + 1]))
+        is_irrelevant([ys[0] + 1])
 
 
 def test_is_irrelevant_for_rank1_minors_of_seeded_gram():
@@ -390,7 +416,7 @@ def test_mult_matrix_charpoly_annihilates_operator():
     rng = SplitMix64(59)
     for gens in small_ideals(60, 5):
         gb = buchberger(gens)
-        if krull_dim(gb) > 0 or quotient_dim(gb) == 0:
+        if not is_zero_dimensional(gb) or quotient_dim(gb) == 0:
             continue
         ell = V(0) + 3 * V(1)
         cp = charpoly(mult_matrix(gb, ell), P)

@@ -193,8 +193,9 @@ def test_linear_change_preserves_degree_and_homogeneity():
 @pytest.mark.parametrize("p", [7, P, 2 ** 61 - 1])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 7, 8, 15, 16])
 def test_linear_change_matches_tuple_oracle_at_field_widths(p, degree):
-    # packed fields are max(degree, 1).bit_length() bits wide, so degrees
-    # 2^k - 1 fill a field and 2^k widen it; x_k^degree reaches the top
+    # packed fields are a fixed 16 bits, so no degree here reaches a field
+    # edge; the degrees 2^k - 1 and 2^k and the pure powers x_k^degree keep
+    # the oracle comparison at the edges of any narrower, degree-sized packing
     rng = SplitMix64(900 + degree)
     for nvars in (1, 3, 4):
         pairs = [(tuple(degree if j == k else 0 for j in range(nvars)), rng.below(p - 1) + 1)
