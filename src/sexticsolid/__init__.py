@@ -9,11 +9,11 @@ solid branched along it, and the even intersection pairings on smooth
 fibers.  Everything is computed exactly over F_p from one integer seed.
 """
 
-from .bundle import (CubicData, DiscriminantSurface, GramMatrix,
-                     SmoothnessReport, cubic_equation, diagonal_instance,
-                     discriminant, exceptional_conic, explicit_instance_text,
-                     fiber_gram, format_instance, gram_matrix, load_instance,
-                     parse_instance, random_instance, smoothness_spotcheck,
+from .bundle import (CubicData, DiscriminantSurface, SmoothnessReport,
+                     cubic_equation, diagonal_instance, discriminant,
+                     exceptional_conic, explicit_instance_text, fiber_gram,
+                     gram_matrix, load_instance, parse_instance,
+                     random_instance, smoothness_spotcheck,
                      smoothness_spotcheck_cubic)
 from .exactalg import SplitMix64
 from .fibers import (FiberSample, PairingCertificate, conic_line_pairing,
@@ -26,9 +26,8 @@ from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, in_radical,
                        standard_monomials)
 from .multipoly import (MultiPoly, format_poly, grevlex_key, mp_det, parse_poly,
                         restrict_to_line)
-from .singular import (EXPECTED_NODE_COUNT, DoubleSolidChart,
-                       SingularCensusReport, StrataReport, double_solid_census,
-                       double_solid_chart, node_census,
+from .singular import (EXPECTED_NODE_COUNT, SingularCensusReport,
+                       StrataReport, double_solid_census, node_census,
                        rank_stratum_ideal, strata_check)
 
 __version__ = "0.1.0"

@@ -4,12 +4,13 @@ An instance is a triple of form families over F_p in the base coordinates
 Y0..Y3: a symmetric 3x3 array A of linear forms, a vector B of three
 quadratic forms, and one cubic form C.  Projecting the cubic hypersurface
 
-    sum_ij A_ij X_i X_j + sum_i B_i X_i + C = 0
+    sum_ij A_ij X_i X_j + 2 sum_i B_i X_i + C = 0
 
 in the seven coordinates (X0..X2, Y0..Y3) away from the plane
 {Y0 = ... = Y3 = 0} fibers it in quadric surfaces over P^3; the 4x4
 symmetric Gram matrix [[A, B], [B^T, C]] of the fiber quadric has degree-6
-determinant, the branch sextic of the associated double solid.
+determinant, the branch sextic of the associated double solid.  The Gram
+matrix is the one statement of this layout: the cubic is built from it.
 """
 from __future__ import annotations
 
@@ -102,25 +103,6 @@ class CubicData:
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """4x4 symmetric polynomial matrix [[A, B], [B^T, C]] of the fiber quadric."""
-
-    entries: tuple
-
-    def degree_pattern_ok(self) -> bool:
-        """Entries homogeneous of degree 1 / 2 / 3 by block (zero allowed)."""
-        for i in range(4):
-            for j in range(4):
-                f = self.entries[i][j]
-                if f != self.entries[j][i]:
-                    return False
-                want = 1 if i < 3 and j < 3 else (3 if i == 3 and j == 3 else 2)
-                if not (f.is_zero() or f.homogeneous_degree() == want):
-                    return False
-        return True
-
-
-@dataclass(frozen=True)
 class DiscriminantSurface:
     """The branch sextic: delta = det(Gram), homogeneous of degree 6."""
 
@@ -168,17 +150,19 @@ def diagonal_instance(p: int) -> CubicData:
     return CubicData(p=p, A=A, B=B, C=C, seed=None)
 
 
-def gram_matrix(d: CubicData) -> GramMatrix:
+def gram_matrix(d: CubicData) -> tuple:
+    """The 4x4 symmetric Gram matrix [[A, B], [B^T, C]] of the fiber quadric,
+    as a tuple of rows of forms in Y0..Y3."""
     rows = []
     for i in range(3):
         rows.append(tuple(d.A[i]) + (d.B[i],))
     rows.append(tuple(d.B) + (d.C,))
-    return GramMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def discriminant(d: CubicData) -> DiscriminantSurface:
     """delta = det(Gram matrix); raises if it vanishes identically."""
-    delta = mp_det(gram_matrix(d).entries)
+    delta = mp_det(gram_matrix(d))
     if delta.is_zero():
         raise DegenerateDiscriminant("determinant of the Gram matrix is identically zero")
     if delta.homogeneous_degree() != 6:
@@ -187,16 +171,16 @@ def discriminant(d: CubicData) -> DiscriminantSurface:
 
 
 def cubic_equation(d: CubicData) -> MultiPoly:
-    """The defining cubic in the seven ambient coordinates X0..X2, Y0..Y3."""
-    y_positions = (3, 4, 5, 6)
-    X = [MultiPoly.variable(i, 7, d.p) for i in range(3)]
+    """The defining cubic v^T M v in the seven ambient coordinates X0..X2,
+    Y0..Y3, with M = gram_matrix(d) and v = (X0, X1, X2, 1): over a base
+    point y, F(x, s y) = s (x, s) M(y) (x, s)^T, so its fiber quadric has
+    Gram matrix M(y)."""
+    v = [MultiPoly.variable(i, 7, d.p) for i in range(3)] + [MultiPoly.constant(1, 7, d.p)]
     total = MultiPoly.zero(7, d.p)
-    for i in range(3):
-        for j in range(3):
-            total = total + d.A[i][j].embed(7, y_positions) * X[i] * X[j]
-    for i in range(3):
-        total = total + d.B[i].embed(7, y_positions) * X[i]
-    return total + d.C.embed(7, y_positions)
+    for i, row in enumerate(gram_matrix(d)):
+        for j, f in enumerate(row):
+            total = total + f.embed(7, (3, 4, 5, 6)) * v[i] * v[j]
+    return total
 
 
 def _check_base_point(d: CubicData, y):
@@ -315,14 +299,6 @@ def _normalize_projective(v, p):
 # ---------------------------------------------------------------------------
 # instance files
 # ---------------------------------------------------------------------------
-
-def format_instance(d: CubicData) -> str:
-    """Canonical text form.  Seeded instances serialize as (prime, seed);
-    explicit ones list the ten defining forms.  Both round-trip bit-exactly."""
-    if d.seed is None:
-        return explicit_instance_text(d)
-    return f"prime: {d.p}\nseed: {d.seed}\n"
-
 
 def parse_instance(text: str) -> CubicData:
     entries = {}

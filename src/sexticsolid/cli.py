@@ -75,9 +75,11 @@ class RunConfig:
             raise ConfigError("--budget must be >= 1")
         if not self.checks:
             raise ConfigError("--checks names no check")
-        for c in self.checks:
+        for k, c in enumerate(self.checks):
             if c not in CHECKS:
                 raise UnknownCheck(f"unknown check {c!r}; known: {', '.join(CHECKS)}")
+            if c in self.checks[:k]:
+                raise ConfigError(f"--checks names {c!r} twice")
 
 
 def _stringify(value):
@@ -294,7 +296,7 @@ def run_verify_all(cfg: RunConfig):
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "config": {
-            "prime": cfg.prime,
+            "prime": d.p,  # an instance file's own prime, not the --prime flag
             "seed": cfg.seed,
             "instance_file": cfg.instance_file,
             "checks": list(cfg.checks),

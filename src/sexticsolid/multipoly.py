@@ -45,7 +45,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import ArityMismatch, DegreeOverflow, IndexOutOfRange, SingularChange
-from .exactalg import fp_inv, matrix_rank, upoly
+from .exactalg import matrix_rank, upoly
 
 _FIELD_BITS = 16                          # per packed field, guard bit included
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
@@ -310,12 +310,6 @@ class MultiPoly:
         p = self.p
         return MultiPoly._make(self.nvars, p, {m: c * a % p for m, c in self.packed.items()},
                                self._lead)
-
-    def monic(self):
-        lc = self.lead_coeff()
-        if lc in (0, 1):
-            return self
-        return self.scale(fp_inv(lc, self.p))
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly)

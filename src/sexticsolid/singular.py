@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-from .bundle import CubicData, DiscriminantSurface, GramMatrix, gram_matrix
+from .bundle import CubicData, DiscriminantSurface, gram_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
@@ -58,13 +58,6 @@ class StrataReport:
     @property
     def passed(self) -> bool:
         return self.rank2_equals_sigma and self.rank1_empty and self.delta_in_minor_ideal
-
-
-@dataclass(frozen=True)
-class DoubleSolidChart:
-    """w^2 - delta(1, y1, y2, y3) in the census chart, variables (w, y1, y2, y3)."""
-
-    g: MultiPoly
 
 
 def _chart_rng(p: int, seed: int):
@@ -137,13 +130,6 @@ def _double_solid_equation(moved: MultiPoly) -> MultiPoly:
     return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
 
 
-def double_solid_chart(surface: DiscriminantSurface, seed: int) -> DoubleSolidChart:
-    """Affine chart of the double solid, in the same coordinates the node
-    census used for the same seed."""
-    T, _ = _chart_rng(surface.delta.p, seed)
-    return DoubleSolidChart(_double_solid_equation(surface.delta.linear_change(T)))
-
-
 def double_solid_census(surface: DiscriminantSurface,
                         census: SingularCensusReport) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
@@ -177,11 +163,11 @@ def double_solid_census(surface: DiscriminantSurface,
     return replace(census, basis=B, moved_sextic=None, sextic=None)
 
 
-def rank_stratum_ideal(M: GramMatrix, r: int) -> tuple:
-    """Generators of the ideal of the locus where the Gram matrix has rank
-    <= r: the nonzero (r+1) x (r+1) minors.  By symmetry, minor(I, J) =
-    minor(J, I), so only I <= J is enumerated; exact duplicates are
-    dropped."""
+def rank_stratum_ideal(M, r: int) -> tuple:
+    """Generators of the ideal of the locus where the symmetric 4x4 matrix M
+    (rows of forms, as gram_matrix gives) has rank <= r: the nonzero
+    (r+1) x (r+1) minors.  By symmetry, minor(I, J) = minor(J, I), so only
+    I <= J is enumerated; exact duplicates are dropped."""
     if not 1 <= r <= 3:
         raise ValueError("rank stratum only meaningful for 1 <= r <= 3")
     k = r + 1
@@ -190,7 +176,7 @@ def rank_stratum_ideal(M: GramMatrix, r: int) -> tuple:
         for cols in combinations(range(4), k):
             if cols < rows:
                 continue
-            sub = [[M.entries[i][j] for j in cols] for i in rows]
+            sub = [[M[i][j] for j in cols] for i in rows]
             m = mp_det(sub)
             if not m.is_zero() and m not in minors:
                 minors.append(m)
@@ -224,9 +210,8 @@ def strata_check(d: CubicData, surface: DiscriminantSurface,
     # of coordinates preserves every ideal-membership statement below; M is
     # symmetric, so only its ten entries with i <= j are moved
     T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
-    upper = {(i, j): M.entries[i][j].linear_change(T) for i in range(4) for j in range(i, 4)}
-    moved = GramMatrix(tuple(tuple(upper[min(i, j), max(i, j)] for j in range(4))
-                             for i in range(4)))
+    upper = {(i, j): M[i][j].linear_change(T) for i in range(4) for j in range(i, 4)}
+    moved = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
 
     details = [(f"minor3_{k}_in_radical_of_jacobian",
                 normal_form(m.specialize(0, 1), census.basis).is_zero())

@@ -112,7 +112,7 @@ def test_c6_degenerate_diagonal_handling(tmp_path):
     path_ok = (not census.zero_dimensional and census.degree == -1
                and census.verdict == "degenerate")
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.format_instance(d))
+    inst.write_text(bundle.explicit_instance_text(d))
     out = tmp_path / "report.json"
     code = main(["verify", "--instance", str(inst), "--samples", "5",
                  "--out", str(out)])
@@ -144,7 +144,7 @@ def test_c7_kernel_oracles():
     det_cases = 0
     for seed in range(1, 6):
         d = bundle.random_instance(P, seed)
-        grid = bundle.gram_matrix(d).entries
+        grid = bundle.gram_matrix(d)
         from sexticsolid.multipoly import mp_det
         assert mp_det(grid) == oracles.det_by_permutations(grid)
         det_cases += 1
@@ -185,7 +185,11 @@ def test_c9_degree_bookkeeping(census_suite):
     checks = {}
     for e in census_suite:
         m = bundle.gram_matrix(e.d)
-        pattern = m.degree_pattern_ok()
+        # symmetric, with homogeneous entries of degree 1 / 2 / 3 by block
+        pattern = all(m[i][j] == m[j][i]
+                      and (m[i][j].is_zero()
+                           or m[i][j].homogeneous_degree() == 1 + (i == 3) + (j == 3))
+                      for i in range(4) for j in range(4))
         degree6 = (e.surface is not None
                    and e.surface.delta.homogeneous_degree() == 6)
         checks[e.seed] = (pattern, degree6)

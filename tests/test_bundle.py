@@ -3,7 +3,7 @@ import pytest
 from sexticsolid.bundle import (CubicData, cubic_equation, diagonal_instance,
                                 discriminant, exceptional_conic,
                                 explicit_instance_text, fiber_gram,
-                                format_instance, gram_matrix, parse_instance,
+                                gram_matrix, parse_instance,
                                 points_on_lines, random_instance,
                                 smoothness_spotcheck, smoothness_spotcheck_cubic)
 from sexticsolid.errors import (ArityMismatch, BadPrime, DegenerateDiscriminant,
@@ -44,17 +44,17 @@ def test_gram_matrix_diagonal_example_and_symmetry():
         for j in range(4):
             expected = [ys[0], ys[1], ys[2], ys[3] ** 3][i] if i == j \
                 else MultiPoly.zero(4, P)
-            assert m.entries[i][j] == expected
-    assert m.degree_pattern_ok()
+            assert m[i][j] == expected
 
 
 def test_gram_degree_pattern_on_seeded_instances():
+    # symmetric, with homogeneous entries of degree 1 / 2 / 3 by block
     for seed in range(1, 6):
         m = gram_matrix(random_instance(P, seed))
-        assert m.degree_pattern_ok()
         for i in range(4):
             for j in range(4):
-                assert m.entries[i][j] == m.entries[j][i]
+                assert m[i][j] == m[j][i]
+                assert m[i][j].homogeneous_degree() == 1 + (i == 3) + (j == 3)
 
 
 def test_discriminant_diagonal_and_seeded_degree():
@@ -78,7 +78,7 @@ def test_discriminant_equals_permutation_expansion_oracle():
     for seed in range(1, 6):
         d = random_instance(P, seed)
         m = gram_matrix(d)
-        assert discriminant(d).delta == oracles.det_by_permutations(m.entries)
+        assert discriminant(d).delta == oracles.det_by_permutations(m)
 
 
 def test_cubic_equation_diagonal_and_plane_containment():
@@ -92,6 +92,31 @@ def test_cubic_equation_diagonal_and_plane_containment():
         assert g.homogeneous_degree() == 3
         # restriction to the center plane (all Y = 0) vanishes identically
         assert all(any(e[k] for k in range(3, 7)) for e in g.terms)
+
+
+def _with_nonzero_b():
+    text = ("prime: 32003\nA00: Y0\nA01: Y1 + 2*Y3\nA02: 0\nA11: Y2\nA12: Y0 - Y1\n"
+            "A22: Y3\nB0: Y0*Y1 + 5*Y2^2\nB1: Y3^2\nB2: 3*Y0*Y2 - Y1*Y3\n"
+            "C: Y0^3 + Y1*Y2*Y3 + 7*Y3^3\n")
+    return parse_instance(text)
+
+
+@pytest.mark.parametrize("which", ["seed1", "seed2", "seed3", "explicit"])
+def test_cubic_fibers_have_the_gram_matrix(which):
+    # F(x, s y) = s (x, s) M(y) (x, s)^T: the cubic's fiber quadric over y
+    # has the Gram matrix that delta, the census and the fibers use
+    d = _with_nonzero_b() if which == "explicit" else random_instance(P, int(which[4:]))
+    assert any(not b.is_zero() for b in d.B)
+    f = cubic_equation(d)
+    rng = SplitMix64(len(which))
+    for _ in range(25):
+        x = [rng.below(P) for _ in range(3)]
+        y = [rng.below(P) for _ in range(4)]
+        s = rng.below(P)
+        v = x + [s]
+        M = [[g.eval(y) for g in row] for row in gram_matrix(d)]
+        q = sum(v[i] * M[i][j] * v[j] for i in range(4) for j in range(4))
+        assert f.eval(x + [s * c for c in y]) == s * q % P
 
 
 def test_fiber_gram_examples_and_determinant_compatibility():
@@ -115,7 +140,7 @@ def test_fiber_gram_examples_and_determinant_compatibility():
 @pytest.mark.parametrize("which", ["seed1", "seed2", "seed5", "diagonal"])
 def test_fiber_gram_matches_entrywise_gram_matrix(which):
     d = diagonal_instance(P) if which == "diagonal" else random_instance(P, int(which[4:]))
-    entries = gram_matrix(d).entries
+    entries = gram_matrix(d)
     rng = SplitMix64(len(which))
     points = [(1, 0, 0, 0), (0, 0, 0, 1), (-1, P + 2, 3, -P)]
     points += [tuple(rng.below(3 * P) - P for _ in range(4)) for _ in range(40)]
@@ -138,7 +163,7 @@ def test_fiber_gram_at_the_packed_slot_bound():
 
     linear = full(1)
     d = CubicData(p=p, A=((linear,) * 3,) * 3, B=(full(2),) * 3, C=full(3))
-    entries = gram_matrix(d).entries
+    entries = gram_matrix(d)
     rng = SplitMix64(61)
     for y in [(p - 1,) * 4, (1, p - 1, 1, p - 1)] + \
             [tuple(rng.below(p) for _ in range(4)) for _ in range(20)]:
@@ -233,10 +258,8 @@ def test_smoothness_seeded_instance_clean():
 
 
 def test_instance_file_round_trips():
-    seeded_text = "prime: 32003\nseed: 9\n"
-    d = parse_instance(seeded_text)
-    assert d.seed == 9
-    assert format_instance(d) == seeded_text
+    d = parse_instance("prime: 32003\nseed: 9\n")
+    assert d == random_instance(P, 9)
 
     explicit = explicit_instance_text(d)
     d2 = parse_instance(explicit)
@@ -245,7 +268,7 @@ def test_instance_file_round_trips():
     assert d2.A == d.A and d2.B == d.B and d2.C == d.C
 
     diag = diagonal_instance(P)
-    assert parse_instance(format_instance(diag)) == diag
+    assert parse_instance(explicit_instance_text(diag)) == diag
 
 
 def test_instance_file_errors():

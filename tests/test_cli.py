@@ -46,6 +46,27 @@ def test_config_validation():
         RunConfig(checks=("everything",))
     with pytest.raises(ConfigError):
         RunConfig(checks=())
+    with pytest.raises(ConfigError):
+        RunConfig(checks=("census", "fibers", "census"))
+
+
+def test_verify_with_a_repeated_check_exits_2(capsys):
+    assert main(["verify", "--seed", "1", "--checks", "census,census"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --checks names 'census' twice\n"
+
+
+def test_file_instance_report_names_the_file_prime(tmp_path, capsys):
+    # the report echoes the field the instance lives over, not --prime
+    inst = tmp_path / "p7.txt"
+    inst.write_text("prime: 7\nseed: 2\n")
+    assert main(["census", "--instance", str(inst), "--prime", "11"]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert from_file["config"]["prime"] == "7"
+    assert main(["census", "--prime", "7", "--seed", "2"]) == 0
+    seeded = json.loads(capsys.readouterr().out)
+    assert from_file["instance"]["fingerprint"] == seeded["instance"]["fingerprint"]
 
 
 @pytest.mark.parametrize("checks", ["", ",,"])
@@ -108,7 +129,7 @@ def test_single_check_census_section_only():
 
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.format_instance(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
     report, code = run_verify_all(RunConfig(instance_file=str(inst), n_samples=5,
                                             checks=("pairings",)))
     assert code == 1
@@ -119,7 +140,7 @@ def test_single_check_blocked_on_degenerate_instance(tmp_path):
 
 def test_diagonal_instance_verify_exit_1(tmp_path):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.format_instance(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
     out = tmp_path / "report.json"
     code = main(["verify", "--instance", str(inst), "--samples", "5",
                  "--out", str(out)])
@@ -146,7 +167,7 @@ def test_smoothness_of_the_zero_cubic_fails(tmp_path, capsys):
 
 def test_budget_and_config_errors_exit_2(tmp_path, capsys):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.format_instance(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
     assert main(["verify", "--instance", str(inst), "--budget", "10"]) == 2
     assert main(["verify", "--prime", "10"]) == 2
     assert main(["verify", "--instance", str(tmp_path / "missing.txt")]) == 2
@@ -291,7 +312,7 @@ def test_sigma_point_flag(tmp_path):
     from test_fibers import plant_rank2_node
     d = plant_rank2_node()
     inst = tmp_path / "planted.txt"
-    inst.write_text(bundle.format_instance(d))
+    inst.write_text(bundle.explicit_instance_text(d))
     report, code = run_verify_all(
         RunConfig(instance_file=str(inst), n_samples=5,
                   sigma_points=((1, 0, 0, 0),), checks=("fibers",)))

@@ -4,7 +4,7 @@ from sexticsolid.bundle import gram_matrix, random_instance
 from sexticsolid.cli import stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
-from sexticsolid.exactalg import SplitMix64, charpoly, upoly, upoly_is_squarefree
+from sexticsolid.exactalg import SplitMix64, charpoly, fp_inv, upoly, upoly_is_squarefree
 from sexticsolid import groebner
 from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
                                   _Reducer, buchberger, in_radical, is_irrelevant,
@@ -230,7 +230,7 @@ def test_memoised_reducer_matches_heap_oracle_as_the_list_grows():
         memo = _Reducer(packing, P, _Budget(10 ** 6))
         scan = oracles.HeapReducer(packing, P, _Budget(10 ** 6))
         for g in gens + list(buchberger(gens).basis):
-            items = packing.encode(g.monic())
+            items = packing.encode(g.scale(fp_inv(g.lead_coeff(), P)))
             memo.add(items)
             scan.add(items)
             for _ in range(4):
@@ -363,7 +363,7 @@ def test_in_radical_examples():
 def test_in_radical_determinant_in_minor_ideal():
     d = random_instance(P, 1)
     m = gram_matrix(d)
-    delta = mp_det(m.entries)
+    delta = mp_det(m)
     minors = rank_stratum_ideal(m, 2)
     gb = buchberger(minors)
     assert in_radical(delta, gb.basis)

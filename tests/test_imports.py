@@ -1,17 +1,37 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no function,
+class or method is defined that nothing calls.
 
 A stand-in for a linter's unused-import rule (F401), run on the modules
 under src/sexticsolid/ with ``ast``.  ``__init__.py`` is skipped: its
 imports are the package's exports.  An import whose line carries
 ``# noqa: F401`` is a deliberate re-export and is allowed.
+
+The dead-route guard walks the same trees: every top-level function or
+class and every method of such a class must be named (read as a name or
+an attribute) somewhere in src/ or perfbench/, or stand on
+UNREFERENCED_ALLOWED with its reason.  Dunder methods are called by the
+language and are exempt; an import or the package's ``__all__`` is not a
+use, so a route that only the tests reach fails.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sexticsolid"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sexticsolid"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REFERENCING = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+#: Definitions that nothing in src/ or perfbench/ names, and why they stay.
+UNREFERENCED_ALLOWED = {
+    "diagonal_instance": "the degenerate reference instance of the tests",
+    "upoly_eval": "the oracle the univariate kernels are tested against",
+    "lead_coeff": "the accessor the Groebner oracles and tests read a lead coefficient by",
+    "in_radical": "perfbench's TRACED names it as a string until it is deleted",
+    "smoothness_spotcheck_cubic": "the spot-check of a bare cubic, which the tests run on "
+                                  "singular cubics; it goes with the spot-check itself",
+}
 
 
 def _used_names(tree) -> set:
@@ -61,3 +81,53 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> list:
+    """The top-level functions and classes of ``source`` and the methods of
+    those classes, dunders left out, in source order."""
+    names = []
+    for node in ast.parse(source).body:
+        body = node.body if isinstance(node, ast.ClassDef) else []
+        for item in [node] + body:
+            if (isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                    and not item.name.startswith("__")):
+                names.append(item.name)
+    return names
+
+
+def referenced_names(source: str) -> set:
+    """Every name ``source`` reads, as a bare name or as an attribute."""
+    tree = ast.parse(source)
+    return _used_names(tree) | {node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute)}
+
+
+def test_dead_route_checker_on_a_sample():
+    src = ("import m\n"
+           "class K:\n"
+           "    def __init__(self):\n"
+           "        self.used()\n"
+           "    def used(self):\n"
+           "        return m.g\n"
+           "    def idle(self):\n"
+           "        def inner():\n"
+           "            pass\n"
+           "def g(): return K\n"
+           "def h(): pass\n")
+    refs = referenced_names(src)
+    assert definitions(src) == ["K", "used", "idle", "g", "h"]
+    assert [n for n in definitions(src) if n not in refs] == ["idle", "h"]
+
+
+def test_every_definition_is_referenced():
+    refs = set()
+    for path in REFERENCING:
+        refs |= referenced_names(path.read_text(encoding="utf-8"))
+    defined = [name for module in MODULES
+               for name in definitions(module.read_text(encoding="utf-8"))]
+    assert [name for name in defined
+            if name not in refs and name not in UNREFERENCED_ALLOWED] == []
+    # an allowlist entry that gained a caller, or lost its definition, goes
+    assert sorted(name for name in UNREFERENCED_ALLOWED
+                  if name in defined and name not in refs) == sorted(UNREFERENCED_ALLOWED)

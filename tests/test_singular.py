@@ -8,10 +8,11 @@ from sexticsolid.bundle import (DiscriminantSurface, diagonal_instance,
 from sexticsolid.errors import CensusNotGeneric
 from sexticsolid.groebner import (buchberger, is_zero_dimensional, normal_form,
                                   quotient_dim, reducedness_certificate)
-from sexticsolid.exactalg import SplitMix64
+from sexticsolid.exactalg import SplitMix64, fp_inv
 from sexticsolid.multipoly import MultiPoly
-from sexticsolid.singular import (EXPECTED_NODE_COUNT, double_solid_census,
-                                  double_solid_chart, node_census, rank_stratum_ideal, strata_check)
+from sexticsolid.singular import (EXPECTED_NODE_COUNT, _double_solid_equation,
+                                  double_solid_census, node_census, rank_stratum_ideal,
+                                  strata_check)
 
 import oracles
 
@@ -24,7 +25,7 @@ def test_jacobian_ideal_of_fermat_sextic():
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
     jac = DiscriminantSurface(f).partials
     assert len(jac) == 4
-    mono = [g.monic() for g in jac]
+    mono = [g.scale(fp_inv(g.lead_coeff(), P)) for g in jac]
     for i in range(4):
         e = tuple(5 if j == i else 0 for j in range(4))
         assert MultiPoly.from_terms(4, P, [(e, 1)]) in mono
@@ -104,13 +105,13 @@ def test_rank_stratum_ideal_shapes():
 def test_gram_minors_and_delta_match_the_tuple_determinant(seed):
     d = random_instance(P, seed)
     m = gram_matrix(d)
-    assert discriminant(d).delta == oracles.tuple_det(m.entries)
+    assert discriminant(d).delta == oracles.tuple_det(m)
     for r in (1, 2):
         expected = []
         for rows in combinations(range(4), r + 1):
             for cols in combinations(range(4), r + 1):
                 if cols >= rows:
-                    minor = oracles.tuple_det([[m.entries[i][j] for j in cols] for i in rows])
+                    minor = oracles.tuple_det([[m[i][j] for j in cols] for i in rows])
                     if not minor.is_zero() and minor not in expected:
                         expected.append(minor)
         assert list(rank_stratum_ideal(m, r)) == expected
@@ -157,8 +158,8 @@ def test_strata_check_refuses_degenerate_census():
 
 
 def test_double_solid_chart_shape(seed1):
-    chart = double_solid_chart(seed1.surface, 1)
-    g = chart.g
+    # w^2 - delta_aff in the census chart, variables (w, y1, y2, y3)
+    g = _double_solid_equation(seed1.census.moved_sextic)
     assert g.nvars == 4
     assert g.terms.get((2, 0, 0, 0)) == 1          # w^2 with unit coefficient
     assert max(e[0] for e in g.terms) == 2
@@ -182,7 +183,7 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
         surface = discriminant(random_instance(P, seed))
         census = node_census(surface, seed)
     rep = double_solid_census(surface, census)
-    g = double_solid_chart(surface, seed).g
+    g = _double_solid_equation(census.moved_sextic)
     assert rep.basis == buchberger([g] + [g.partial(i) for i in range(4)])
     assert rep.degree == census.degree == 31
     assert rep.reduced == census.reduced == "certified"
