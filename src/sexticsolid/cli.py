@@ -66,7 +66,8 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self):
-        ensure_field_prime(self.prime)
+        if self.instance_file is None:  # an instance file supplies its own field
+            ensure_field_prime(self.prime)
         if self.n_samples < 1:
             raise ConfigError("--samples must be >= 1")
         if self.retries < 0:
@@ -158,7 +159,7 @@ def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
 @contextmanager
 def _stage(name: str):
     """Prefix a budget overrun inside the block with the stage it hit (only
-    the census and strata stages compute Groebner bases)."""
+    the census computes Groebner bases)."""
     try:
         yield
     except ResourceBudgetExceeded as exc:
@@ -182,8 +183,7 @@ def _blocked_section(reason: str) -> dict:
 
 
 def _strata_section(d, surface, census, cfg: RunConfig) -> dict:
-    with _stage("strata"):
-        report = singular.strata_check(d, surface, census, cfg.budget)
+    report = singular.strata_check(d, surface, census)
     return {
         "rank2_equals_sigma": report.rank2_equals_sigma,
         "rank1_empty": report.rank1_empty,

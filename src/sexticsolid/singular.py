@@ -11,12 +11,12 @@ and a squarefree characteristic polynomial of a random multiplication
 operator certifies reducedness (degree 31 + reduced is equivalent to 31
 nodes, since an isolated hypersurface singularity has local Tjurina
 dimension 1 exactly when it is an ordinary double point).  The strata and
-double-solid checks are exact normal forms over the census's basis.
+double-solid checks compute no Groebner basis: normal forms over the
+census's basis and polynomial identities (Jacobi, Laplace, Euler) certify them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
 
 from .bundle import CubicData, DiscriminantSurface, gram_matrix
 from .errors import CensusNotGeneric
@@ -163,68 +163,68 @@ def double_solid_census(surface: DiscriminantSurface,
     return replace(census, basis=B, moved_sextic=None, sextic=None)
 
 
-def rank_stratum_ideal(M, r: int) -> tuple:
-    """Generators of the ideal of the locus where the symmetric 4x4 matrix M
-    (rows of forms, as gram_matrix gives) has rank <= r: the nonzero
-    (r+1) x (r+1) minors.  By symmetry, minor(I, J) = minor(J, I), so only
-    I <= J is enumerated; exact duplicates are dropped."""
-    if not 1 <= r <= 3:
-        raise ValueError("rank stratum only meaningful for 1 <= r <= 3")
-    k = r + 1
-    minors = []
-    for rows in combinations(range(4), k):
-        for cols in combinations(range(4), k):
-            if cols < rows:
-                continue
-            sub = [[M[i][j] for j in cols] for i in rows]
-            m = mp_det(sub)
-            if not m.is_zero() and m not in minors:
-                minors.append(m)
-    return tuple(minors)
+def _symmetric(upper: dict) -> tuple:
+    """The symmetric 4x4 tuple of rows whose entries (i, j), i <= j, are upper."""
+    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(4)) for i in range(4))
+
+
+def rank_stratum_ideal(M) -> tuple:
+    """adj M for the symmetric 4x4 matrix M (rows of forms, as gram_matrix
+    gives): its entries, the signed 3x3 minors, generate the ideal of the
+    rank <= 2 locus, and M adj M = det(M) I.  adj M is symmetric, so ten
+    determinants give all sixteen entries."""
+    upper = {}
+    for i in range(4):
+        for j in range(i, 4):
+            minor = mp_det([[M[r][c] for c in range(4) if c != i] for r in range(4) if r != j])
+            upper[i, j] = -minor if (i + j) % 2 else minor
+    return _symmetric(upper)
 
 
 def strata_check(d: CubicData, surface: DiscriminantSurface,
-                 census: SingularCensusReport, budget=DEFAULT_BUDGET) -> StrataReport:
-    """Certify the rank stratification of the Gram matrix.
+                 census: SingularCensusReport) -> StrataReport:
+    """Certify the rank stratification of the Gram matrix M with no Groebner
+    basis of its own, in the chart of the given certified generic node
+    census of this surface (an invertible change of coordinates preserves
+    every ideal membership below).
 
-    The locus where the rank drops to 2 must coincide with the singular set
-    of the branch sextic: every 3x3 minor lies in the radical of the
-    Jacobian ideal and every Jacobian partial lies in the radical of the
-    3x3-minor ideal.  The rank <= 1 locus must be projectively empty.  As a
-    sharper extra, delta itself reduces to zero modulo the 3x3 minors
-    (Laplace expansion makes the determinant an exact member).
+    Rank-2 locus = Sing(delta), and delta in (3x3 minors).  Minors ->
+    Jacobian: with no singular point at infinity and J_aff reduced, each
+    distinct nonzero entry of adj M vanishes at the nodes iff it reduces to
+    zero modulo the census basis.  Jacobian -> minors, and delta exactly:
+    Jacobi's d_i delta = sum_jk adj(M)_jk d_i M_kj and Laplace's
+    delta = sum_k M_0k adj(M)_k0, checked as identities against the
+    census's moved sextic.
 
-    Both memberships are certified as exact ones, by normal forms.  Minors
-    -> Jacobian runs in the chart of the given certified generic node census
-    of this surface: it has no singular point at infinity, so a minor
-    vanishes on the singular locus iff its dehomogenization lies in the
-    radical of J_aff, which is J_aff itself (certified reduced).  Jacobian
-    -> minors: Jacobi's formula d_i det M = tr(adj M * d_i M) makes every
-    partial a combination of the 3x3 minors.
+    Rank <= 1 empty, a corollary of the census guard: where rank M(y) <= 1,
+    three rows of M vanish at y after a constant row change, so delta
+    vanishes to order >= 3 at y and every partial (d_0 too, by Euler) to
+    order >= 2.  The census algebra would then have a local factor of
+    length >= 4 at y, but it is certified reduced (a squarefree
+    characteristic polynomial: every local length is 1) with nothing at
+    infinity.
     """
     census = _certified_census(census, surface, "strata check")
     M = gram_matrix(d)
-    gb_minors = buchberger(rank_stratum_ideal(M, 2), budget)
-
-    # the minors in the census chart; composing with the (invertible) change
-    # of coordinates preserves every ideal-membership statement below; M is
-    # symmetric, so only its ten entries with i <= j are moved
     T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
-    upper = {(i, j): M[i][j].linear_change(T) for i in range(4) for j in range(i, 4)}
-    moved = [[upper[min(i, j), max(i, j)] for j in range(4)] for i in range(4)]
+    # M is symmetric, so only its ten entries with i <= j are moved
+    moved = _symmetric({(i, j): M[i][j].linear_change(T)
+                        for i in range(4) for j in range(i, 4)})
+    adj = rank_stratum_ideal(moved)
 
+    upper = [adj[i][j] for i in range(4) for j in range(i, 4)]
+    minors = [m for k, m in enumerate(upper) if not m.is_zero() and m not in upper[:k]]
     details = [(f"minor3_{k}_in_radical_of_jacobian",
                 normal_form(m.specialize(0, 1), census.basis).is_zero())
-               for k, m in enumerate(rank_stratum_ideal(moved, 2))]
-    details += [(f"jacobian_{k}_in_radical_of_minors3", normal_form(g, gb_minors).is_zero())
-                for k, g in enumerate(surface.partials)]
+               for k, m in enumerate(minors)]
+    delta = census.moved_sextic
+    zero = MultiPoly.zero(4, delta.p)
+    for i in range(4):
+        jacobi = sum((adj[j][k] * moved[k][j].partial(i)
+                      for j in range(4) for k in range(4)), zero)
+        details.append((f"jacobian_{i}_in_radical_of_minors3", delta.partial(i) == jacobi))
     rank2_equals_sigma = all(ok for _, ok in details)
 
-    rank1_empty = is_irrelevant(rank_stratum_ideal(M, 1), budget)
-    delta_exact = normal_form(surface.delta, gb_minors).is_zero()
-    details.append(("rank1_locus_empty", rank1_empty))
-    details.append(("delta_exactly_in_minor_ideal", delta_exact))
-    return StrataReport(rank2_equals_sigma=rank2_equals_sigma,
-                        rank1_empty=rank1_empty,
-                        delta_in_minor_ideal=delta_exact,
-                        details=tuple(details))
+    delta_exact = delta == sum((moved[0][k] * adj[k][0] for k in range(4)), zero)
+    details += [("rank1_locus_empty", True), ("delta_exactly_in_minor_ideal", delta_exact)]
+    return StrataReport(rank2_equals_sigma, True, delta_exact, tuple(details))

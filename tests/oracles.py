@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add, mul
 
 from sexticsolid.exactalg import UPOLY_ONE, fp_inv, upoly, upoly_mul, upoly_scale
@@ -425,6 +425,20 @@ def tuple_det(rows) -> MultiPoly:
         return memo[cols]
 
     return det(tuple(range(n)))
+
+
+def symmetric_minors(m, k: int) -> list:
+    """The distinct nonzero k x k minors of the symmetric matrix m, each by
+    tuple_det: minor(I, J) = minor(J, I), so only I <= J is enumerated.
+    k = 2 gives the ideal of the rank <= 1 locus, k = 3 of rank <= 2."""
+    minors = []
+    for rows in combinations(range(len(m)), k):
+        for cols in combinations(range(len(m)), k):
+            if cols >= rows:
+                minor = tuple_det([[m[i][j] for j in cols] for i in rows])
+                if not minor.is_zero() and minor not in minors:
+                    minors.append(minor)
+    return minors
 
 
 def det_by_permutations(grid) -> MultiPoly:

@@ -8,7 +8,7 @@ import pytest
 from sexticsolid import bundle, fibers, groebner, multipoly, singular
 from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
                              main, render_report, run_verify_all)
-from sexticsolid.errors import ConfigError, ResourceBudgetExceeded, UnknownCheck
+from sexticsolid.errors import BadPrime, ConfigError, UnknownCheck
 
 P = 32003
 
@@ -67,6 +67,24 @@ def test_file_instance_report_names_the_file_prime(tmp_path, capsys):
     assert main(["census", "--prime", "7", "--seed", "2"]) == 0
     seeded = json.loads(capsys.readouterr().out)
     assert from_file["instance"]["fingerprint"] == seeded["instance"]["fingerprint"]
+
+
+def test_an_instance_file_ignores_the_prime_flag(tmp_path, capsys):
+    # the file supplies the field, so --prime is neither used nor checked
+    inst = tmp_path / "p7.txt"
+    inst.write_text("prime: 7\nseed: 2\n")
+    assert main(["census", "--instance", str(inst)]) == 0
+    reference = capsys.readouterr().out
+    assert main(["census", "--instance", str(inst), "--prime", "10"]) == 0
+    assert capsys.readouterr().out == reference
+    assert main(["show-instance", "--instance", str(inst), "--prime", "10"]) == 0
+    capsys.readouterr()
+    assert RunConfig(prime=10, instance_file=str(inst)).prime == 10
+    # on the seeded path the flag picks the field and is still checked
+    assert main(["census", "--prime", "10", "--seed", "2"]) == 2
+    assert capsys.readouterr().err == "error: field characteristic must be a prime > 6, got 10\n"
+    with pytest.raises(BadPrime):
+        RunConfig(prime=10)
 
 
 @pytest.mark.parametrize("checks", ["", ",,"])
@@ -174,19 +192,11 @@ def test_budget_and_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_budget_overrun_names_the_stage_and_budget(monkeypatch, capsys):
+def test_budget_overrun_names_the_stage_and_budget(capsys):
     assert main(["verify", "--seed", "1", "--budget", "500"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err == "error: census: reduction-step budget of 500 steps exhausted\n"
-
-    # no budget exhausts the strata bases but not the larger census basis
-    def overrun(*args, **kwargs):
-        raise ResourceBudgetExceeded("reduction-step budget of 7 steps exhausted")
-
-    monkeypatch.setattr(singular, "strata_check", overrun)
-    assert main(["verify", "--seed", "1", "--checks", "strata"]) == 2
-    assert capsys.readouterr().err == "error: strata: reduction-step budget of 7 steps exhausted\n"
 
 
 def test_uncertified_census_downstream_exits_1(seed1, monkeypatch, capsys):
@@ -201,18 +211,37 @@ def test_uncertified_census_downstream_exits_1(seed1, monkeypatch, capsys):
 
 def test_verify_computes_no_basis_twice(monkeypatch):
     real = groebner.buchberger
+    real_irrelevant = groebner.is_irrelevant
     bases = []
+    irrelevant_calls = []
 
     def counted(*args, **kwargs):
         gb = real(*args, **kwargs)
         bases.append(gb)
         return gb
 
+    def counted_irrelevant(*args, **kwargs):
+        irrelevant_calls.append(args)
+        return real_irrelevant(*args, **kwargs)
+
     for name, module in list(sys.modules.items()):
         if name == "sexticsolid" or name.startswith("sexticsolid."):
             for attr, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
+                elif value is real_irrelevant:
+                    monkeypatch.setattr(module, attr, counted_irrelevant)
+
+    real_strata = singular.strata_check
+    strata_calls = []
+
+    def strata_check(*args, **kwargs):
+        before = len(bases), len(irrelevant_calls)
+        report = real_strata(*args, **kwargs)
+        strata_calls.append((len(bases), len(irrelevant_calls)) == before)
+        return report
+
+    monkeypatch.setattr(singular, "strata_check", strata_check)
 
     real_ds = singular.double_solid_census
     ds_calls = []
@@ -227,7 +256,9 @@ def test_verify_computes_no_basis_twice(monkeypatch):
     report, code = run_verify_all(RunConfig(seed=1))
     assert code == 0 and report["double_solid"]["degree"] == 31
     assert ds_calls == [0]
-    assert len(bases) <= 4
+    assert strata_calls == [True]
+    # the infinity check and the affine basis of the census, nothing else
+    assert len(bases) == 2 and len(irrelevant_calls) == 1
     for i, a in enumerate(bases):
         assert all(a != b for b in bases[i + 1:])
 

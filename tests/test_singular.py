@@ -1,8 +1,8 @@
 from dataclasses import replace
-from itertools import combinations
 
 import pytest
 
+from sexticsolid import singular
 from sexticsolid.bundle import (DiscriminantSurface, diagonal_instance,
                                 discriminant, gram_matrix, random_instance)
 from sexticsolid.errors import CensusNotGeneric
@@ -83,22 +83,28 @@ def test_node_census_degree_matches_macaulay_oracle(seed1):
     assert oracles.macaulay_quotient_dim(affine, max_degree=17, window=2) == 31
 
 
+def entries(rows) -> list:
+    """The distinct nonzero entries of a matrix of polynomials, row by row."""
+    out = []
+    for g in (g for row in rows for g in row):
+        if not g.is_zero() and g not in out:
+            out.append(g)
+    return out
+
+
 def test_rank_stratum_ideal_shapes():
     d = random_instance(P, 1)
     m = gram_matrix(d)
-    top = rank_stratum_ideal(m, 3)
-    assert top == (discriminant(d).delta,)
-
-    minors3 = rank_stratum_ideal(m, 2)
+    adj = rank_stratum_ideal(m)
+    assert all(adj[i][j] == adj[j][i] for i in range(4) for j in range(4))
+    minors3 = entries(adj)
     assert len(minors3) == 10
     degs = sorted(g.homogeneous_degree() for g in minors3)
     assert degs == [3, 4, 4, 4, 5, 5, 5, 5, 5, 5]
 
-    minors2 = rank_stratum_ideal(m, 1)
-    assert len(minors2) == 21
-
-    with pytest.raises(ValueError):
-        rank_stratum_ideal(m, 0)
+    # the rank <= 3 and rank <= 1 ideals, by the tuple-determinant oracle
+    assert [oracles.tuple_det(m)] == oracles.symmetric_minors(m, 4) == [discriminant(d).delta]
+    assert len(oracles.symmetric_minors(m, 2)) == 21
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -106,24 +112,36 @@ def test_gram_minors_and_delta_match_the_tuple_determinant(seed):
     d = random_instance(P, seed)
     m = gram_matrix(d)
     assert discriminant(d).delta == oracles.tuple_det(m)
-    for r in (1, 2):
-        expected = []
-        for rows in combinations(range(4), r + 1):
-            for cols in combinations(range(4), r + 1):
-                if cols >= rows:
-                    minor = oracles.tuple_det([[m[i][j] for j in cols] for i in rows])
-                    if not minor.is_zero() and minor not in expected:
-                        expected.append(minor)
-        assert list(rank_stratum_ideal(m, r)) == expected
+    adj = rank_stratum_ideal(m)
+    for i in range(4):
+        for j in range(4):
+            minor = oracles.tuple_det([[m[r][c] for c in range(4) if c != i]
+                                       for r in range(4) if r != j])
+            assert adj[i][j] == (-minor if (i + j) % 2 else minor)
+    # every 3x3 minor is an entry of adj M, up to sign
+    signed = entries(adj)
+    assert all(g in signed or -g in signed for g in oracles.symmetric_minors(m, 3))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, "diagonal"])
+def test_gram_matrix_times_its_adjugate_is_delta(seed):
+    d = diagonal_instance(P) if seed == "diagonal" else random_instance(P, seed)
+    m = gram_matrix(d)
+    adj = rank_stratum_ideal(m)
+    delta = discriminant(d).delta
+    zero = MultiPoly.zero(4, P)
+    for i in range(4):
+        for j in range(4):
+            product = sum((m[i][k] * adj[k][j] for k in range(4)), zero)
+            assert product == (delta if i == j else zero)
 
 
 def test_rank_stratum_ideal_diagonal_products():
     d = diagonal_instance(P)
     m = gram_matrix(d)
-    minors3 = rank_stratum_ideal(m, 2)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     expected = ys[0] * ys[1] * ys[2]
-    assert any(g == expected for g in minors3)
+    assert any(g == expected for g in entries(rank_stratum_ideal(m)))
 
 
 def test_rank_loci_are_nested():
@@ -131,8 +149,8 @@ def test_rank_loci_are_nested():
     # expansion), so the rank <= 1 locus sits inside the rank <= 2 locus
     d = random_instance(P, 2)
     m = gram_matrix(d)
-    gb_rank1 = buchberger(rank_stratum_ideal(m, 1))
-    for g in rank_stratum_ideal(m, 2):
+    gb_rank1 = buchberger(oracles.symmetric_minors(m, 2))
+    for g in entries(rank_stratum_ideal(m)):
         assert normal_form(g, gb_rank1).is_zero()
 
 
@@ -146,6 +164,35 @@ def test_strata_check_passes_on_pinned_instance(seed1):
     assert sum(1 for s in labels if s.startswith("minor3_")) == 10
     assert sum(1 for s in labels if s.startswith("jacobian_")) == 4
     assert all(ok for _, ok in report.details)
+
+
+def test_strata_check_refuses_a_flipped_cofactor_sign(seed1, monkeypatch):
+    # the flipped entries generate the same ideal, so every minor still lies
+    # in the census ideal; Jacobi's and Laplace's identities catch the sign
+    real = singular.rank_stratum_ideal
+
+    def flipped(M):
+        adj = [list(row) for row in real(M)]
+        adj[0][1] = adj[1][0] = -adj[0][1]
+        return tuple(map(tuple, adj))
+
+    monkeypatch.setattr(singular, "rank_stratum_ideal", flipped)
+    report = strata_check(seed1.d, seed1.surface, seed1.census)
+    assert not report.passed
+    assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
+    failed = [label for label, ok in report.details if not ok]
+    assert failed and all(s.startswith("jacobian_") or s == "delta_exactly_in_minor_ideal"
+                          for s in failed)
+
+
+def test_strata_check_refuses_a_mutated_gram_entry(seed1):
+    # the Gram matrix of another instance, against this surface and census
+    y0 = MultiPoly.variable(0, 4, P)
+    d = seed1.d
+    mutated = replace(d, B=(d.B[0] + y0 * y0,) + d.B[1:])
+    report = strata_check(mutated, seed1.surface, seed1.census)
+    assert not report.passed
+    assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
 
 
 def test_strata_check_refuses_degenerate_census():
