@@ -1,16 +1,19 @@
 """The quadric-bundle construction.
 
-An instance is a triple of form families over F_p in the base coordinates
-Y0..Y3: a symmetric 3x3 array A of linear forms, a vector B of three
-quadratic forms, and one cubic form C.  Projecting the cubic hypersurface
+An instance is the symmetric 4x4 Gram matrix M = [[A, B], [B^T, C]] of forms
+over F_p in the base coordinates Y0..Y3: a symmetric 3x3 block A of linear
+forms, a column B of three quadratic forms and one cubic form C.  Projecting
+the cubic hypersurface
 
     sum_ij A_ij X_i X_j + 2 sum_i B_i X_i + C = 0
 
 in the seven coordinates (X0..X2, Y0..Y3) away from the plane
-{Y0 = ... = Y3 = 0} fibers it in quadric surfaces over P^3; the 4x4
-symmetric Gram matrix [[A, B], [B^T, C]] of the fiber quadric has degree-6
-determinant, the branch sextic of the associated double solid.  The Gram
-matrix is the one statement of this layout: the cubic is built from it.
+{Y0 = ... = Y3 = 0} fibers it in quadric surfaces over P^3 with Gram matrix
+M; det M, of degree 6, is the branch sextic of the associated double solid.
+An instance is stored as the ten distinct entries of M.  GRAM_FORMS (their
+keys and degrees, in instance-file order) and GRAM_INDEX (where each sits in
+M) are the one statement of this layout: drawing, parsing, printing, the
+Gram matrix, the cubic and the strata all read them.
 """
 from __future__ import annotations
 
@@ -20,16 +23,19 @@ from itertools import combinations_with_replacement, islice
 from operator import mul
 
 from .errors import ArityMismatch, DegenerateDiscriminant, ZeroPoint
-from .exactalg import (SplitMix64, ensure_field_prime, fp_inv, independent_pair,
-                       upoly_fp_roots)
+from .exactalg import (MASK64, SplitMix64, ensure_field_prime, fp_inv,
+                       independent_pair, upoly_fp_roots)
 from .multipoly import (MultiPoly, format_poly, monomials_of_degree, mp_det,
                         parse_poly, restrict_to_line)
 
 BASE_NAMES = ("Y0", "Y1", "Y2", "Y3")
 AMBIENT_NAMES = ("X0", "X1", "X2", "Y0", "Y1", "Y2", "Y3")
 
-_FORM_KEYS = ("A00", "A01", "A02", "A11", "A12", "A22", "B0", "B1", "B2", "C")
-_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+#: The ten distinct Gram entries, (key, degree), in instance-file order.
+GRAM_FORMS = (("A00", 1), ("A01", 1), ("A02", 1), ("A11", 1), ("A12", 1), ("A22", 1),
+              ("B0", 2), ("B1", 2), ("B2", 2), ("C", 3))
+#: GRAM_INDEX[i][j] is the position in GRAM_FORMS of the Gram entry (i, j).
+GRAM_INDEX = ((0, 1, 2, 6), (1, 3, 4, 7), (2, 4, 5, 8), (6, 7, 8, 9))
 
 #: The 35 monomials of degree <= 3 in Y0..Y3, the table through which
 #: fiber_gram evaluates every Gram entry at once: degree by degree, each
@@ -44,37 +50,26 @@ _GRAM_SLOT_TERMS = sum(1 for e in _CUBIC_MONOMIALS if sum(e) == 3)
 
 @dataclass(frozen=True)
 class CubicData:
-    """Defining forms of one instance; A is the full symmetric 3x3 tuple."""
+    """One instance: its ten distinct Gram entries, forms in F_p[Y0..Y3] in
+    GRAM_FORMS order (A00 A01 A02 A11 A12 A22 B0 B1 B2 C), each zero or
+    homogeneous of its key's degree, and the seed it was drawn from, if
+    any.  The Gram matrix is symmetric by construction (GRAM_INDEX)."""
 
     p: int
-    A: tuple
-    B: tuple
-    C: MultiPoly
+    entries: tuple
     seed: int | None = None
 
     def __post_init__(self):
         ensure_field_prime(self.p)
-        if len(self.A) != 3 or any(len(r) != 3 for r in self.A):
-            raise ArityMismatch("A must be 3x3")
-        if len(self.B) != 3:
-            raise ArityMismatch("B must have 3 entries")
-        for i in range(3):
-            for j in range(3):
-                if self.A[i][j] != self.A[j][i]:
-                    raise ArityMismatch("A must be symmetric")
-        for f, d in self._declared():
+        if len(self.entries) != len(GRAM_FORMS):
+            raise ArityMismatch(f"an instance has {len(GRAM_FORMS)} Gram entries "
+                                f"({' '.join(k for k, _ in GRAM_FORMS)}), "
+                                f"got {len(self.entries)}")
+        for f, (key, degree) in zip(self.entries, GRAM_FORMS):
             if f.nvars != 4 or f.p != self.p:
-                raise ArityMismatch("forms must live in F_p[Y0..Y3]")
-            hd = f.homogeneous_degree()
-            if not (f.is_zero() or hd == d):
-                raise ArityMismatch(f"form of declared degree {d} is not homogeneous of that degree")
-
-    def _declared(self):
-        for i, j in _UPPER:
-            yield self.A[i][j], 1
-        for b in self.B:
-            yield b, 2
-        yield self.C, 3
+                raise ArityMismatch(f"{key} must live in F_p[Y0..Y3]")
+            if not (f.is_zero() or f.homogeneous_degree() == degree):
+                raise ArityMismatch(f"{key} is not homogeneous of degree {degree}")
 
     @cached_property
     def _ambient(self) -> tuple:
@@ -85,10 +80,9 @@ class CubicData:
 
     @cached_property
     def _gram_vectors(self) -> tuple:
-        """The ten distinct Gram entries (the upper triangle of A, then B,
-        then C), Kronecker-packed over _CUBIC_MONOMIALS: the slot width S and
-        one int per monomial whose slot k, bits k*S up to (k+1)*S, holds that
-        monomial's coefficient in entry k.
+        """The ten Gram entries, Kronecker-packed over _CUBIC_MONOMIALS: the
+        slot width S and one int per monomial whose slot k, bits k*S up to
+        (k+1)*S, holds that monomial's coefficient in entry k.
 
         Against a table of monomial values in [0, p), slot k of the dot
         product is entry k's value before reduction: a sum of at most
@@ -97,7 +91,7 @@ class CubicData:
         _GRAM_SLOT_TERMS * p^2, so no slot overflows into its neighbour."""
         shift = (_GRAM_SLOT_TERMS * self.p * self.p).bit_length()
         packed = tuple(sum(f.terms.get(e, 0) << (k * shift)
-                           for k, (f, _) in enumerate(self._declared()))
+                           for k, f in enumerate(self.entries))
                        for e in _CUBIC_MONOMIALS)
         return shift, packed
 
@@ -120,44 +114,36 @@ class DiscriminantSurface:
 def random_instance(p: int, seed: int) -> CubicData:
     """Seeded instance with every coefficient uniform in F_p.
 
-    Coefficient order (documented, fixed): the upper triangle of A row by
-    row (A00, A01, A02, A11, A12, A22), then B0, B1, B2, then C; within each
-    form, one draw per monomial of the declared degree, monomials in
-    decreasing grevlex order.  Identical (p, seed) gives an identical
-    instance, bit for bit.
+    Coefficient order (documented, fixed): the forms in GRAM_FORMS order
+    (A00, A01, A02, A11, A12, A22, B0, B1, B2, C); within each form, one draw
+    per monomial of its degree, monomials in decreasing grevlex order.
+    Identical (p, seed mod 2^64) gives an identical instance, bit for bit,
+    and the instance records the seed mod 2^64 that it was drawn from.
     """
     ensure_field_prime(p)
     rng = SplitMix64(seed)
-
-    def draw(degree):
-        return MultiPoly.from_terms(
-            4, p, [(e, rng.below(p)) for e in monomials_of_degree(4, degree)])
-
-    upper = {idx: draw(1) for idx in _UPPER}
-    A = tuple(tuple(upper[(min(i, j), max(i, j))] for j in range(3)) for i in range(3))
-    B = tuple(draw(2) for _ in range(3))
-    C = draw(3)
-    return CubicData(p=p, A=A, B=B, C=C, seed=seed)
+    return CubicData(p, tuple(
+        MultiPoly.from_terms(4, p, [(e, rng.below(p)) for e in monomials_of_degree(4, degree)])
+        for _, degree in GRAM_FORMS), seed & MASK64)
 
 
 def diagonal_instance(p: int) -> CubicData:
     """The degenerate reference instance A = diag(Y0, Y1, Y2), B = 0, C = Y3^3."""
-    zero = MultiPoly.zero(4, p)
     ys = [MultiPoly.variable(i, 4, p) for i in range(4)]
-    A = tuple(tuple(ys[i] if i == j else zero for j in range(3)) for i in range(3))
-    B = (zero, zero, zero)
-    C = ys[3] * ys[3] * ys[3]
-    return CubicData(p=p, A=A, B=B, C=C, seed=None)
+    forms = {"A00": ys[0], "A11": ys[1], "A22": ys[2], "C": ys[3] * ys[3] * ys[3]}
+    return CubicData(p, tuple(forms.get(key, MultiPoly.zero(4, p)) for key, _ in GRAM_FORMS))
+
+
+def symmetric_matrix(entries) -> tuple:
+    """The symmetric 4x4 tuple of rows holding the ten entries, given in
+    GRAM_FORMS order, at their GRAM_INDEX places."""
+    return tuple(tuple(entries[k] for k in row) for row in GRAM_INDEX)
 
 
 def gram_matrix(d: CubicData) -> tuple:
     """The 4x4 symmetric Gram matrix [[A, B], [B^T, C]] of the fiber quadric,
     as a tuple of rows of forms in Y0..Y3."""
-    rows = []
-    for i in range(3):
-        rows.append(tuple(d.A[i]) + (d.B[i],))
-    rows.append(tuple(d.B) + (d.C,))
-    return tuple(rows)
+    return symmetric_matrix(d.entries)
 
 
 def discriminant(d: CubicData) -> DiscriminantSurface:
@@ -322,17 +308,14 @@ def parse_instance(text: str) -> CubicData:
         if entries:
             raise ValueError("seeded instance file must not also list forms")
         return random_instance(p, seed)
-    missing = [k for k in _FORM_KEYS if k not in entries]
+    keys = [k for k, _ in GRAM_FORMS]
+    missing = [k for k in keys if k not in entries]
     if missing:
         raise ValueError(f"missing form entries: {', '.join(missing)}")
-    extra = [k for k in entries if k not in _FORM_KEYS]
+    extra = [k for k in entries if k not in keys]
     if extra:
         raise ValueError(f"unknown entries: {', '.join(extra)}")
-    forms = {k: parse_poly(entries[k], 4, p, BASE_NAMES) for k in _FORM_KEYS}
-    upper = {idx: forms[k] for idx, k in zip(_UPPER, _FORM_KEYS)}
-    A = tuple(tuple(upper[(min(i, j), max(i, j))] for j in range(3)) for i in range(3))
-    B = (forms["B0"], forms["B1"], forms["B2"])
-    return CubicData(p=p, A=A, B=B, C=forms["C"], seed=None)
+    return CubicData(p, tuple(parse_poly(entries[k], 4, p, BASE_NAMES) for k in keys))
 
 
 def load_instance(path) -> CubicData:
@@ -344,6 +327,6 @@ def explicit_instance_text(d: CubicData) -> str:
     """The ten defining forms as an explicit instance file, regardless of
     whether the instance was seeded (what `show-instance` prints)."""
     lines = [f"prime: {d.p}"]
-    for key, (f, _) in zip(_FORM_KEYS, d._declared()):
+    for (key, _), f in zip(GRAM_FORMS, d.entries):
         lines.append(f"{key}: {format_poly(f, BASE_NAMES)}")
     return "\n".join(lines) + "\n"

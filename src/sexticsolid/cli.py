@@ -19,7 +19,7 @@ from . import bundle, fibers, singular
 from .errors import (CensusNotGeneric, ConfigError, DegenerateDiscriminant,
                      ResourceBudgetExceeded, SexticSolidError, StratumViolation,
                      UnknownCheck)
-from .exactalg import ensure_field_prime
+from .exactalg import MASK64, ensure_field_prime
 from .groebner import DEFAULT_BUDGET
 
 SCHEMA_VERSION = "1"
@@ -31,15 +31,13 @@ DEFAULT_RETRIES = 5
 CHECKS = ("census", "strata", "double_solid", "fibers", "pairings", "smoothness")
 _GATED = {"strata", "double_solid", "fibers", "pairings"}
 
-_MASK64 = (1 << 64) - 1
-
 
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a (used for instance fingerprints and seed derivation)."""
     h = 0xCBF29CE484222325
     for byte in data:
         h ^= byte
-        h = (h * 0x100000001B3) & _MASK64
+        h = (h * 0x100000001B3) & MASK64
     return h
 
 
@@ -125,12 +123,12 @@ def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
             loaded = bundle.load_instance(cfg.instance_file)
         attempts = [(0, loaded)]
     else:
-        attempts = [(k, None) for k in range(cfg.retries + 1)]
+        attempts = ((k, None) for k in range(cfg.retries + 1))
     last = None
     for attempt, preloaded in attempts:
         with _timed(timings, "instance"):
             d = preloaded if preloaded is not None else bundle.random_instance(
-                cfg.prime, (cfg.seed + attempt) & _MASK64)
+                cfg.prime, cfg.seed + attempt)
         entry = {"attempt": attempt, "seed": d.seed}
         if not need_census:
             entry["outcome"] = "accepted"
@@ -388,7 +386,7 @@ def _parse_sigma(values):
 def _config_from(args, checks) -> RunConfig:
     return RunConfig(
         prime=args.prime,
-        seed=args.seed & _MASK64,
+        seed=args.seed & MASK64,
         instance_file=args.instance,
         checks=checks,
         n_samples=args.samples,
@@ -439,8 +437,7 @@ def main(argv=None) -> int:
             if args.instance is not None:
                 d = bundle.load_instance(args.instance)
             else:
-                ensure_field_prime(args.prime)
-                d = bundle.random_instance(args.prime, args.seed & _MASK64)
+                d = bundle.random_instance(args.prime, args.seed)
             _emit(bundle.explicit_instance_text(d), args.out)
             return 0
         if args.command == "verify":

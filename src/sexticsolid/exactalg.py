@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import BadPrime, NonSquare, ZeroInverse
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1
 
 UPoly = tuple  # coefficient tuple, lowest degree first
 
@@ -45,13 +45,13 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
@@ -63,9 +63,9 @@ class SplitMix64:
         limit = ((1 << 64) // n) * n
         state = self.state
         while True:
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            state = (state + 0x9E3779B97F4A7C15) & MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
             z ^= z >> 31
             if z < limit:
                 self.state = state

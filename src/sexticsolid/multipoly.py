@@ -40,6 +40,7 @@ it forms is by a linear form.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -562,43 +563,35 @@ def format_poly(f: MultiPoly, names) -> str:
     return " + ".join(parts)
 
 
+_FACTOR = r"(?:\d+|[A-Za-z_]\w*(?:\s*\^\s*\d+)?)"
+_TERM = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+#: What parse_poly reads: nonempty terms joined by + or -, the first term or
+#: one after a + optionally negated; spaces between tokens, never inside one.
+_POLY_SYNTAX = re.compile(rf"\s*(?:-\s*)?{_TERM}(?:\s*(?:\+\s*(?:-\s*)?|-\s*){_TERM})*\s*",
+                          re.ASCII)
+
+
 def parse_poly(text: str, nvars: int, p: int, names) -> MultiPoly:
     """Parse the serialization produced by format_poly (signs +/- accepted)."""
     if len(names) != nvars:
         raise ArityMismatch("one name per variable required")
+    if not _POLY_SYNTAX.fullmatch(text):
+        raise ValueError(f"malformed polynomial {text!r}")
     index = {nm: i for i, nm in enumerate(names)}
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial text")
-    s = s.replace("-", "+-")
     pairs = []
-    for chunk in s.split("+"):
+    for chunk in "".join(text.split()).replace("-", "+-").split("+"):
         if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-            if not chunk:
-                raise ValueError("dangling sign")
-        coeff = sign
+            continue  # before a leading -, or between + and -
+        coeff = -1 if chunk[0] == "-" else 1
         exps = [0] * nvars
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ValueError(f"empty factor in {chunk!r}")
+        for factor in chunk.lstrip("-").split("*"):
             if factor[0].isdigit():
                 coeff *= int(factor)
                 continue
-            if "^" in factor:
-                name, _, e = factor.partition("^")
-                k = int(e)
-            else:
-                name, k = factor, 1
+            name, _, e = factor.partition("^")
             if name not in index:
                 raise ValueError(f"unknown variable {name!r}")
-            if k < 0:
-                raise ValueError("negative exponent")
-            exps[index[name]] += k
+            exps[index[name]] += int(e or 1)
         pairs.append((exps, coeff))
     return MultiPoly.from_terms(nvars, p, pairs)
 

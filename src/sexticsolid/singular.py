@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bundle import CubicData, DiscriminantSurface, gram_matrix
+from .bundle import GRAM_INDEX, CubicData, DiscriminantSurface, symmetric_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
@@ -163,22 +163,18 @@ def double_solid_census(surface: DiscriminantSurface,
     return replace(census, basis=B, moved_sextic=None, sextic=None)
 
 
-def _symmetric(upper: dict) -> tuple:
-    """The symmetric 4x4 tuple of rows whose entries (i, j), i <= j, are upper."""
-    return tuple(tuple(upper[min(i, j), max(i, j)] for j in range(4)) for i in range(4))
-
-
 def rank_stratum_ideal(M) -> tuple:
     """adj M for the symmetric 4x4 matrix M (rows of forms, as gram_matrix
     gives): its entries, the signed 3x3 minors, generate the ideal of the
     rank <= 2 locus, and M adj M = det(M) I.  adj M is symmetric, so ten
-    determinants give all sixteen entries."""
-    upper = {}
-    for i in range(4):
-        for j in range(i, 4):
-            minor = mp_det([[M[r][c] for c in range(4) if c != i] for r in range(4) if r != j])
-            upper[i, j] = -minor if (i + j) % 2 else minor
-    return _symmetric(upper)
+    determinants, one per GRAM_INDEX entry, give all sixteen entries."""
+    cofactors = {}
+    for i, row in enumerate(GRAM_INDEX):
+        for j, k in enumerate(row):
+            if k not in cofactors:
+                minor = mp_det([[M[r][c] for c in range(4) if c != i] for r in range(4) if r != j])
+                cofactors[k] = -minor if (i + j) % 2 else minor
+    return symmetric_matrix(cofactors)
 
 
 def strata_check(d: CubicData, surface: DiscriminantSurface,
@@ -205,15 +201,12 @@ def strata_check(d: CubicData, surface: DiscriminantSurface,
     infinity.
     """
     census = _certified_census(census, surface, "strata check")
-    M = gram_matrix(d)
     T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
-    # M is symmetric, so only its ten entries with i <= j are moved
-    moved = _symmetric({(i, j): M[i][j].linear_change(T)
-                        for i in range(4) for j in range(i, 4)})
+    moved = symmetric_matrix([f.linear_change(T) for f in d.entries])
     adj = rank_stratum_ideal(moved)
 
-    upper = [adj[i][j] for i in range(4) for j in range(i, 4)]
-    minors = [m for k, m in enumerate(upper) if not m.is_zero() and m not in upper[:k]]
+    # the distinct nonzero entries of adj M, row by row
+    minors = list(dict.fromkeys(m for row in adj for m in row if not m.is_zero()))
     details = [(f"minor3_{k}_in_radical_of_jacobian",
                 normal_form(m.specialize(0, 1), census.basis).is_zero())
                for k, m in enumerate(minors)]

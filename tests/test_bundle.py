@@ -1,6 +1,7 @@
 import pytest
 
-from sexticsolid.bundle import (CubicData, cubic_equation, diagonal_instance,
+from sexticsolid.bundle import (GRAM_FORMS, GRAM_INDEX, CubicData, cubic_equation,
+                                diagonal_instance,
                                 discriminant, exceptional_conic,
                                 explicit_instance_text, fiber_gram,
                                 gram_matrix, parse_instance,
@@ -23,7 +24,7 @@ def test_random_instance_deterministic_and_in_range():
     b = random_instance(P, 1)
     assert a == b
     c = random_instance(7, 123)
-    for f, _ in c._declared():
+    for f in c.entries:
         assert all(0 <= v < 7 for v in f.terms.values())
 
 
@@ -69,7 +70,7 @@ def test_discriminant_diagonal_and_seeded_degree():
 def test_discriminant_degenerate_error():
     d0 = diagonal_instance(P)
     zero = MultiPoly.zero(4, P)
-    degenerate = CubicData(p=P, A=d0.A, B=d0.B, C=zero, seed=None)
+    degenerate = CubicData(P, d0.entries[:9] + (zero,))  # C = 0
     with pytest.raises(DegenerateDiscriminant):
         discriminant(degenerate)
 
@@ -106,7 +107,7 @@ def test_cubic_fibers_have_the_gram_matrix(which):
     # F(x, s y) = s (x, s) M(y) (x, s)^T: the cubic's fiber quadric over y
     # has the Gram matrix that delta, the census and the fibers use
     d = _with_nonzero_b() if which == "explicit" else random_instance(P, int(which[4:]))
-    assert any(not b.is_zero() for b in d.B)
+    assert any(not b.is_zero() for b in d.entries[6:9])  # B0 B1 B2
     f = cubic_equation(d)
     rng = SplitMix64(len(which))
     for _ in range(25):
@@ -161,8 +162,7 @@ def test_fiber_gram_at_the_packed_slot_bound():
     def full(degree):
         return MultiPoly.from_terms(4, p, [(e, p - 1) for e in monomials_of_degree(4, degree)])
 
-    linear = full(1)
-    d = CubicData(p=p, A=((linear,) * 3,) * 3, B=(full(2),) * 3, C=full(3))
+    d = CubicData(p, tuple(full(degree) for _, degree in GRAM_FORMS))
     entries = gram_matrix(d)
     rng = SplitMix64(61)
     for y in [(p - 1,) * 4, (1, p - 1, 1, p - 1)] + \
@@ -265,10 +265,26 @@ def test_instance_file_round_trips():
     d2 = parse_instance(explicit)
     assert d2.seed is None
     assert explicit_instance_text(d2) == explicit
-    assert d2.A == d.A and d2.B == d.B and d2.C == d.C
+    assert d2.entries == d.entries
 
     diag = diagonal_instance(P)
     assert parse_instance(explicit_instance_text(diag)) == diag
+
+
+def test_random_instance_records_its_seed_mod_2_64():
+    # -5, 2^64 - 5 and a file's "seed: -5" draw one instance, and record one seed
+    d = random_instance(P, -5)
+    assert d.seed == 2**64 - 5
+    assert d == random_instance(P, 2**64 - 5) == parse_instance("prime: 32003\nseed: -5\n")
+
+
+@pytest.mark.parametrize("form", ["2 3*Y0", "Y 0", "1 0*Y1", "+", "3+", "Y0++Y1", "Y0 + ",
+                                  "- ", "Y0 - -Y1"])
+def test_instance_file_rejects_split_tokens_and_empty_terms(form):
+    text = explicit_instance_text(diagonal_instance(P))
+    assert "\nA01: 0\n" in text
+    with pytest.raises(ValueError):
+        parse_instance(text.replace("\nA01: 0\n", f"\nA01: {form}\n"))
 
 
 def test_instance_file_errors():
@@ -283,15 +299,31 @@ def test_instance_file_errors():
 
 
 def test_cubic_data_validation():
-    zero = MultiPoly.zero(4, P)
     y0 = MultiPoly.variable(0, 4, P)
-    good = diagonal_instance(P)
-    with pytest.raises(ArityMismatch):
-        CubicData(p=P, A=good.A, B=(y0, zero, zero), C=good.C, seed=None)  # B not quadratic
-    asym = tuple(tuple(y0 if (i, j) == (0, 1) else good.A[i][j] for j in range(3))
-                 for i in range(3))
-    with pytest.raises(ArityMismatch):
-        CubicData(p=P, A=asym, B=good.B, C=good.C, seed=None)
+    good = diagonal_instance(P).entries
+    with pytest.raises(ArityMismatch, match="B1"):
+        CubicData(P, good[:7] + (y0,) + good[8:])  # B1 not quadratic
+    with pytest.raises(ArityMismatch, match="A00"):
+        CubicData(P, (MultiPoly.variable(0, 7, P),) + good[1:])  # not in Y0..Y3
+    with pytest.raises(ArityMismatch, match="A00 A01 A02 A11 A12 A22 B0 B1 B2 C"):
+        CubicData(P, good[:9])
+    with pytest.raises(ArityMismatch, match="A00 A01 A02 A11 A12 A22 B0 B1 B2 C"):
+        CubicData(P, good + (y0,))
+
+
+def test_gram_layout_is_symmetric_and_degree_graded():
+    # every one of the ten entries sits at (i, j) and (j, i), and nowhere
+    # else; its degree is 1 + [i == 3] + [j == 3]
+    places = {}
+    for i, row in enumerate(GRAM_INDEX):
+        for j, k in enumerate(row):
+            assert GRAM_INDEX[j][i] == k
+            assert GRAM_FORMS[k][1] == 1 + (i == 3) + (j == 3)
+            places.setdefault(k, set()).add((min(i, j), max(i, j)))
+    assert sorted(places) == list(range(len(GRAM_FORMS)))
+    assert all(len(v) == 1 for v in places.values())
+    assert [k for k, _ in GRAM_FORMS] == ["A00", "A01", "A02", "A11", "A12", "A22",
+                                        "B0", "B1", "B2", "C"]
 
 
 def test_documented_coefficient_order():
@@ -301,6 +333,6 @@ def test_documented_coefficient_order():
     rng = SplitMix64(seed)
     expected_a00 = [rng.below(P) for _ in range(4)]
     d = random_instance(P, seed)
-    a00 = d.A[0][0]
+    a00 = d.entries[0]
     got = [a00.terms.get(e, 0) for e in monomials_of_degree(4, 1)]
     assert got == expected_a00

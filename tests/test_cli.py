@@ -145,6 +145,30 @@ def test_single_check_census_section_only():
     assert report["census"]["pass"] is True
 
 
+def test_huge_retries_make_one_attempt_on_a_generic_seed():
+    # the attempts are drawn one at a time: a generic first instance ends the
+    # loop, whatever the retry allowance
+    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("census",),
+                                            retries=10**18))
+    assert code == 0
+    assert report["instance"]["attempts"] == 1
+
+
+def test_seed_flag_and_seeded_files_report_the_seed_mod_2_64(tmp_path):
+    runs = [["--seed", "-5"]]
+    for k, seed in enumerate(("-5", str(2**64 - 5))):
+        inst = tmp_path / f"seeded{k}.txt"
+        inst.write_text(f"prime: 32003\nseed: {seed}\n")
+        runs.append(["--instance", str(inst)])
+    seen = set()
+    for k, flags in enumerate(runs):
+        out = tmp_path / f"report{k}.json"
+        assert main(["smoothness", "--samples", "1", "--out", str(out)] + flags) == 0
+        instance = read_json(out)["instance"]
+        seen.add((instance["seed"], instance["fingerprint"]))
+    assert seen == {(str(2**64 - 5), "48677add16b82f44")}
+
+
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
     inst = tmp_path / "diagonal.txt"
     inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
@@ -333,7 +357,7 @@ def test_show_instance_round_trip(tmp_path, capsys):
     assert main(["show-instance", "--seed", "4"]) == 0
     text = capsys.readouterr().out
     d = bundle.parse_instance(text)
-    assert d.A == bundle.random_instance(P, 4).A
+    assert d.entries == bundle.random_instance(P, 4).entries
     out = tmp_path / "inst.txt"
     assert main(["show-instance", "--seed", "4", "--out", str(out)]) == 0
     assert out.read_text() == text

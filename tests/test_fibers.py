@@ -4,8 +4,9 @@ import json
 import pytest
 
 from sexticsolid import bundle
-from sexticsolid.bundle import (CubicData, DiscriminantSurface, diagonal_instance,
-                                discriminant, fiber_gram, random_instance)
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, DiscriminantSurface,
+                                diagonal_instance, discriminant, fiber_gram,
+                                random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
@@ -19,6 +20,12 @@ from sexticsolid.multipoly import MultiPoly
 P = 32003
 
 
+def instance_of(**forms):
+    """The instance over F_P with the given Gram entries, by key; every
+    other entry is zero."""
+    return CubicData(P, tuple(forms.get(key, MultiPoly.zero(4, P)) for key, _ in GRAM_FORMS))
+
+
 def plant_rank2_node(seed=1, p=P):
     """Modify a seeded instance so the Gram matrix at e0 = (1,0,0,0) is
     diag(1,1,0,0): then e0 is a rank-2 point, hence a node of the branch
@@ -27,14 +34,9 @@ def plant_rank2_node(seed=1, p=P):
     d = random_instance(p, seed)
     e0 = (1, 0, 0, 0)
     y0 = MultiPoly.variable(0, 4, p)
-    y0sq = y0 * y0
-    y0cu = y0sq * y0
-    target = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
-    A = tuple(tuple(d.A[i][j] + (target[i][j] - d.A[i][j].eval(e0)) * y0
-                    for j in range(3)) for i in range(3))
-    B = tuple(b - b.eval(e0) * y0sq for b in d.B)
-    C = d.C - d.C.eval(e0) * y0cu
-    return CubicData(p=p, A=A, B=B, C=C, seed=None)
+    target = {"A00": 1, "A11": 1}
+    return CubicData(p, tuple(f + (target.get(key, 0) - f.eval(e0)) * y0 ** degree
+                              for f, (key, degree) in zip(d.entries, GRAM_FORMS)))
 
 
 def test_sample_off_delta_properties(seed1):
@@ -170,10 +172,8 @@ def test_quadratic_restriction_detects_ruling_line():
 def test_line_quadric_pairing_on_split_quadric_survives_rulings():
     # diag(1,-1,1,-1) carries lines; random lines avoid them and the
     # pairing still computes 2
-    zero = MultiPoly.zero(4, P)
-    ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
-    A = ((ys[0], zero, zero), (zero, -ys[0], zero), (zero, zero, ys[0]))
-    d = CubicData(p=P, A=A, B=(zero, zero, zero), C=-(ys[0] ** 3), seed=None)
+    y0 = MultiPoly.variable(0, 4, P)
+    d = instance_of(A00=y0, A11=-y0, A22=y0, C=-(y0 ** 3))
     y = (1, 0, 0, 0)
     assert fiber_gram(d, y) == [[1, 0, 0, 0], [0, P - 1, 0, 0],
                                 [0, 0, 1, 0], [0, 0, 0, P - 1]]
@@ -184,20 +184,16 @@ def test_line_quadric_pairing_on_split_quadric_survives_rulings():
 def test_line_quadric_pairing_exhausts_on_zero_quadric():
     # A, B, C all vanish at y = (0,0,0,1): the "quadric" is the zero form,
     # every line lies inside it, and resampling must give up cleanly
-    zero = MultiPoly.zero(4, P)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
-    A = ((ys[0], zero, zero), (zero, ys[1], zero), (zero, zero, ys[2]))
-    d = CubicData(p=P, A=A, B=(zero, zero, zero), C=ys[0] ** 3, seed=None)
+    d = instance_of(A00=ys[0], A11=ys[1], A22=ys[2], C=ys[0] ** 3)
     with pytest.raises(SamplingExhausted):
         line_quadric_pairing(d, (0, 0, 0, 1), seed=1)
 
 
 def test_conic_line_pairing_exhausts_on_zero_conic():
     # A = 0: the exceptional conic is the zero form over every base point
-    zero = MultiPoly.zero(4, P)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
-    d = CubicData(p=P, A=((zero,) * 3,) * 3, B=(ys[0] ** 2, ys[1] ** 2, ys[2] ** 2),
-                  C=ys[3] ** 3, seed=None)
+    d = instance_of(B0=ys[0] ** 2, B1=ys[1] ** 2, B2=ys[2] ** 2, C=ys[3] ** 3)
     with pytest.raises(SamplingExhausted, match="exceptional conic"):
         conic_line_pairing(d, (1, 2, 3, 4), seed=1)
 

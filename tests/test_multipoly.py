@@ -346,6 +346,19 @@ def test_parse_poly_accepts_signs_and_rejects_junk():
         parse_poly("", 2, 7, names)
 
 
+def test_parse_poly_keeps_tokens_whole_and_terms_nonempty():
+    names = ("Y0", "Y1", "Y2", "Y3")
+    y0, y1 = (MultiPoly.variable(i, 4, P) for i in range(2))
+    for text, want in [("Y0 - Y1", y0 - y1), ("-Y0", -y0), ("Y0 + -Y1", y0 - y1),
+                       ("- 2*Y0+-Y1", y0.scale(-2) - y1), ("2 * 3*Y0 ^ 2", (y0 * y0).scale(6))]:
+        assert parse_poly(text, 4, P, names) == want
+    # a space inside a number or a name is not a product, and no term is empty
+    for text in ["2 3*Y0", "Y 0", "Y0 1", "+", "3+", "Y0++Y1", "+Y0", "--Y0", "Y0 - -Y1",
+                 "Y0*", "*Y0", "Y0^", "Y0^-1", "   "]:
+        with pytest.raises(ValueError):
+            parse_poly(text, 4, P, names)
+
+
 def test_format_example_shape():
     names = ("Y0", "Y1", "Y2", "Y3")
     f = parse_poly("3*Y0^2*Y3 + 31*Y1*Y2*Y3", 4, P, names)

@@ -189,7 +189,7 @@ def test_strata_check_refuses_a_mutated_gram_entry(seed1):
     # the Gram matrix of another instance, against this surface and census
     y0 = MultiPoly.variable(0, 4, P)
     d = seed1.d
-    mutated = replace(d, B=(d.B[0] + y0 * y0,) + d.B[1:])
+    mutated = replace(d, entries=d.entries[:6] + (d.entries[6] + y0 * y0,) + d.entries[7:])
     report = strata_check(mutated, seed1.surface, seed1.census)
     assert not report.passed
     assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
