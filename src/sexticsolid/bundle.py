@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import combinations_with_replacement, islice
 from operator import mul
 
-from .errors import ArityMismatch, DegenerateDiscriminant, ZeroPoint
+from .errors import ArityMismatch, DegenerateDiscriminant, SexticSolidError, ZeroPoint
 from .exactalg import (MASK64, SplitMix64, ensure_field_prime, fp_inv,
                        independent_pair, upoly_fp_roots)
 from .multipoly import (MultiPoly, format_poly, monomials_of_degree, mp_det,
@@ -298,13 +298,21 @@ def parse_instance(text: str) -> CubicData:
         key = key.strip()
         if key in entries:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
+        entries[key] = (lineno, value.strip())
     if "prime" not in entries:
         raise ValueError("instance file must declare a prime")
-    p = int(entries.pop("prime"))
-    ensure_field_prime(p)
+
+    def read(key, parse):
+        """parse(the value at key); an error names the key and its line."""
+        lineno, value = entries.pop(key)
+        try:
+            return parse(value)
+        except (ValueError, SexticSolidError) as exc:
+            raise type(exc)(f"line {lineno}: {key}: {exc}") from exc
+
+    p = read("prime", lambda value: ensure_field_prime(int(value)))
     if "seed" in entries:
-        seed = int(entries.pop("seed"))
+        seed = read("seed", int)
         if entries:
             raise ValueError("seeded instance file must not also list forms")
         return random_instance(p, seed)
@@ -315,7 +323,8 @@ def parse_instance(text: str) -> CubicData:
     extra = [k for k in entries if k not in keys]
     if extra:
         raise ValueError(f"unknown entries: {', '.join(extra)}")
-    return CubicData(p, tuple(parse_poly(entries[k], 4, p, BASE_NAMES) for k in keys))
+    return CubicData(p, tuple(read(k, lambda value: parse_poly(value, 4, p, BASE_NAMES))
+                              for k in keys))
 
 
 def load_instance(path) -> CubicData:

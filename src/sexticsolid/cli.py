@@ -79,6 +79,8 @@ class RunConfig:
                 raise UnknownCheck(f"unknown check {c!r}; known: {', '.join(CHECKS)}")
             if c in self.checks[:k]:
                 raise ConfigError(f"--checks names {c!r} twice")
+        if self.sigma_points and "fibers" not in self.checks:
+            raise ConfigError("--sigma-point needs the fibers check among --checks")
 
 
 def _stringify(value):
@@ -112,56 +114,43 @@ def _timed(timings: dict, key: str):
         timings[key] = timings.get(key, 0.0) + time.monotonic() - t0
 
 
+def _instance(path, prime: int, seed: int):
+    """The instance in the file at path, or else the one seeded at prime."""
+    if path is not None:
+        return bundle.load_instance(path)
+    return bundle.random_instance(prime, seed)
+
+
 def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
     """Build or load the instance; seeded instances are resampled (seed+k)
     up to cfg.retries times while the census verdict stays non-generic.
     The seconds spent building instances, discriminants and node censuses
     are added to timings["instance"], ["discriminant"] and ["census"]."""
     history = []
-    if cfg.instance_file is not None:
+    for attempt in range(1 if cfg.instance_file is not None else cfg.retries + 1):
         with _timed(timings, "instance"):
-            loaded = bundle.load_instance(cfg.instance_file)
-        attempts = [(0, loaded)]
-    else:
-        attempts = ((k, None) for k in range(cfg.retries + 1))
-    last = None
-    for attempt, preloaded in attempts:
-        with _timed(timings, "instance"):
-            d = preloaded if preloaded is not None else bundle.random_instance(
-                cfg.prime, cfg.seed + attempt)
-        entry = {"attempt": attempt, "seed": d.seed}
+            d = _instance(cfg.instance_file, cfg.prime, cfg.seed + attempt)
+        surface = census = None
+        entry = {"attempt": attempt, "seed": d.seed, "outcome": "accepted"}
+        history.append(entry)
         if not need_census:
-            entry["outcome"] = "accepted"
-            history.append(entry)
-            return attempt, d, None, None, history
+            break
         try:
             with _timed(timings, "discriminant"):
                 surface = bundle.discriminant(d)
         except DegenerateDiscriminant:
             entry["outcome"] = "degenerate_discriminant"
-            history.append(entry)
-            last = (attempt, d, None, None)
             continue
         with _timed(timings, "census"):
-            census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
-                                          cfg.budget)
+            try:
+                census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
+                                              cfg.budget)
+            except ResourceBudgetExceeded as exc:  # only the census computes bases
+                raise ResourceBudgetExceeded(f"census: {exc}") from exc
         entry["outcome"] = census.verdict
-        history.append(entry)
-        last = (attempt, d, surface, census)
         if census.verdict == singular.VERDICT_GENERIC:
             break
-    attempt, d, surface, census = last
     return attempt, d, surface, census, history
-
-
-@contextmanager
-def _stage(name: str):
-    """Prefix a budget overrun inside the block with the stage it hit (only
-    the census computes Groebner bases)."""
-    try:
-        yield
-    except ResourceBudgetExceeded as exc:
-        raise ResourceBudgetExceeded(f"{name}: {exc}") from exc
 
 
 def _census_section(census) -> dict:
@@ -180,7 +169,7 @@ def _blocked_section(reason: str) -> dict:
     return {"status": "blocked", "reason": reason, "pass": False}
 
 
-def _strata_section(d, surface, census, cfg: RunConfig) -> dict:
+def _strata_section(d, surface, census) -> dict:
     report = singular.strata_check(d, surface, census)
     return {
         "rank2_equals_sigma": report.rank2_equals_sigma,
@@ -288,8 +277,7 @@ def run_verify_all(cfg: RunConfig):
     t_start = time.monotonic()
     timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
     need_census = bool(set(cfg.checks) & ({"census"} | _GATED))
-    with _stage("census"):
-        attempt, d, surface, census, history = _acquire_instance(cfg, need_census, timings)
+    attempt, d, surface, census, history = _acquire_instance(cfg, need_census, timings)
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -327,7 +315,7 @@ def run_verify_all(cfg: RunConfig):
                 if not generic:
                     section = _blocked_section("node census verdict is not generic_31_nodes")
                 elif check == "strata":
-                    section = _strata_section(d, surface, census, cfg)
+                    section = _strata_section(d, surface, census)
                 elif check == "double_solid":
                     section = _census_section(singular.double_solid_census(surface, census))
                 elif check == "fibers":
@@ -351,48 +339,26 @@ def run_verify_all(cfg: RunConfig):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, with_checks=False, with_sigma=False):
-    sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--instance", default=None, metavar="PATH",
-                    help="explicit instance file (overrides --seed)")
-    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    sp.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    sp.add_argument("--out", default=None, metavar="PATH",
-                    help="write the JSON report here instead of stdout")
-    sp.add_argument("--timings", action="store_true",
-                    help="include wall-clock timings (non-deterministic section)")
-    if with_checks:
-        sp.add_argument("--checks", default=",".join(CHECKS),
-                        help="comma-separated subset of: " + ", ".join(CHECKS))
-    if with_sigma:
-        sp.add_argument("--sigma-point", action="append", default=[],
-                        metavar="A,B,C,D",
-                        help="explicit singular point for rank-2 fiber checks "
-                             "(repeatable)")
+def _parse_sigma(raw: str) -> tuple:
+    try:
+        point = tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        point = ()
+    if len(point) != 4:
+        raise ConfigError(f"--sigma-point wants 4 comma-separated integers, got {raw!r}")
+    return point
 
 
-def _parse_sigma(values):
-    pts = []
-    for raw in values:
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"--sigma-point wants 4 comma-separated integers, got {raw!r}")
-        pts.append(tuple(int(x) for x in parts))
-    return tuple(pts)
-
-
-def _config_from(args, checks) -> RunConfig:
+def _config_from(args) -> RunConfig:
     return RunConfig(
         prime=args.prime,
         seed=args.seed & MASK64,
         instance_file=args.instance,
-        checks=checks,
+        checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
         n_samples=args.samples,
         retries=args.retries,
         budget=args.budget,
-        sigma_points=_parse_sigma(getattr(args, "sigma_point", [])),
+        sigma_points=tuple(_parse_sigma(raw) for raw in args.sigma_point),
         timings=args.timings,
     )
 
@@ -403,22 +369,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of the quadric-bundle double-solid "
                     "construction over a prime field.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("verify", help="run the full pipeline")
-    _add_common(sp, with_checks=True, with_sigma=True)
-    for name, check in (("census", "census"), ("strata", "strata"),
-                        ("double-solid", "double_solid"), ("fibers", "fibers"),
-                        ("pairings", "pairings"), ("smoothness", "smoothness")):
-        sp = subs.add_parser(name, help=f"run only the {check} stage")
-        _add_common(sp, with_sigma=(check == "fibers"))
-        sp.set_defaults(single_check=check)
-
-    sp = subs.add_parser("show-instance",
-                         help="print the instance's explicit canonical form")
-    sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--instance", default=None, metavar="PATH")
-    sp.add_argument("--out", default=None, metavar="PATH")
+    verify = subs.add_parser("verify", help="run the requested checks (default: all)")
+    show = subs.add_parser("show-instance",
+                           help="print the instance's explicit canonical form")
+    for sp in (verify, show):
+        sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument("--instance", default=None, metavar="PATH",
+                        help="explicit instance file (overrides --seed)")
+        sp.add_argument("--out", default=None, metavar="PATH",
+                        help="write the output here instead of stdout")
+    verify.add_argument("--checks", default=",".join(CHECKS),
+                        help="comma-separated subset of: " + ", ".join(CHECKS))
+    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    verify.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
+    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    verify.add_argument("--sigma-point", action="append", default=[], metavar="A,B,C,D",
+                        help="explicit singular point for rank-2 fiber checks "
+                             "(repeatable; needs the fibers check)")
+    verify.add_argument("--timings", action="store_true",
+                        help="include wall-clock timings (non-deterministic section)")
     return parser
 
 
@@ -434,17 +404,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "show-instance":
-            if args.instance is not None:
-                d = bundle.load_instance(args.instance)
-            else:
-                d = bundle.random_instance(args.prime, args.seed)
+            d = _instance(args.instance, args.prime, args.seed)
             _emit(bundle.explicit_instance_text(d), args.out)
             return 0
-        if args.command == "verify":
-            checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        else:
-            checks = (args.single_check,)
-        report, code = run_verify_all(_config_from(args, checks))
+        report, code = run_verify_all(_config_from(args))
         _emit(render_report(report), args.out)
         return code
     except CensusNotGeneric as exc:  # defensive: gating should prevent this

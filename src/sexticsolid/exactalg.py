@@ -104,14 +104,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def ensure_field_prime(p: int) -> None:
+def ensure_field_prime(p: int) -> int:
     """The toolkit requires an odd prime p > 6 (so that 6 = deg(det) is a unit),
-    below the bound where the primality test is proven exact."""
+    below the bound where the primality test is proven exact; returns p."""
     if p >= PRIME_TEST_BOUND:
         raise BadPrime(f"field characteristic must be below {PRIME_TEST_BOUND}, where "
                        f"the primality test is proven exact, got {p}")
     if p <= 6 or not is_prime(p):
         raise BadPrime(f"field characteristic must be a prime > 6, got {p}")
+    return p
 
 
 def fp_inv(a: int, p: int) -> int:

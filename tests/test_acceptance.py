@@ -173,7 +173,8 @@ def test_c8_determinism(tmp_path):
     fps = []
     for seed in ("1", "2"):
         out = tmp_path / f"fp{seed}.json"
-        main(["smoothness", "--seed", seed, "--samples", "2", "--out", str(out)])
+        main(["verify", "--checks", "smoothness", "--seed", seed, "--samples", "2",
+              "--out", str(out)])
         with open(out, "r", encoding="utf-8") as fh:
             fps.append(json.load(fh)["instance"]["fingerprint"])
     ok = identical and fps[0] != fps[1]

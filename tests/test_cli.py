@@ -8,7 +8,7 @@ import pytest
 from sexticsolid import bundle, fibers, groebner, multipoly, singular
 from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
                              main, render_report, run_verify_all)
-from sexticsolid.errors import BadPrime, ConfigError, UnknownCheck
+from sexticsolid.errors import BadPrime, ConfigError, DegenerateDiscriminant, UnknownCheck
 
 P = 32003
 
@@ -61,10 +61,10 @@ def test_file_instance_report_names_the_file_prime(tmp_path, capsys):
     # the report echoes the field the instance lives over, not --prime
     inst = tmp_path / "p7.txt"
     inst.write_text("prime: 7\nseed: 2\n")
-    assert main(["census", "--instance", str(inst), "--prime", "11"]) == 0
+    assert main(["verify", "--checks", "census", "--instance", str(inst), "--prime", "11"]) == 0
     from_file = json.loads(capsys.readouterr().out)
     assert from_file["config"]["prime"] == "7"
-    assert main(["census", "--prime", "7", "--seed", "2"]) == 0
+    assert main(["verify", "--checks", "census", "--prime", "7", "--seed", "2"]) == 0
     seeded = json.loads(capsys.readouterr().out)
     assert from_file["instance"]["fingerprint"] == seeded["instance"]["fingerprint"]
 
@@ -73,15 +73,15 @@ def test_an_instance_file_ignores_the_prime_flag(tmp_path, capsys):
     # the file supplies the field, so --prime is neither used nor checked
     inst = tmp_path / "p7.txt"
     inst.write_text("prime: 7\nseed: 2\n")
-    assert main(["census", "--instance", str(inst)]) == 0
+    assert main(["verify", "--checks", "census", "--instance", str(inst)]) == 0
     reference = capsys.readouterr().out
-    assert main(["census", "--instance", str(inst), "--prime", "10"]) == 0
+    assert main(["verify", "--checks", "census", "--instance", str(inst), "--prime", "10"]) == 0
     assert capsys.readouterr().out == reference
     assert main(["show-instance", "--instance", str(inst), "--prime", "10"]) == 0
     capsys.readouterr()
     assert RunConfig(prime=10, instance_file=str(inst)).prime == 10
     # on the seeded path the flag picks the field and is still checked
-    assert main(["census", "--prime", "10", "--seed", "2"]) == 2
+    assert main(["verify", "--checks", "census", "--prime", "10", "--seed", "2"]) == 2
     assert capsys.readouterr().err == "error: field characteristic must be a prime > 6, got 10\n"
     with pytest.raises(BadPrime):
         RunConfig(prime=10)
@@ -127,12 +127,72 @@ def test_verify_report_matches_its_golden_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("check, digest", [
+    ("census", "7d3d8003e4fed681"),
+    ("strata", "c4d5fb1c285bf221"),
+    ("double_solid", "e3bbd723d785cebf"),
+    ("fibers", "bb7a0ddd3fa96cb9"),
+    ("pairings", "879db824a421d41d"),
+    ("smoothness", "966ec2ccd02848d9"),
+])
+def test_one_check_report_matches_its_golden_digest(check, digest, capsys):
+    # the reports the one-stage subcommands printed, now reached through --checks
+    assert main(["verify", "--checks", check, "--seed", "3", "--samples", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("command", ["census", "strata", "double-solid", "fibers",
+                                     "pairings", "smoothness"])
+def test_verify_and_show_instance_are_the_only_commands(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_sigma_point_without_the_fibers_check_exits_2(capsys):
+    # nothing would check the point, so the run must not read "pass"
+    with pytest.raises(ConfigError):
+        RunConfig(sigma_points=((1, 0, 0, 0),), checks=("census",))
+    assert main(["verify", "--checks", "census", "--seed", "1",
+                 "--sigma-point", "1,0,0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --sigma-point needs the fibers check among --checks\n"
+
+
+@pytest.mark.parametrize("raw", ["a,b,c,d", "1,0,0", "1,0,0,0,0", "1.5,0,0,0"])
+def test_a_malformed_sigma_point_names_the_flag(raw, capsys):
+    assert main(["verify", "--checks", "fibers", "--sigma-point", raw]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --sigma-point wants 4 comma-separated integers, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (("\nA01: 0\n", "\nA01: 2 3*Y0\n"), "line 3: A01: malformed polynomial '2 3*Y0'"),
+    (("\nC: ", "\nC: Z0 + "), "line 11: C: unknown variable 'Z0'"),
+    (("prime: 32003", "prime: 10"), "line 1: prime: field characteristic must be a prime > 6, "
+                                    "got 10"),
+    (("\nA00: ", "\nseed: 1 2\nA00: "), "line 2: seed: invalid literal for int() with base 10: "
+                                         "'1 2'"),
+], ids=["form", "variable", "prime", "seed"])
+def test_a_bad_instance_value_names_its_line_and_key(edit, message, tmp_path, capsys):
+    inst = tmp_path / "bad.txt"
+    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)).replace(*edit))
+    for command in (["verify", "--checks", "census"], ["show-instance"]):
+        assert main(command + ["--instance", str(inst)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+
 def test_seed_changes_fingerprint(tmp_path):
     # smoothness alone skips the census, so this stays fast
     outs = []
     for seed in ("1", "2"):
         out = tmp_path / f"s{seed}.json"
-        assert main(["smoothness", "--seed", seed, "--samples", "5",
+        assert main(["verify", "--checks", "smoothness", "--seed", seed, "--samples", "5",
                      "--out", str(out)]) == 0
         outs.append(read_json(out))
     assert outs[0]["instance"]["fingerprint"] != outs[1]["instance"]["fingerprint"]
@@ -163,10 +223,65 @@ def test_seed_flag_and_seeded_files_report_the_seed_mod_2_64(tmp_path):
     seen = set()
     for k, flags in enumerate(runs):
         out = tmp_path / f"report{k}.json"
-        assert main(["smoothness", "--samples", "1", "--out", str(out)] + flags) == 0
+        assert main(["verify", "--checks", "smoothness", "--samples", "1",
+                     "--out", str(out)] + flags) == 0
         instance = read_json(out)["instance"]
         seen.add((instance["seed"], instance["fingerprint"]))
     assert seen == {(str(2**64 - 5), "48677add16b82f44")}
+
+
+def _scripted_attempts(monkeypatch, seed1, vanishing):
+    """Make the discriminant vanish on the attempts in ``vanishing`` and the
+    census of attempt 1 read degenerate; every other census is seed 1's."""
+    seeds = []
+
+    def discriminant(d):
+        seeds.append(d.seed)
+        if len(seeds) - 1 in vanishing:
+            raise DegenerateDiscriminant("discriminant vanishes identically")
+        return seed1.surface
+
+    def node_census(*args):
+        if len(seeds) == 2:
+            return replace(seed1.census, verdict=singular.VERDICT_DEGENERATE, degree=30)
+        return seed1.census
+
+    monkeypatch.setattr(bundle, "discriminant", discriminant)
+    monkeypatch.setattr(singular, "node_census", node_census)
+    return seeds
+
+
+def test_resampling_walks_the_seeds_to_a_generic_census(seed1, monkeypatch):
+    seeds = _scripted_attempts(monkeypatch, seed1, {0})
+    report, code = run_verify_all(RunConfig(seed=5, checks=("census",)))
+    assert code == 0
+    assert seeds == [5, 6, 7]
+    instance = report["instance"]
+    assert instance["attempts"] == 3 and instance["seed"] == 7
+    assert [(e["attempt"], e["seed"], e["outcome"]) for e in instance["resample_history"]] == [
+        (0, 5, "degenerate_discriminant"), (1, 6, "degenerate"), (2, 7, "generic_31_nodes")]
+    assert report["census"]["verdict"] == "generic_31_nodes"
+
+
+def test_resampling_reports_the_last_attempt_when_the_retries_run_out(seed1, monkeypatch):
+    _scripted_attempts(monkeypatch, seed1, {0})
+    report, code = run_verify_all(RunConfig(seed=5, retries=1, checks=("census",)))
+    assert code == 1
+    assert report["instance"]["attempts"] == 2 and report["instance"]["seed"] == 6
+    assert report["census"]["verdict"] == "degenerate"
+    assert report["census"]["degree"] == 30
+    assert report["verdict"] == "fail"
+
+
+def test_a_vanishing_last_discriminant_blocks_the_census(seed1, monkeypatch):
+    _scripted_attempts(monkeypatch, seed1, {0, 1})
+    report, code = run_verify_all(RunConfig(seed=5, retries=1, checks=("census", "strata")))
+    assert code == 1
+    assert [e["outcome"] for e in report["instance"]["resample_history"]] == [
+        "degenerate_discriminant", "degenerate_discriminant"]
+    assert report["census"] == {"status": "blocked", "pass": False,
+                                "reason": "discriminant vanishes identically"}
+    assert report["strata"]["reason"] == "node census verdict is not generic_31_nodes"
 
 
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
@@ -200,7 +315,8 @@ def test_smoothness_of_the_zero_cubic_fails(tmp_path, capsys):
     inst.write_text("prime: 32003\n" + "".join(
         f"{key}: 0\n" for key in ("A00", "A01", "A02", "A11", "A12", "A22",
                                   "B0", "B1", "B2", "C")))
-    assert main(["smoothness", "--instance", str(inst), "--samples", "5"]) == 1
+    assert main(["verify", "--checks", "smoothness", "--instance", str(inst),
+                 "--samples", "5"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["smoothness"]["points_checked"] == "0"
     assert report["smoothness"]["pass"] is False
