@@ -48,6 +48,13 @@ _SQUARE_STARTS = (0, 4, 7, 9)
 _GRAM_SLOT_TERMS = sum(1 for e in _CUBIC_MONOMIALS if sum(e) == 3)
 
 
+def _check_form_degree(f: MultiPoly, key: str, degree: int) -> MultiPoly:
+    """f, if it is zero or homogeneous of the degree of the entry key."""
+    if not (f.is_zero() or f.homogeneous_degree() == degree):
+        raise ArityMismatch(f"{key} is not homogeneous of degree {degree}")
+    return f
+
+
 @dataclass(frozen=True)
 class CubicData:
     """One instance: its ten distinct Gram entries, forms in F_p[Y0..Y3] in
@@ -68,8 +75,7 @@ class CubicData:
         for f, (key, degree) in zip(self.entries, GRAM_FORMS):
             if f.nvars != 4 or f.p != self.p:
                 raise ArityMismatch(f"{key} must live in F_p[Y0..Y3]")
-            if not (f.is_zero() or f.homogeneous_degree() == degree):
-                raise ArityMismatch(f"{key} is not homogeneous of degree {degree}")
+            _check_form_degree(f, key, degree)
 
     @cached_property
     def _ambient(self) -> tuple:
@@ -323,8 +329,9 @@ def parse_instance(text: str) -> CubicData:
     extra = [k for k in entries if k not in keys]
     if extra:
         raise ValueError(f"unknown entries: {', '.join(extra)}")
-    return CubicData(p, tuple(read(k, lambda value: parse_poly(value, 4, p, BASE_NAMES))
-                              for k in keys))
+    return CubicData(p, tuple(
+        read(k, lambda value: _check_form_degree(parse_poly(value, 4, p, BASE_NAMES), k, degree))
+        for k, degree in GRAM_FORMS))
 
 
 def load_instance(path) -> CubicData:

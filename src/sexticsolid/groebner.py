@@ -5,7 +5,8 @@ ring; zero generators are ignored), and every question about it is asked of
 its reduced basis, a ``GBasis``.
 
 The completion uses the Gebauer-Moeller pair update (product + chain
-criteria), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
+criteria; Gebauer & Moeller, "On an installation of Buchberger's
+algorithm", J. Symbolic Comput. 6, 1988), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
 "One sugar cube, please", ISSAC 1991), full tail reduction through a lazy
 heap, and a final inter-reduction, so the returned basis is the unique
 reduced grevlex Groebner basis of the ideal.  Sugar processes pairs in
@@ -14,6 +15,18 @@ inputs such as dehomogenized charts do not build the high-degree
 intermediates that selection by smallest lcm runs into.  A reduction-step
 budget turns pathological inputs into clean ``ResourceBudgetExceeded``
 errors instead of runaway computations.
+
+A completion may first replay a recorded trace (Traverso, "Groebner trace
+algorithms", ISSAC 1988): the S-pairs that reduced to nonzero in a plain
+completion of an input of the same shape, with the lead each gave.  They
+are reduced in order, with no pair selection and none of the pairs that
+reduce to zero, until one names a missing element, reduces to zero or
+leads elsewhere.  What they found is inter-reduced and handed, followed by
+the generators, to the unchanged completion, which is then the
+certificate: by Buchberger's criterion the result is a Groebner basis once
+the generators and the pairs the Gebauer-Moeller criteria keep reduce to
+zero, and every replayed element lies in the ideal.  A stale trace costs
+time, never correctness.
 
 The order is grevlex, the one order of ``multipoly``, so no function here
 takes an order.  The engine works on the packed monomials that key every
@@ -247,7 +260,79 @@ def _update_pairs(leads, pairs, m):
     return kept
 
 
-def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
+def _s_polynomial(a, b, lcm, p):
+    """The S-polynomial of the monic packed elements a and b, whose leads
+    divide the packed monomial lcm, as (monomial, coeff) items."""
+    qa = lcm - a[0][0]
+    qb = lcm - b[0][0]
+    spairs = [(e + qa, c) for e, c in a]
+    spairs += [(e + qb, p - c) for e, c in b]
+    return spairs
+
+
+def _interreduce(elements, packing, p, budget):
+    """Minimalize, then inter-reduce: the elements whose lead no other lead
+    divides, each fully reduced against the others, monic and sorted by
+    increasing lead.  The reduced basis when the elements form a Groebner
+    basis."""
+    guard = packing.guard
+    polys: list = []
+    for items in sorted(elements, key=lambda items: items[0][0]):
+        lead = items[0][0] | guard
+        if not any((lead - kept[0][0]) & guard == guard for kept in polys):
+            polys.append(items)
+    for t in range(len(polys)):
+        other = _Reducer(packing, p, budget)
+        for s, items in enumerate(polys):
+            if s != t:
+                other.add(items)
+        # no other lead divides this lead, so it survives and the order holds
+        polys[t] = _monic_items(list(other.reduce_terms(polys[t]).items()), p)
+    return polys
+
+
+def _replay(gens, schedule, packing, p, budget):
+    """The elements a recorded trace finds: the nonzero normal forms of the
+    generators, then of each scheduled S-pair in turn, each reduced against all
+    the elements before it (monic packed items, in order).
+
+    A schedule entry (i, j, lead) names the elements i < j and the lead
+    exponent its normal form had when recorded.  The replay stops at the
+    first entry that names a missing element, whose lcm would overflow the
+    packing, that reduces to zero, or whose lead differs from the recorded
+    one: past a divergence the recorded pairs would only build elements off
+    the shape of the basis."""
+    reducer = _Reducer(packing, p, budget)
+    found: list = []
+    leads: list = []
+
+    def normal_form_items(terms):
+        nf = reducer.reduce_terms(terms)
+        return _monic_items(list(nf.items()), p) if nf else None
+
+    def keep(items):
+        reducer.add(items)
+        found.append(items)
+        leads.append(packing.unpack(items[0][0]))
+
+    for g in gens:
+        items = normal_form_items(g.packed.items())
+        if items:
+            keep(items)
+    for i, j, lead in schedule:
+        if not 0 <= i < j < len(found):
+            break
+        lcm = _lcm(leads[i], leads[j])
+        if sum(lcm) > MAX_PACKED_DEGREE:
+            break
+        items = normal_form_items(_s_polynomial(found[i], found[j], packing.pack(lcm), p))
+        if items is None or packing.unpack(items[0][0]) != lead:
+            break
+        keep(items)
+    return found
+
+
+def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) -> GBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are processed by smallest sugar, then smallest grevlex lcm.
@@ -256,6 +341,19 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
     and an element appended from it inherits that sugar.
     ``selection_seed`` makes the pair-processing order random (a test hook:
     the reduced result is independent of it).
+
+    ``schedule`` is a recorded trace (Traverso, "Groebner trace algorithms",
+    ISSAC 1988): the (i, j, lead) of each S-pair whose normal form was
+    nonzero in a plain completion of an input of the same shape, in the
+    order reduced.  The scheduled pairs are reduced first, with no pair
+    criteria and no selection, up to the first that diverges (see
+    ``_replay``); what they found is inter-reduced and fed, followed by
+    ``gens``, to the completion below, unchanged.  Every replayed element
+    lies in the ideal, so that completion is the certificate: the
+    generators must reduce to zero against the replayed basis and so must
+    the pairs that the Gebauer-Moeller criteria keep (Buchberger's
+    criterion).  A short or stale schedule costs time, never correctness.
+    The budget covers the replay and the completion together.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -270,6 +368,11 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
     one = MultiPoly.constant(1, nvars, p)
     bud = _Budget(budget) if budget is not None else None
     rng = SplitMix64(selection_seed) if selection_seed is not None else None
+
+    inputs = [(g.packed.items(), g.total_degree()) for g in gens]
+    if schedule:
+        found = _interreduce(_replay(gens, schedule, packing, p, bud), packing, p, bud)
+        inputs[:0] = [(items, items[0][0] >> deg_shift) for items in found]
 
     reducer = _Reducer(packing, p, bud)
     leads: list = []         # lead exponent tuples, for the pair criteria
@@ -295,14 +398,14 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
         return kept, {ij: pairs[ij] if ij in pairs else selection_key(ij, L)
                       for ij, L in kept.items()}
 
-    for g in gens:
-        nf = reducer.reduce_terms(g.packed.items())
+    for terms, sugar in inputs:
+        nf = reducer.reduce_terms(terms)
         if not nf:
             continue
         items = _monic_items(list(nf.items()), p)
         if items[0][0] == 0:
             return GBasis((one,))
-        append(items, g.total_degree())
+        append(items, sugar)
         lcms, pairs = update_pairs()
 
     while pairs:
@@ -313,11 +416,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
             pair = min(pairs.values())[2:]
         sugar, neg_lcm, i, j = pairs.pop(pair)
         del lcms[pair]
-        qi = -neg_lcm - basis_items[i][0][0]
-        qj = -neg_lcm - basis_items[j][0][0]
-        spairs = [(e + qi, c) for e, c in basis_items[i]]
-        spairs += [(e + qj, p - c) for e, c in basis_items[j]]
-        nf = reducer.reduce_terms(spairs)
+        nf = reducer.reduce_terms(_s_polynomial(basis_items[i], basis_items[j], -neg_lcm, p))
         if not nf:
             continue
         items = _monic_items(list(nf.items()), p)
@@ -326,22 +425,8 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None) -> GBasis:
         append(items, sugar)
         lcms, pairs = update_pairs()
 
-    # minimalize: keep only elements whose lead divides no other kept lead
-    kept: list = []
-    for k in sorted(range(len(leads)), key=lambda k: basis_items[k][0][0]):
-        if not any(_divides(leads[kk], leads[k]) for kk in kept):
-            kept.append(k)
-    polys = [basis_items[k] for k in kept]
-    # inter-reduce: fully reduce every element against the other survivors
-    for t in range(len(polys)):
-        other = _Reducer(packing, p, bud)
-        for s, items in enumerate(polys):
-            if s != t:
-                other.add(items)
-        polys[t] = _monic_items(list(other.reduce_terms(polys[t]).items()), p)
-    polys.sort(key=lambda items: items[0][0])
     return GBasis(tuple(MultiPoly._make(nvars, p, dict(items), items[0][0])
-                        for items in polys))
+                        for items in _interreduce(basis_items, packing, p, bud)))
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:

@@ -10,7 +10,8 @@ reducer, a heap reducer that scans every reducer for every term instead of
 the memoised one, Macaulay matrices instead of staircase counting,
 evaluation and Lagrange interpolation instead of Kronecker substitution,
 exponent tuples instead of packed exponents, term-by-term expansion
-instead of Horner's scheme).
+instead of Horner's scheme).  ``record_schedule`` is no oracle but a
+recorder: it reads the trace of a Groebner completion back from the engine.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from operator import add, mul
 
+from sexticsolid import groebner
 from sexticsolid.exactalg import UPOLY_ONE, fp_inv, upoly, upoly_mul, upoly_scale
 from sexticsolid.multipoly import MultiPoly
 
@@ -530,6 +532,57 @@ class HeapReducer:
                 elif prev:
                     del work[em]
         return out
+
+
+def record_schedule(gens, **kwargs) -> tuple:
+    """The trace of the first reducer ``buchberger(gens, **kwargs)`` makes:
+    the (i, j, lead) of each S-pair that it reduced to a nonzero normal
+    form, in order, where i < j index its elements in the order they were
+    added and lead is the normal form's lead exponent.
+
+    With no schedule that reducer is the plain completion's, and the trace
+    is the schedule that replays it: how ``singular.CENSUS_SCHEDULE`` was
+    recorded.  With a schedule it is the replay's, and the trace equals the
+    schedule iff the replay ran to its last pair.  Each pair is read back
+    from its S-polynomial, a shifted element i followed by a negated shifted
+    element j, by matching both halves against the elements' terms relative
+    to their leads."""
+    gens = [g for g in gens if not g.is_zero()]
+    unpack = groebner._packing(gens[0].nvars).unpack
+    p = gens[0].p
+    made = []
+
+    def relative(items, lcm, sign):
+        return tuple((e - lcm, c if sign > 0 else p - c) for e, c in items)
+
+    class Recording(groebner._Reducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.index, self.calls, self.trace = {}, 0, []
+            made.append(self)
+
+        def add(self, items):
+            super().add(items)
+            self.index[relative(items, items[0][0], 1)] = len(self.index)
+
+        def reduce_terms(self, terms):
+            out = super().reduce_terms(terms)
+            self.calls += 1
+            if out and self is made[0] and self.calls > len(gens):
+                lcm = terms[0][0]
+                k = next(k for k in range(1, len(terms)) if terms[k][0] == lcm)
+                i = self.index[relative(terms[:k], lcm, 1)]
+                j = self.index[relative(terms[k:], lcm, -1)]
+                self.trace.append((i, j, unpack(next(iter(out)))))
+            return out
+
+    saved = groebner._Reducer
+    groebner._Reducer = Recording
+    try:
+        groebner.buchberger(gens, **kwargs)
+    finally:
+        groebner._Reducer = saved
+    return tuple(made[0].trace)
 
 
 def _monomials_of_degree(nvars, D):

@@ -177,7 +177,8 @@ def test_a_malformed_sigma_point_names_the_flag(raw, capsys):
                                     "got 10"),
     (("\nA00: ", "\nseed: 1 2\nA00: "), "line 2: seed: invalid literal for int() with base 10: "
                                          "'1 2'"),
-], ids=["form", "variable", "prime", "seed"])
+    (("\nB1: 0\n", "\nB1: Y0\n"), "line 9: B1: B1 is not homogeneous of degree 2"),
+], ids=["form", "variable", "prime", "seed", "degree"])
 def test_a_bad_instance_value_names_its_line_and_key(edit, message, tmp_path, capsys):
     inst = tmp_path / "bad.txt"
     inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)).replace(*edit))

@@ -1,7 +1,7 @@
 import pytest
 
 from sexticsolid.bundle import gram_matrix, random_instance
-from sexticsolid.cli import stage_seed
+from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
 from sexticsolid.exactalg import SplitMix64, charpoly, fp_inv, upoly, upoly_is_squarefree
@@ -12,7 +12,8 @@ from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
 from sexticsolid.multipoly import MultiPoly, grevlex_key, mp_det
-from sexticsolid.singular import _chart_rng, rank_stratum_ideal
+from sexticsolid import singular
+from sexticsolid.singular import CENSUS_SCHEDULE, _chart_rng, rank_stratum_ideal
 
 import oracles
 
@@ -136,6 +137,10 @@ def test_degree_beyond_the_packed_field_raises():
     h = MAX_PACKED_DEGREE // 2 + 1
     with pytest.raises(DegreeOverflow):
         buchberger([x ** h * y - 1, x * y ** h - 1])
+    # the product criterion drops the pair of x^h and y^h, whose lcm does
+    # not fit either; a schedule naming it stops the replay, no more
+    pure = [x ** h, y ** h]
+    assert buchberger(pure, schedule=((0, 1, (0, 0)),)) == buchberger(pure)
 
 
 def test_buchberger_trivial_examples():
@@ -163,11 +168,16 @@ def test_buchberger_is_reduced_and_monic():
 
 
 def test_buchberger_unique_under_selection_shuffles():
-    # the mixed-degree ideals are where sugar order and lcm order disagree
+    # the mixed-degree ideals are where sugar order and lcm order disagree;
+    # each ideal's own recorded trace, replayed first, changes nothing either
     for k, gens in enumerate(small_ideals(52, 5) + mixed_degree_ideals(63, 8)):
         reference = buchberger(gens)
+        schedule = oracles.record_schedule(gens)
+        assert buchberger(gens, schedule=schedule) == reference
         for shuffle_seed in range(5):
             assert buchberger(gens, selection_seed=1000 * k + shuffle_seed) == reference
+            assert buchberger(gens, selection_seed=1000 * k + shuffle_seed,
+                              schedule=schedule) == reference
 
 
 def test_census_basis_within_sugar_step_count(seed1):
@@ -178,20 +188,93 @@ def test_census_basis_within_sugar_step_count(seed1):
     assert quotient_dim(gb) == 31
 
 
-def census_affine_ideal(seed1):
-    T, _ = _chart_rng(P, stage_seed(1, 0, "census"))
-    moved = seed1.surface.delta.linear_change(T)
+def census_ideal(surface, seed):
+    """The affine Jacobian ideal that the census of verify --seed seed
+    (first attempt) hands to buchberger."""
+    T, _ = _chart_rng(surface.delta.p, stage_seed(seed, 0, "census"))
+    moved = surface.delta.linear_change(T)
     return [f for f in (moved.partial(i).specialize(0, 1) for i in range(4))
             if not f.is_zero()]
 
 
+def census_affine_ideal(seed1):
+    return census_ideal(seed1.surface, 1)
+
+
 def test_census_basis_step_count_is_pinned(seed1):
     # 7 027 steps exactly: the memoised reducer picks the same reducer for
-    # every term as a scan of the whole list would
+    # every term as a scan of the whole list would.  The plain completion
+    # pins the engine; the next test pins the replay
     affine = census_affine_ideal(seed1)
     assert quotient_dim(buchberger(affine, budget=7027)) == 31
     with pytest.raises(ResourceBudgetExceeded):
         buchberger(affine, budget=7026)
+
+
+def test_scheduled_census_basis_step_count_is_pinned(seed1):
+    # 3 646 steps exactly, replay and certifying completion together: the 73
+    # nonzero reductions, the generators and the 21 Gebauer-Moeller pairs of
+    # the 13-element basis.  The 110 pairs that reduce to zero in the plain
+    # completion (3 964 of its 7 027 steps) are never formed
+    affine = census_affine_ideal(seed1)
+    gb = buchberger(affine, budget=3646, schedule=CENSUS_SCHEDULE)
+    assert gb == buchberger(affine) and len(gb.basis) == 13
+    with pytest.raises(ResourceBudgetExceeded):
+        buchberger(affine, budget=3645, schedule=CENSUS_SCHEDULE)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_census_schedule_is_the_plain_trace(seed, census_suite):
+    # the committed schedule is what the plain completion reduces to
+    # nonzero, pair for pair and lead for lead, and the replay runs to its
+    # last pair; a change to the sugar order or the pair criteria fails
+    # here until CENSUS_SCHEDULE is recorded again
+    affine = census_ideal(census_suite[seed - 1].surface, seed)
+    assert oracles.record_schedule(affine) == CENSUS_SCHEDULE
+    assert oracles.record_schedule(affine, schedule=CENSUS_SCHEDULE) == CENSUS_SCHEDULE
+
+
+def test_schedule_never_changes_the_census_basis_at_ten_seeds(census_suite):
+    for entry in census_suite:
+        affine = census_ideal(entry.surface, entry.seed)
+        assert buchberger(affine, schedule=CENSUS_SCHEDULE) == buchberger(affine)
+
+
+@pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])
+def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch, capsys):
+    # the census ideals of the small-prime verify sweep, where unlucky
+    # charts and coincident leads make most replays stop early
+    calls = []
+
+    def recording(gens, budget, schedule):
+        calls.append((gens, budget, schedule))
+        return buchberger(gens, budget, schedule=schedule)
+
+    monkeypatch.setattr(singular, "buchberger", recording)
+    main(["verify", "--prime", str(prime), "--seed", "1", "--checks", "census"])
+    capsys.readouterr()
+    assert calls
+    for gens, budget, schedule in calls:
+        assert schedule is CENSUS_SCHEDULE
+        assert buchberger(gens, budget, schedule=schedule) == buchberger(gens, budget)
+
+
+def test_a_stale_schedule_costs_time_not_correctness(seed1):
+    # every way a replay can stop early: it runs out (truncated), names a
+    # missing element (reversed, out of range), reduces to zero (a repeated
+    # pair) or leads elsewhere (a wrong recorded lead); and the completion
+    # after a replay may select its pairs in any order
+    affine = census_affine_ideal(seed1)
+    reference = buchberger(affine)
+    S = CENSUS_SCHEDULE
+    i, j, lead = S[10]
+    # each schedule with the trace its replay leaves: it stops right there
+    stale = [(S[:30], S[:30]), (S[::-1], ()), (S[:10] + ((i, 99, lead),) + S[11:], S[:10]),
+             (S[:11] + S[10:], S[:11]), (S[:10] + ((i, j, S[11][2]),) + S[11:], S[:11])]
+    for schedule, trace in stale:
+        assert oracles.record_schedule(affine, schedule=schedule) == trace
+        assert buchberger(affine, schedule=schedule) == reference
+    assert buchberger(affine, schedule=S, selection_seed=7) == reference
 
 
 def basis_and_steps(gens, reducer_class, monkeypatch):
