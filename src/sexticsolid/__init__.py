@@ -5,8 +5,9 @@ The library builds a family of quadric surfaces over P^3 from a cubic
 hypersurface containing a plane, extracts the degree-6 determinantal branch
 surface, certifies its singular scheme (31 reduced nodes for a general
 instance), the Gram-rank stratification, the matching census for the double
-solid branched along it, and the even intersection pairings on smooth
-fibers.  Everything is computed exactly over F_p from one integer seed.
+solid branched along it, the smoothness of the ambient cubic, and the even
+intersection pairings on smooth fibers.  Everything is computed exactly
+over F_p from one integer seed.
 """
 
 from .bundle import (CubicData, DiscriminantSurface, SmoothnessReport,
@@ -28,7 +29,7 @@ from .multipoly import (MultiPoly, format_poly, grevlex_key, mp_det, parse_poly,
                         restrict_to_line)
 from .singular import (EXPECTED_NODE_COUNT, SingularCensusReport,
                        StrataReport, double_solid_census, node_census,
-                       rank_stratum_ideal, strata_check)
+                       rank_stratum_ideal, smoothness_certificate, strata_check)
 
 __version__ = "0.1.0"
 

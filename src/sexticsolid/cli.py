@@ -1,10 +1,10 @@
 """Command-line driver: instance input, pipeline orchestration, and
 deterministic machine-readable verification reports.
 
-The JSON report is a pure function of the flags: all stage seeds are derived
-from the master seed by hashing, numbers are emitted as decimal strings, and
-wall-clock timings are only included behind ``--timings`` (they are the one
-non-deterministic section, so they are off by default).
+The JSON report is a pure function of the flags: the census's chart seed is
+derived from the master seed by hashing, numbers are emitted as decimal
+strings, and wall-clock timings are only included behind ``--timings`` (they
+are the one non-deterministic section, so they are off by default).
 """
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import bundle, fibers, singular
 from .errors import (CensusNotGeneric, ConfigError, DegenerateDiscriminant,
@@ -22,14 +23,22 @@ from .errors import (CensusNotGeneric, ConfigError, DegenerateDiscriminant,
 from .exactalg import MASK64, ensure_field_prime
 from .groebner import DEFAULT_BUDGET
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DEFAULT_PRIME = 32003
 DEFAULT_SEED = 1
-DEFAULT_SAMPLES = 100
 DEFAULT_RETRIES = 5
 
 CHECKS = ("census", "strata", "double_solid", "fibers", "pairings", "smoothness")
-_GATED = {"strata", "double_solid", "fibers", "pairings"}
+#: How each section's facts are known; the README table "How each claim is
+#: certified" is keyed by these strings.
+CERTIFICATES = {
+    "census": "buchberger_criterion+squarefree_charpoly",
+    "strata": "census_normal_forms+jacobi+laplace",
+    "double_solid": "euler+census_normal_forms",
+    "fibers": "strata_identities",
+    "pairings": "degree",
+    "smoothness": "census+strata+plane_conics",
+}
 
 
 def fnv1a64(data: bytes) -> int:
@@ -57,7 +66,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     instance_file: str | None = None
     checks: tuple = CHECKS
-    n_samples: int = DEFAULT_SAMPLES
     retries: int = DEFAULT_RETRIES
     budget: int = DEFAULT_BUDGET
     sigma_points: tuple = ()
@@ -66,8 +74,6 @@ class RunConfig:
     def __post_init__(self):
         if self.instance_file is None:  # an instance file supplies its own field
             ensure_field_prime(self.prime)
-        if self.n_samples < 1:
-            raise ConfigError("--samples must be >= 1")
         if self.retries < 0:
             raise ConfigError("--retries must be >= 0")
         if self.budget < 1:
@@ -106,10 +112,13 @@ def render_report(report: dict) -> str:
 
 @contextmanager
 def _timed(timings: dict, key: str):
-    """Add the wall-clock seconds of the block to timings[key]."""
+    """Add the wall-clock seconds of the block to timings[key]; a budget
+    overrun in the block names key as its stage."""
     t0 = time.monotonic()
     try:
         yield
+    except ResourceBudgetExceeded as exc:
+        raise ResourceBudgetExceeded(f"{key}: {exc}") from exc
     finally:
         timings[key] = timings.get(key, 0.0) + time.monotonic() - t0
 
@@ -121,7 +130,7 @@ def _instance(path, prime: int, seed: int):
     return bundle.random_instance(prime, seed)
 
 
-def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
+def _acquire_instance(cfg: RunConfig, timings: dict):
     """Build or load the instance; seeded instances are resampled (seed+k)
     up to cfg.retries times while the census verdict stays non-generic.
     The seconds spent building instances, discriminants and node censuses
@@ -131,10 +140,8 @@ def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
         with _timed(timings, "instance"):
             d = _instance(cfg.instance_file, cfg.prime, cfg.seed + attempt)
         surface = census = None
-        entry = {"attempt": attempt, "seed": d.seed, "outcome": "accepted"}
+        entry = {"attempt": attempt, "seed": d.seed}
         history.append(entry)
-        if not need_census:
-            break
         try:
             with _timed(timings, "discriminant"):
                 surface = bundle.discriminant(d)
@@ -142,15 +149,12 @@ def _acquire_instance(cfg: RunConfig, need_census: bool, timings: dict):
             entry["outcome"] = "degenerate_discriminant"
             continue
         with _timed(timings, "census"):
-            try:
-                census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
-                                              cfg.budget)
-            except ResourceBudgetExceeded as exc:  # only the census computes bases
-                raise ResourceBudgetExceeded(f"census: {exc}") from exc
+            census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
+                                          cfg.budget)
         entry["outcome"] = census.verdict
         if census.verdict == singular.VERDICT_GENERIC:
             break
-    return attempt, d, surface, census, history
+    return d, surface, census, history
 
 
 def _census_section(census) -> dict:
@@ -169,54 +173,19 @@ def _blocked_section(reason: str) -> dict:
     return {"status": "blocked", "reason": reason, "pass": False}
 
 
-def _strata_section(d, surface, census) -> dict:
-    report = singular.strata_check(d, surface, census)
-    return {
-        "rank2_equals_sigma": report.rank2_equals_sigma,
-        "rank1_empty": report.rank1_empty,
-        "delta_in_minor_ideal": report.delta_in_minor_ideal,
-        "details": [[label, ok] for label, ok in report.details],
-        "pass": report.passed,
-    }
+def _flags_section(report) -> dict:
+    """A strata report or smoothness certificate: its fields, then pass."""
+    return {**asdict(report), "pass": report.passed}
 
 
-def _fiber_group(d, samples) -> dict:
-    counts: dict = {}
-    violations = []
-    for s in samples:
-        try:
-            rank = fibers.fiber_rank_check(d, s)
-        except StratumViolation as exc:
-            violations.append(str(exc))
-            rank = exc.rank
-        counts[rank] = counts.get(rank, 0) + 1
-    return {
-        "collected": len(samples),
-        "rank_counts": {str(r): counts[r] for r in sorted(counts)},
-        "violations": len(violations),
-        "violation_details": violations[:10],
-    }
-
-
-def _fibers_section(d, surface, cfg: RunConfig, attempt: int) -> dict:
-    off = fibers.sample_off_delta(d, surface,
-                                  stage_seed(cfg.seed, attempt, "fibers.off"),
-                                  cfg.n_samples)
-    on = fibers.sample_on_delta(d, surface,
-                                stage_seed(cfg.seed, attempt, "fibers.on"),
-                                cfg.n_samples)
-    section = {
-        "requested": cfg.n_samples,
-        "off_delta": _fiber_group(d, off),
-        "on_delta_smooth": _fiber_group(d, on),
-    }
-    ok = (section["off_delta"]["violations"] == 0
-          and section["on_delta_smooth"]["violations"] == 0
-          and section["off_delta"]["rank_counts"] == {"4": cfg.n_samples}
-          and section["on_delta_smooth"]["rank_counts"] == {"3": cfg.n_samples})
-    if cfg.sigma_points:
+def _fibers_section(d, surface, strata, sigma_points) -> dict:
+    """The rank contracts 4 / 3 / 2, corollaries of the strata identities
+    (see the fibers module), and the exact rank at each supplied point."""
+    section = {"rank_contracts": dict(fibers._EXPECTED_RANK)}
+    ok = strata.passed
+    if sigma_points:
         rows = []
-        for y in cfg.sigma_points:
+        for y in sigma_points:
             try:
                 s = fibers.sigma_sample(d, surface, y)
                 rank = fibers.fiber_rank_check(d, s)
@@ -229,42 +198,11 @@ def _fibers_section(d, surface, cfg: RunConfig, attempt: int) -> dict:
     return section
 
 
-def _pairings_section(d, surface, cfg: RunConfig, attempt: int) -> dict:
-    ys = fibers.sample_off_delta(d, surface,
-                                 stage_seed(cfg.seed, attempt, "pairings.points"),
-                                 cfg.n_samples)
-    h2_counts: dict = {}
-    pl_counts: dict = {}
-    even = 0
-    for i, sample in enumerate(ys):
-        cert = fibers.pairing_certificate(
-            d, sample.y, stage_seed(cfg.seed, attempt, f"pairings.cert.{i}"))
-        h2_counts[cert.pairing_h2] = h2_counts.get(cert.pairing_h2, 0) + 1
-        pl_counts[cert.pairing_pl] = pl_counts.get(cert.pairing_pl, 0) + 1
-        if cert.all_even:
-            even += 1
-    ok = (even == cfg.n_samples
-          and h2_counts == {2: cfg.n_samples}
-          and pl_counts == {2: cfg.n_samples})
-    return {
-        "fibers": cfg.n_samples,
-        "all_even": even,
-        "h2_counts": {str(k): h2_counts[k] for k in sorted(h2_counts)},
-        "pl_counts": {str(k): pl_counts[k] for k in sorted(pl_counts)},
-        "qpi": {"value": fibers.QPI_PAIRING, "source": fibers.QPI_SOURCE},
-        "pass": ok,
-    }
-
-
-def _smoothness_section(d, cfg: RunConfig, attempt: int) -> dict:
-    report = bundle.smoothness_spotcheck(
-        d, cfg.n_samples, stage_seed(cfg.seed, attempt, "smoothness"))
-    return {
-        "points_checked": report.points_checked,
-        "failures": len(report.failures),
-        "failure_points": [list(pt) for pt in report.failures[:10]],
-        "pass": report.passed,
-    }
+def _pairings_section(strata) -> dict:
+    degree = {"value": fibers.DEGREE_PAIRING, "source": fibers.DEGREE_SOURCE}
+    return {"h2": degree, "pl": degree,
+            "qpi": {"value": fibers.QPI_PAIRING, "source": fibers.QPI_SOURCE},
+            "pass": strata.passed}
 
 
 def run_verify_all(cfg: RunConfig):
@@ -276,8 +214,7 @@ def run_verify_all(cfg: RunConfig):
     """
     t_start = time.monotonic()
     timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
-    need_census = bool(set(cfg.checks) & ({"census"} | _GATED))
-    attempt, d, surface, census, history = _acquire_instance(cfg, need_census, timings)
+    d, surface, census, history = _acquire_instance(cfg, timings)
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -286,7 +223,6 @@ def run_verify_all(cfg: RunConfig):
             "seed": cfg.seed,
             "instance_file": cfg.instance_file,
             "checks": list(cfg.checks),
-            "n_samples": cfg.n_samples,
             "retries": cfg.retries,
             "budget": cfg.budget,
             "sigma_points": [list(y) for y in cfg.sigma_points],
@@ -301,6 +237,7 @@ def run_verify_all(cfg: RunConfig):
     }
 
     generic = census is not None and census.verdict == singular.VERDICT_GENERIC
+    strata = cache(lambda: singular.strata_check(d, surface, census))  # run at most once
     passed = []
     for check in CHECKS:
         if check not in cfg.checks:
@@ -311,20 +248,20 @@ def run_verify_all(cfg: RunConfig):
                     section = _blocked_section("discriminant vanishes identically")
                 else:
                     section = _census_section(census)
-            elif check in _GATED:
-                if not generic:
-                    section = _blocked_section("node census verdict is not generic_31_nodes")
-                elif check == "strata":
-                    section = _strata_section(d, surface, census)
-                elif check == "double_solid":
-                    section = _census_section(singular.double_solid_census(surface, census))
-                elif check == "fibers":
-                    section = _fibers_section(d, surface, cfg, attempt)
-                else:
-                    section = _pairings_section(d, surface, cfg, attempt)
-            else:  # smoothness: independent of the census
-                section = _smoothness_section(d, cfg, attempt)
-        report[check] = section
+            elif not generic:
+                section = _blocked_section("node census verdict is not generic_31_nodes")
+            elif check == "strata":
+                section = _flags_section(strata())
+            elif check == "double_solid":
+                section = _census_section(singular.double_solid_census(surface, census))
+            elif check == "fibers":
+                section = _fibers_section(d, surface, strata(), cfg.sigma_points)
+            elif check == "pairings":
+                section = _pairings_section(strata())
+            else:
+                section = _flags_section(singular.smoothness_certificate(
+                    d, surface, census, strata(), cfg.budget))
+        report[check] = {"certificate": CERTIFICATES[check], **section}
         passed.append(bool(section.get("pass")))
 
     ok = all(passed)
@@ -355,7 +292,6 @@ def _config_from(args) -> RunConfig:
         seed=args.seed & MASK64,
         instance_file=args.instance,
         checks=tuple(c.strip() for c in args.checks.split(",") if c.strip()),
-        n_samples=args.samples,
         retries=args.retries,
         budget=args.budget,
         sigma_points=tuple(_parse_sigma(raw) for raw in args.sigma_point),
@@ -381,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the output here instead of stdout")
     verify.add_argument("--checks", default=",".join(CHECKS),
                         help="comma-separated subset of: " + ", ".join(CHECKS))
-    verify.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     verify.add_argument("--retries", type=int, default=DEFAULT_RETRIES)
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--sigma-point", action="append", default=[], metavar="A,B,C,D",

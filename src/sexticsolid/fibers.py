@@ -1,30 +1,27 @@
-"""Fiber sampling over the rank strata and the intersection-parity
+"""Fiber ranks over the rank strata and the intersection-parity
 certificate.
 
-Over a base point off the branch sextic the fiber quadric is smooth (Gram
-rank 4); over a smooth point of the sextic it is a rank-3 cone; over a node
-the rank drops to 2.  The parity certificate computes, on an actual smooth
-fiber, the two intersection numbers that generate the relevant pairings: a
-general line meets the fiber quadric in 2 points, a general line of the
-center plane meets the exceptional conic in 2 points, and the third
-generator pairs to 0 (a push-pull identity recorded as a constant, not
-recomputed).  All three are even, which is what obstructs a rational
-section of the bundle.
+The fiber quadric has Gram rank 4 off the branch sextic, 3 on its smooth
+locus and 2 at a node.  verify records these contracts (_EXPECTED_RANK) as
+corollaries of the strata check: off Delta, rank 4 iff delta(y) != 0
+(Laplace); on a smooth point, rank <= 2 would make adj M(y) = 0 and so every
+partial of delta vanish (Jacobi); at a node adj M vanishes (the census
+ideal holds its entries) and rank <= 1 is empty.  fiber_rank_check checks a
+given point.  Parity: a line meets the fiber quadric, and a line of the
+center plane the exceptional conic, in 2 points by degree (a nonzero binary
+quadratic: restriction_multiplicities), and off Delta neither form is zero
+(rank 4; A(y) = 0 would leave rank <= 2), so verify records DEGREE_PAIRING;
+the third generator pairs to 0, a push-pull identity recorded, not
+recomputed.  All are even, which obstructs a rational section.
 
-The two computed pairings are 2 by degree: for any nonzero binary
-quadratic, restriction_multiplicities sums to 2.  So pairing_h2 and
-pairing_pl are always 2; the stage can fail only when the fiber quadric or
-the conic vanishes on all 256 lines drawn for it (SamplingExhausted).
-
-How points are sampled: off the sextic, by rejection: uniform vectors of
-F_p^4 are drawn until delta is nonzero at one.  On the sextic, by lines:
-bundle.points_on_lines meets seeded random lines with delta = 0, and the
-points where some partial of delta is nonzero are kept.  The pairings draw
-their lines the same way, as two independent vectors from one seed, and
-restrict the fiber quadric or the conic to each.  Every sampler is a pure
-function of its seed and gives up with SamplingExhausted after a fixed
-budget.  The samplers return points only; fiber_rank_check evaluates each
-fiber's Gram matrix and computes its rank once.
+The samplers and pairing_certificate serve only the tests and the
+benchmark, as an independent route to the same contracts.  Off the sextic
+points are drawn by rejection (uniform vectors until delta is nonzero); on
+it, bundle.points_on_lines meets seeded random lines with delta = 0 and
+keeps the points where some partial of delta is nonzero.  The pairings
+restrict the fiber quadric or the conic to lines drawn as two independent
+vectors from one seed.  Every sampler is a pure function of its seed and
+gives up with SamplingExhausted after a fixed budget.
 """
 from __future__ import annotations
 
@@ -51,6 +48,9 @@ _EXPECTED_RANK = {
 #: cited and computed values distinguishable.
 QPI_PAIRING = 0
 QPI_SOURCE = "recorded"
+#: pairing_h2 and pairing_pl off the sextic, by degree (see above).
+DEGREE_PAIRING = 2
+DEGREE_SOURCE = "degree"
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
     generators must reduce to zero against the replayed basis and so must
     the pairs that the Gebauer-Moeller criteria keep (Buchberger's
     criterion).  A short or stale schedule costs time, never correctness.
+    If the completion appends nothing, the replayed basis is the result.
     The budget covers the replay and the completion together.
     """
     gens = [g for g in gens if not g.is_zero()]
@@ -370,6 +371,7 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
     rng = SplitMix64(selection_seed) if selection_seed is not None else None
 
     inputs = [(g.packed.items(), g.total_degree()) for g in gens]
+    found: list = []
     if schedule:
         found = _interreduce(_replay(gens, schedule, packing, p, bud), packing, p, bud)
         inputs[:0] = [(items, items[0][0] >> deg_shift) for items in found]
@@ -425,8 +427,10 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
         append(items, sugar)
         lcms, pairs = update_pairs()
 
+    if len(basis_items) > len(found):  # else the replayed basis, already reduced
+        basis_items = _interreduce(basis_items, packing, p, bud)
     return GBasis(tuple(MultiPoly._make(nvars, p, dict(items), items[0][0])
-                        for items in _interreduce(basis_items, packing, p, bud)))
+                        for items in basis_items))
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:

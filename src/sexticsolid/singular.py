@@ -13,12 +13,15 @@ nodes, since an isolated hypersurface singularity has local Tjurina
 dimension 1 exactly when it is an ordinary double point).  The strata and
 double-solid checks compute no Groebner basis: normal forms over the
 census's basis and polynomial identities (Jacobi, Laplace, Euler) certify them.
+Smoothness of the ambient cubic is a corollary of the census and the strata
+check, plus one basis of four plane conics (smoothness_certificate).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bundle import GRAM_INDEX, CubicData, DiscriminantSurface, symmetric_matrix
+from .bundle import (GRAM_INDEX, CubicData, DiscriminantSurface, cubic_equation,
+                     symmetric_matrix)
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
@@ -93,6 +96,17 @@ class StrataReport:
     @property
     def passed(self) -> bool:
         return self.rank2_equals_sigma and self.rank1_empty and self.delta_in_minor_ideal
+
+
+@dataclass(frozen=True)
+class SmoothnessCertificate:
+    cubic_is_gram_form: bool   # F'(x, s y) = s (x, s) M(y) (x, s)^T
+    plane_smooth: bool         # condition (a): the conics x^T A_k x meet nowhere
+    strata_passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.cubic_is_gram_form and self.plane_smooth and self.strata_passed
 
 
 def _chart_rng(p: int, seed: int):
@@ -260,3 +274,47 @@ def strata_check(d: CubicData, surface: DiscriminantSurface,
     delta_exact = delta == sum((moved[0][k] * adj[k][0] for k in range(4)), zero)
     details += [("rank1_locus_empty", True), ("delta_exactly_in_minor_ideal", delta_exact)]
     return StrataReport(rank2_equals_sigma, True, delta_exact, tuple(details))
+
+
+def center_plane_conics(f: MultiPoly) -> list:
+    """d_{Y_k} f on the plane {Y = 0}, k = 0..3, for f in (X0..X2, Y0..Y3):
+    the terms of f linear in Y, with that Y_k dropped."""
+    units = [tuple(int(i == k) for i in range(4)) for k in range(4)]
+    return [MultiPoly.from_terms(3, f.p, [(e[:3], c) for e, c in f.terms.items()
+                                          if e[3:] == unit]) for unit in units]
+
+
+def smoothness_certificate(d: CubicData, surface: DiscriminantSurface,
+                           census: SingularCensusReport, strata: StrataReport,
+                           budget=DEFAULT_BUDGET) -> SmoothnessCertificate:
+    """Certify the cubic X = {F' = 0}, F' = cubic_equation(d), smooth from
+    the certified generic census of this surface, its strata check, and one
+    basis of four conics: Beauville's conic-bundle argument (Ann. Sci. ENS
+    10, 1977, sec. 1) carried over to quadric bundles.
+
+    The identity F'(x, s y) = s (x, s) M(y) (x, s)^T, checked here, puts a Y
+    in every term of F', so on the plane P = {Y = 0} the X-partials vanish
+    and d_{Y_k} F' = x^T A_k x (A = sum_k Y_k A_k).  X is smooth iff (a) the
+    four conics x^T A_k x have no common zero (checked here) and (b) X - P,
+    which is Bl_P X minus the exceptional divisor, is smooth.  By the
+    identity Bl_P X is the quadric bundle {v^T M(y) v = 0}, singular at
+    (v, y) iff M(y) v = 0 and every v^T d_k M(y) v = 0.  Rank 4: no such v.
+    Rank 3: adj M(y) = c v v^T, c != 0, so d_k delta(y) = c v^T d_k M(y) v
+    (Jacobi): y would lie in Sing(delta), the rank <= 2 locus (strata).
+    Rank 2: y is a node (census: degree 31, reduced, nothing at infinity),
+    where delta's quadratic part, a nonzero multiple of det(sum t_k N_k)
+    with N_k = W^T d_k M W on a kernel basis W, is nondegenerate; so the N_k
+    span the binary quadrics and no kernel vector kills all v^T d_k M v.
+    Rank <= 1: empty (strata).
+    """
+    _certified_census(census, surface, "smoothness certificate")
+    f, p = cubic_equation(d), d.p
+    # F'(x, s y) in (X0..X2, s, Y0..Y3): a term's Y-degree becomes its s-degree
+    lhs = MultiPoly.from_terms(8, p, [(e[:3] + (sum(e[3:]),) + e[3:], c)
+                                      for e, c in f.terms.items()])
+    v = [MultiPoly.variable(i, 8, p) for i in range(4)]
+    rhs = v[3] * sum((m.embed(8, (4, 5, 6, 7)) * v[i] * v[j]
+                      for i, row in enumerate(symmetric_matrix(d.entries))
+                      for j, m in enumerate(row)), MultiPoly.zero(8, p))
+    return SmoothnessCertificate(lhs == rhs, is_irrelevant(center_plane_conics(f), budget),
+                                 strata.passed)

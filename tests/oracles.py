@@ -10,7 +10,8 @@ reducer, a heap reducer that scans every reducer for every term instead of
 the memoised one, Macaulay matrices instead of staircase counting,
 evaluation and Lagrange interpolation instead of Kronecker substitution,
 exponent tuples instead of packed exponents, term-by-term expansion
-instead of Horner's scheme).  ``record_schedule`` is no oracle but a
+instead of Horner's scheme, the full Jacobian of a hypersurface instead of
+a corollary of the census).  ``record_schedule`` is no oracle but a
 recorder: it reads the trace of a Groebner completion back from the engine.
 """
 from __future__ import annotations
@@ -669,3 +670,11 @@ def macaulay_quotient_dim(gens, max_degree=16, window=4):
         if len(history) >= window and len(set(history[-window:])) == 1:
             return history[-1]
     raise AssertionError(f"Macaulay dimensions did not stabilize: {history}")
+
+
+def hypersurface_is_smooth(f: MultiPoly, budget=None) -> bool:
+    """Whether the projective hypersurface f = 0 is smooth, the direct way:
+    its partials have no common zero (f itself lies in their ideal by
+    Euler's formula when deg f is a unit).  For the ambient cubic of an
+    instance that is one basis of seven quadrics, about 20,000 steps."""
+    return groebner.is_irrelevant([f.partial(i) for i in range(f.nvars)], budget)

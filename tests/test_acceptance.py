@@ -114,8 +114,7 @@ def test_c6_degenerate_diagonal_handling(tmp_path):
     inst = tmp_path / "diagonal.txt"
     inst.write_text(bundle.explicit_instance_text(d))
     out = tmp_path / "report.json"
-    code = main(["verify", "--instance", str(inst), "--samples", "5",
-                 "--out", str(out)])
+    code = main(["verify", "--instance", str(inst), "--out", str(out)])
     with open(out, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     ok = (exact and path_ok and code == 1
@@ -164,7 +163,7 @@ def test_c7_kernel_oracles():
 
 
 def test_c8_determinism(tmp_path):
-    argv = ["verify", "--seed", "1", "--samples", "10", "--checks", "census,fibers"]
+    argv = ["verify", "--seed", "1", "--checks", "census,fibers"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
@@ -173,8 +172,7 @@ def test_c8_determinism(tmp_path):
     fps = []
     for seed in ("1", "2"):
         out = tmp_path / f"fp{seed}.json"
-        main(["verify", "--checks", "smoothness", "--seed", seed, "--samples", "2",
-              "--out", str(out)])
+        main(["verify", "--checks", "census", "--seed", seed, "--out", str(out)])
         with open(out, "r", encoding="utf-8") as fh:
             fps.append(json.load(fh)["instance"]["fingerprint"])
     ok = identical and fps[0] != fps[1]

@@ -2,11 +2,12 @@ import hashlib
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from sexticsolid import bundle, fibers, groebner, multipoly, singular
-from sexticsolid.cli import (RunConfig, _fiber_group, fnv1a64, instance_fingerprint,
+from sexticsolid import bundle, fibers, groebner, singular
+from sexticsolid.cli import (CERTIFICATES, CHECKS, RunConfig, fnv1a64, instance_fingerprint,
                              main, render_report, run_verify_all)
 from sexticsolid.errors import BadPrime, ConfigError, DegenerateDiscriminant, UnknownCheck
 
@@ -36,8 +37,8 @@ def test_fingerprint_stable_and_seed_sensitive():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(n_samples=0)
+    with pytest.raises(TypeError):
+        RunConfig(n_samples=5)  # verify draws no point, so nothing is sampled
     with pytest.raises(ConfigError):
         RunConfig(retries=-1)
     with pytest.raises(UnknownCheck):
@@ -97,8 +98,7 @@ def test_verify_with_no_checks_exits_2(checks, capsys):
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
-    argv = ["verify", "--seed", "1", "--samples", "20",
-            "--checks", "census,fibers,pairings,smoothness"]
+    argv = ["verify", "--seed", "1", "--checks", "census,fibers,pairings,smoothness"]
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert main(argv + ["--out", str(out1)]) == 0
@@ -107,17 +107,19 @@ def test_verify_reports_are_byte_identical(tmp_path):
     report = read_json(out1)
     assert report["verdict"] == "pass"
     assert report["census"]["degree"] == "31"
-    assert report["fibers"]["off_delta"]["rank_counts"] == {"4": "20"}
-    assert report["pairings"]["h2_counts"] == {"2": "20"}
+    assert report["fibers"]["rank_contracts"] == {"off_delta": "4", "on_delta_smooth": "3",
+                                                  "on_sigma": "2"}
+    assert report["pairings"]["h2"] == {"value": "2", "source": "degree"}
     assert report["pairings"]["qpi"] == {"value": "0", "source": "recorded"}
+    assert report["smoothness"]["plane_smooth"] is True
     assert "timings" not in report
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (["--seed", "1"], "d0177437c2591305"),
-    (["--seed", "3"], "49bdde9fdce38b51"),
-    (["--prime", "19", "--seed", "3", "--samples", "10"], "26c79daf8e5f72f9"),
-    (["--prime", "7", "--seed", "1", "--samples", "10"], "d7e7b27c56be03d4"),
+    (["--seed", "1"], "088d5fabd4a71562"),
+    (["--seed", "3"], "1ce712435945df38"),
+    (["--prime", "19", "--seed", "3"], "992da86628034c6c"),
+    (["--prime", "7", "--seed", "1"], "e47be5d39f18f18a"),
 ])
 def test_verify_report_matches_its_golden_digest(argv, digest, capsys):
     # sha256 prefixes of the whole stdout report, pinned across changes
@@ -128,16 +130,16 @@ def test_verify_report_matches_its_golden_digest(argv, digest, capsys):
 
 
 @pytest.mark.parametrize("check, digest", [
-    ("census", "7d3d8003e4fed681"),
-    ("strata", "c4d5fb1c285bf221"),
-    ("double_solid", "e3bbd723d785cebf"),
-    ("fibers", "bb7a0ddd3fa96cb9"),
-    ("pairings", "879db824a421d41d"),
-    ("smoothness", "966ec2ccd02848d9"),
+    ("census", "cbce957ebe2ab316"),
+    ("strata", "b690b75f73b6954a"),
+    ("double_solid", "d10d9984418fbef2"),
+    ("fibers", "8eb0d44e1b2f9ef8"),
+    ("pairings", "fe7c41b4574d0302"),
+    ("smoothness", "436a2c3c99ea8a33"),
 ])
 def test_one_check_report_matches_its_golden_digest(check, digest, capsys):
     # the reports the one-stage subcommands printed, now reached through --checks
-    assert main(["verify", "--checks", check, "--seed", "3", "--samples", "5"]) == 0
+    assert main(["verify", "--checks", check, "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
@@ -189,18 +191,16 @@ def test_a_bad_instance_value_names_its_line_and_key(edit, message, tmp_path, ca
 
 
 def test_seed_changes_fingerprint(tmp_path):
-    # smoothness alone skips the census, so this stays fast
     outs = []
     for seed in ("1", "2"):
         out = tmp_path / f"s{seed}.json"
-        assert main(["verify", "--checks", "smoothness", "--seed", seed, "--samples", "5",
-                     "--out", str(out)]) == 0
+        assert main(["verify", "--checks", "census", "--seed", seed, "--out", str(out)]) == 0
         outs.append(read_json(out))
     assert outs[0]["instance"]["fingerprint"] != outs[1]["instance"]["fingerprint"]
 
 
 def test_single_check_census_section_only():
-    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("census",)))
+    report, code = run_verify_all(RunConfig(seed=1, checks=("census",)))
     assert code == 0
     assert "census" in report and "strata" not in report and "fibers" not in report
     assert report["census"]["pass"] is True
@@ -209,7 +209,7 @@ def test_single_check_census_section_only():
 def test_huge_retries_make_one_attempt_on_a_generic_seed():
     # the attempts are drawn one at a time: a generic first instance ends the
     # loop, whatever the retry allowance
-    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("census",),
+    report, code = run_verify_all(RunConfig(seed=1, checks=("census",),
                                             retries=10**18))
     assert code == 0
     assert report["instance"]["attempts"] == 1
@@ -224,8 +224,7 @@ def test_seed_flag_and_seeded_files_report_the_seed_mod_2_64(tmp_path):
     seen = set()
     for k, flags in enumerate(runs):
         out = tmp_path / f"report{k}.json"
-        assert main(["verify", "--checks", "smoothness", "--samples", "1",
-                     "--out", str(out)] + flags) == 0
+        assert main(["verify", "--checks", "census", "--out", str(out)] + flags) == 0
         instance = read_json(out)["instance"]
         seen.add((instance["seed"], instance["fingerprint"]))
     assert seen == {(str(2**64 - 5), "48677add16b82f44")}
@@ -280,16 +279,15 @@ def test_a_vanishing_last_discriminant_blocks_the_census(seed1, monkeypatch):
     assert code == 1
     assert [e["outcome"] for e in report["instance"]["resample_history"]] == [
         "degenerate_discriminant", "degenerate_discriminant"]
-    assert report["census"] == {"status": "blocked", "pass": False,
-                                "reason": "discriminant vanishes identically"}
+    assert report["census"] == {"certificate": CERTIFICATES["census"], "status": "blocked",
+                                "pass": False, "reason": "discriminant vanishes identically"}
     assert report["strata"]["reason"] == "node census verdict is not generic_31_nodes"
 
 
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
     inst = tmp_path / "diagonal.txt"
     inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
-    report, code = run_verify_all(RunConfig(instance_file=str(inst), n_samples=5,
-                                            checks=("pairings",)))
+    report, code = run_verify_all(RunConfig(instance_file=str(inst), checks=("pairings",)))
     assert code == 1
     assert report["pairings"]["status"] == "blocked"
     assert report["pairings"]["pass"] is False
@@ -300,8 +298,7 @@ def test_diagonal_instance_verify_exit_1(tmp_path):
     inst = tmp_path / "diagonal.txt"
     inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
     out = tmp_path / "report.json"
-    code = main(["verify", "--instance", str(inst), "--samples", "5",
-                 "--out", str(out)])
+    code = main(["verify", "--instance", str(inst), "--out", str(out)])
     assert code == 1
     report = read_json(out)
     assert report["census"]["verdict"] == "degenerate"
@@ -310,16 +307,15 @@ def test_diagonal_instance_verify_exit_1(tmp_path):
 
 
 def test_smoothness_of_the_zero_cubic_fails(tmp_path, capsys):
-    # all ten forms zero: the cubic vanishes identically, every line lies in
-    # it, and a spot-check that found none of its points must not pass
+    # all ten forms zero: the cubic vanishes identically, and so does the
+    # discriminant, so the census the certificate rests on is blocked
     inst = tmp_path / "zero.txt"
     inst.write_text("prime: 32003\n" + "".join(
         f"{key}: 0\n" for key in ("A00", "A01", "A02", "A11", "A12", "A22",
                                   "B0", "B1", "B2", "C")))
-    assert main(["verify", "--checks", "smoothness", "--instance", str(inst),
-                 "--samples", "5"]) == 1
+    assert main(["verify", "--checks", "smoothness", "--instance", str(inst)]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["smoothness"]["points_checked"] == "0"
+    assert report["smoothness"]["status"] == "blocked"
     assert report["smoothness"]["pass"] is False
     assert report["verdict"] == "fail"
 
@@ -397,14 +393,25 @@ def test_verify_computes_no_basis_twice(monkeypatch):
     report, code = run_verify_all(RunConfig(seed=1))
     assert code == 0 and report["double_solid"]["degree"] == 31
     assert ds_calls == [0]
+    # one strata check serves the strata, fibers, pairings and smoothness sections
     assert strata_calls == [True]
-    # the infinity check and the affine basis of the census, nothing else
-    assert len(bases) == 2 and len(irrelevant_calls) == 1
+    # the infinity check and the affine basis of the census, and the four
+    # plane conics of the smoothness certificate, nothing else
+    assert len(bases) == 3 and len(irrelevant_calls) == 2
+    assert [g.nvars for g in bases] == [4, 3, 3]
     for i, a in enumerate(bases):
         assert all(a != b for b in bases[i + 1:])
 
 
-def test_verify_evaluates_each_fiber_once(monkeypatch):
+def _planted_instance_file(tmp_path):
+    from test_fibers import plant_rank2_node
+    inst = tmp_path / "planted.txt"
+    inst.write_text(bundle.explicit_instance_text(plant_rank2_node()))
+    return str(inst)
+
+
+def test_verify_evaluates_each_fiber_once(tmp_path, monkeypatch):
+    # the only fiber a verify evaluates is that of a supplied point
     real = bundle.fiber_gram
     points = []
 
@@ -418,56 +425,73 @@ def test_verify_evaluates_each_fiber_once(monkeypatch):
                 if value is real:
                     monkeypatch.setattr(module, attr, counted)
 
-    _, code = run_verify_all(RunConfig(seed=1))
-    assert code == 0
-    # 100 off-delta and 100 on-delta rank checks, 100 pairing fibers
-    assert len(points) == 300
-    assert len(set(points)) == 300
+    report, code = run_verify_all(RunConfig(instance_file=_planted_instance_file(tmp_path),
+                                            sigma_points=((2, 0, 0, 0),)))
+    assert code == 0, report
+    assert points == [(1, 0, 0, 0)]
 
 
-def test_verify_restricts_lines_without_evaluating(monkeypatch):
-    """A line restriction is one Kronecker substitution: no MultiPoly.eval
-    call runs inside restrict_to_line during a verify."""
-    real = multipoly.restrict_to_line
-    real_eval = multipoly.MultiPoly.eval
-    depth = [0]
-    restrictions = []
-    nested = []
-
-    def restrict(*args, **kwargs):
-        restrictions.append(1)
-        depth[0] += 1
-        try:
-            return real(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def evaluate(self, point):
-        if depth[0]:
-            nested.append(tuple(point))
-        return real_eval(self, point)
-
-    for name, module in list(sys.modules.items()):
-        if name == "sexticsolid" or name.startswith("sexticsolid."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, restrict)
-    monkeypatch.setattr(multipoly.MultiPoly, "eval", evaluate)
-
-    _, code = run_verify_all(RunConfig(seed=1))
-    assert code == 0
-    assert restrictions
-    assert nested == []
+def _raise(*args, **kwargs):
+    raise AssertionError("verify drew a point")
 
 
-def test_fiber_group_counts_a_contradicted_tag_under_its_rank(seed1):
-    on = fibers.sample_on_delta(seed1.d, seed1.surface, seed=7, n=2)
-    lying = fibers.FiberSample(y=on[0].y, stratum=fibers.STRATUM_OFF_DELTA)
-    group = _fiber_group(seed1.d, [lying, on[1]])
-    assert group["collected"] == 2
-    assert group["rank_counts"] == {"3": 2}
-    assert group["violations"] == 1
-    assert "Gram rank 3, expected 4" in group["violation_details"][0]
+def test_verify_draws_no_point(monkeypatch, capsys):
+    for module, name in ((fibers, "sample_off_delta"), (fibers, "sample_on_delta"),
+                         (fibers, "pairing_certificate"), (fibers, "points_on_lines"),
+                         (bundle, "points_on_lines"), (bundle, "smoothness_spotcheck")):
+        monkeypatch.setattr(module, name, _raise)
+    assert main(["verify", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    assert [report[c]["pass"] for c in ("fibers", "pairings", "smoothness")] == [True] * 3
+
+
+def test_verify_samples_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments:" in capsys.readouterr().err
+
+
+def test_a_strata_failure_fails_the_sections_it_certifies(seed1, monkeypatch):
+    failed = replace(singular.strata_check(seed1.d, seed1.surface, seed1.census),
+                     rank2_equals_sigma=False)
+    calls = []
+
+    def strata_check(*args):
+        calls.append(args)
+        return failed
+
+    monkeypatch.setattr(singular, "strata_check", strata_check)
+    report, code = run_verify_all(RunConfig(seed=1, checks=("fibers", "pairings",
+                                                            "smoothness")))
+    assert code == 1 and report["verdict"] == "fail"
+    assert len(calls) == 1
+    assert [report[c]["pass"] for c in ("fibers", "pairings", "smoothness")] == [False] * 3
+    assert report["smoothness"]["strata_passed"] is False
+    assert report["smoothness"]["plane_smooth"] is True
+
+
+def _readme_certificates():
+    """The keys of the README table "How each claim is certified"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## How each claim is certified", 1)[1].split("\n## ", 1)[0]
+    return {line.split("|")[1].strip().strip("`") for line in table.splitlines()
+            if line.startswith("| `")}
+
+
+def test_every_report_certificate_is_in_the_readme_table(tmp_path):
+    known = _readme_certificates()
+    assert set(CERTIFICATES.values()) <= known
+    reports = [run_verify_all(RunConfig(seed=1))[0],
+               run_verify_all(RunConfig(instance_file=_planted_instance_file(tmp_path),
+                                        sigma_points=((1, 0, 0, 0),)))[0]]
+    inst = tmp_path / "diagonal.txt"
+    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
+    reports.append(run_verify_all(RunConfig(instance_file=str(inst)))[0])
+    for report in reports:
+        for check in CHECKS:
+            assert report[check]["certificate"] in known, (check, report[check])
 
 
 def test_show_instance_round_trip(tmp_path, capsys):
@@ -481,12 +505,8 @@ def test_show_instance_round_trip(tmp_path, capsys):
 
 
 def test_sigma_point_flag(tmp_path):
-    from test_fibers import plant_rank2_node
-    d = plant_rank2_node()
-    inst = tmp_path / "planted.txt"
-    inst.write_text(bundle.explicit_instance_text(d))
     report, code = run_verify_all(
-        RunConfig(instance_file=str(inst), n_samples=5,
+        RunConfig(instance_file=_planted_instance_file(tmp_path),
                   sigma_points=((1, 0, 0, 0),), checks=("fibers",)))
     section = report["fibers"]
     if section.get("status") == "blocked":
@@ -502,12 +522,12 @@ def test_render_report_stringifies_numbers():
 
 
 def test_timings_flag_adds_section():
-    report, code = run_verify_all(RunConfig(seed=1, n_samples=5, timings=True,
+    report, code = run_verify_all(RunConfig(seed=1, timings=True,
                                             checks=("smoothness",)))
     assert code == 0
     assert set(report["timings"]) == {"instance", "discriminant", "census", "smoothness",
                                       "total"}
-    report2, _ = run_verify_all(RunConfig(seed=1, n_samples=5, checks=("smoothness",)))
+    report2, _ = run_verify_all(RunConfig(seed=1, checks=("smoothness",)))
     assert "timings" not in report2
     # the node census runs while the instance is acquired; its time is the
     # census entry's, not the instance's
@@ -520,9 +540,9 @@ def test_timings_flag_adds_section():
 
 @pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])
 def test_small_prime_verify_sweep(prime, capsys):
-    # small fields make unlucky charts and samples common; each run must
-    # still end in a report, never a traceback
-    code = main(["verify", "--prime", str(prime), "--seed", "1", "--samples", "10"])
+    # small fields make unlucky charts common; each run must still end in a
+    # report, never a traceback
+    code = main(["verify", "--prime", str(prime), "--seed", "1"])
     captured = capsys.readouterr()
     assert code in (0, 1, 2)
     assert "Traceback" not in captured.err

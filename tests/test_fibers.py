@@ -1,9 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
-from sexticsolid import bundle
+from sexticsolid import bundle, multipoly
 from sexticsolid.bundle import (GRAM_FORMS, CubicData, DiscriminantSurface,
                                 diagonal_instance, discriminant, fiber_gram,
                                 random_instance)
@@ -243,8 +244,8 @@ def _points_digest(rows):
 
 
 def test_drawn_points_match_their_golden_digests(seed1, monkeypatch):
-    # the verify report holds only rank counts, so these pin the points
-    # themselves and the order in which they are drawn
+    # verify draws no point; these pin the points the samplers draw for the
+    # tests and the benchmark, and the order in which they are drawn
     n = 200
     off = sample_off_delta(seed1.d, seed1.surface, seed=1, n=n)
     assert _points_digest([list(s.y) for s in off]) == "f8d8197002309a81"
@@ -268,3 +269,39 @@ def test_drawn_points_match_their_golden_digests(seed1, monkeypatch):
     report = bundle.smoothness_spotcheck(seed1.d, n, seed=4)
     assert (report.points_checked, report.failures) == (n, ())
     assert _points_digest(drawn) == "37abea72e367e1d1"
+
+
+def test_line_restriction_runs_without_evaluating(seed1, monkeypatch):
+    """A line restriction is one Kronecker substitution: no MultiPoly.eval
+    call runs inside restrict_to_line while the samplers draw points."""
+    real = multipoly.restrict_to_line
+    real_eval = multipoly.MultiPoly.eval
+    depth = [0]
+    restrictions = []
+    nested = []
+
+    def restrict(*args, **kwargs):
+        restrictions.append(1)
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def evaluate(self, point):
+        if depth[0]:
+            nested.append(tuple(point))
+        return real_eval(self, point)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sexticsolid" or name.startswith("sexticsolid."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, restrict)
+    monkeypatch.setattr(multipoly.MultiPoly, "eval", evaluate)
+
+    on = sample_on_delta(seed1.d, seed1.surface, seed=11, n=20)
+    report = bundle.smoothness_spotcheck(seed1.d, 20, seed=12)
+    assert len(on) == 20 and report.passed
+    assert restrictions
+    assert nested == []

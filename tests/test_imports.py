@@ -30,7 +30,9 @@ UNREFERENCED_ALLOWED = {
     "lead_coeff": "the accessor the Groebner oracles and tests read a lead coefficient by",
     "in_radical": "perfbench's TRACED names it as a string until it is deleted",
     "smoothness_spotcheck_cubic": "the spot-check of a bare cubic, which the tests run on "
-                                  "singular cubics; it goes with the spot-check itself",
+                                  "singular cubics; verify certifies smoothness instead, "
+                                  "and it goes when the benchmark stops naming the "
+                                  "spot-check",
 }
 
 

@@ -1,18 +1,21 @@
+import json
 from dataclasses import replace
 
 import pytest
 
-from sexticsolid import singular
-from sexticsolid.bundle import (DiscriminantSurface, diagonal_instance,
-                                discriminant, gram_matrix, random_instance)
+from sexticsolid import bundle, singular
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, DiscriminantSurface,
+                                cubic_equation, diagonal_instance, discriminant,
+                                gram_matrix, random_instance)
+from sexticsolid.cli import main
 from sexticsolid.errors import CensusNotGeneric
-from sexticsolid.groebner import (buchberger, is_zero_dimensional, normal_form,
-                                  quotient_dim, reducedness_certificate)
+from sexticsolid.groebner import (buchberger, is_irrelevant, is_zero_dimensional,
+                                  normal_form, quotient_dim, reducedness_certificate)
 from sexticsolid.exactalg import SplitMix64, fp_inv
 from sexticsolid.multipoly import MultiPoly
 from sexticsolid.singular import (EXPECTED_NODE_COUNT, _double_solid_equation,
-                                  double_solid_census, node_census, rank_stratum_ideal,
-                                  strata_check)
+                                  center_plane_conics, double_solid_census, node_census,
+                                  rank_stratum_ideal, smoothness_certificate, strata_check)
 
 import oracles
 
@@ -248,6 +251,9 @@ def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
         strata_check(seed1.d, seed1.surface, census)
     with pytest.raises(CensusNotGeneric):
         double_solid_census(seed1.surface, census)
+    strata = strata_check(seed1.d, seed1.surface, seed1.census)
+    with pytest.raises(CensusNotGeneric):
+        smoothness_certificate(seed1.d, seed1.surface, census, strata)
 
 
 def test_double_solid_census_refuses_a_census_of_another_surface(seed1):
@@ -314,3 +320,85 @@ def test_affine_tjurina_census_degenerate_branch_toy():
     gens = [g] + [g.partial(i) for i in range(4)]
     gb = buchberger(gens)
     assert not is_zero_dimensional(gb)
+
+
+def _singular_at_e0(d):
+    """d with the Y0^2 terms of B0..B2 and the Y0^3 and Y0^2 Y_k terms of C
+    zeroed: its cubic is singular at (0, 0, 0; 1, 0, 0, 0)."""
+    def keep(key, e):
+        return not (key.startswith("B") and e[0] == 2 or key == "C" and e[0] >= 2)
+
+    return CubicData(d.p, tuple(
+        MultiPoly.from_terms(4, d.p, [(e, c) for e, c in f.terms.items() if keep(key, e)])
+        for f, (key, _) in zip(d.entries, GRAM_FORMS)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_singular_cubic_is_not_certified_smooth(seed, tmp_path, capsys):
+    d = _singular_at_e0(random_instance(P, seed))
+    f = cubic_equation(d)
+    point = (0, 0, 0, 1, 0, 0, 0)
+    assert f.eval(point) == 0 and all(f.partial(i).eval(point) == 0 for i in range(7))
+    # the spot-check samples 100 points and misses the singular one
+    spot = bundle.smoothness_spotcheck(d, 100, seed)
+    assert spot.passed and spot.points_checked == 100
+    census = node_census(discriminant(d), seed)
+    assert (census.verdict, census.degree) == ("degenerate", 32)
+    inst = tmp_path / "singular.txt"
+    inst.write_text(bundle.explicit_instance_text(d))
+    assert main(["verify", "--checks", "smoothness", "--instance", str(inst)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["smoothness"]["pass"] is False and report["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a00_zero_fails_condition_a(seed):
+    # A00 = 0 puts (1, 0, 0; 0, 0, 0, 0) on the cubic's singular locus,
+    # inside the center plane: the four conics meet there
+    d = random_instance(P, seed)
+    conics = center_plane_conics(cubic_equation(d))
+    assert is_irrelevant(conics)
+    zeroed = CubicData(P, (MultiPoly.zero(4, P),) + d.entries[1:])
+    f = cubic_equation(zeroed)
+    assert all(f.partial(i).eval((1, 0, 0, 0, 0, 0, 0)) == 0 for i in range(7))
+    conics = center_plane_conics(f)
+    assert all(g.eval((1, 0, 0)) == 0 for g in conics)
+    assert not is_irrelevant(conics)
+
+
+def test_center_plane_conics_are_the_y_partials_on_the_plane(seed1):
+    f = cubic_equation(seed1.d)
+    for k, conic in enumerate(center_plane_conics(f)):
+        g = f.partial(3 + k)
+        for i in (6, 5, 4, 3):
+            g = g.specialize(i, 0)
+        assert conic == g and conic.homogeneous_degree() == 2
+
+
+def test_smoothness_certificate_passes_on_ten_seeds(census_suite):
+    for e in census_suite:
+        assert e.census.verdict == "generic_31_nodes", e.seed
+        strata = strata_check(e.d, e.surface, e.census)
+        cert = smoothness_certificate(e.d, e.surface, e.census, strata)
+        assert (cert.cubic_is_gram_form, cert.plane_smooth, cert.strata_passed) == (True,) * 3
+        assert cert.passed
+
+
+def test_smoothness_certificate_refuses_a_mutated_cubic(seed1, monkeypatch):
+    # a cubic that is not v^T M v breaks the identity the argument rests on
+    strata = strata_check(seed1.d, seed1.surface, seed1.census)
+    real = singular.cubic_equation
+    monkeypatch.setattr(singular, "cubic_equation",
+                        lambda d: real(d) + MultiPoly.variable(0, 7, P) ** 3)
+    cert = smoothness_certificate(seed1.d, seed1.surface, seed1.census, strata)
+    assert not cert.cubic_is_gram_form and not cert.passed
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_smoothness_certificate_agrees_with_the_jacobian_oracle(seed, seed1):
+    d = random_instance(P, seed)
+    surface = discriminant(d)
+    census = seed1.census if seed == 1 else node_census(surface, seed)
+    cert = smoothness_certificate(d, surface, census, strata_check(d, surface, census))
+    assert cert.passed
+    assert oracles.hypersurface_is_smooth(cubic_equation(d)) is True
