@@ -10,12 +10,11 @@ intersection pairings on smooth fibers.  Everything is computed exactly
 over F_p from one integer seed.
 """
 
-from .bundle import (CubicData, DiscriminantSurface, SmoothnessReport,
-                     cubic_equation, diagonal_instance, discriminant,
-                     exceptional_conic, explicit_instance_text, fiber_gram,
-                     gram_matrix, load_instance, parse_instance,
-                     random_instance, smoothness_spotcheck,
-                     smoothness_spotcheck_cubic)
+from .bundle import (CubicData, SmoothnessReport, cubic_equation,
+                     diagonal_instance, discriminant, exceptional_conic,
+                     explicit_instance_text, fiber_gram, gram_matrix,
+                     load_instance, parse_instance, random_instance,
+                     smoothness_spotcheck, smoothness_spotcheck_cubic)
 from .exactalg import SplitMix64
 from .fibers import (FiberSample, PairingCertificate, conic_line_pairing,
                      fiber_rank_check, line_quadric_pairing,

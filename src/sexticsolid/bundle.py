@@ -102,21 +102,6 @@ class CubicData:
         return shift, packed
 
 
-@dataclass(frozen=True)
-class DiscriminantSurface:
-    """The branch sextic: delta = det(Gram), homogeneous of degree 6."""
-
-    delta: MultiPoly
-
-    @cached_property
-    def partials(self) -> tuple:
-        """The four partials of delta, built once per surface.  They generate
-        the Jacobian ideal of the sextic: delta itself is redundant, as six
-        times it is the Euler combination of the partials and 6 is a unit
-        because p > 6."""
-        return tuple(self.delta.partial(i) for i in range(4))
-
-
 def random_instance(p: int, seed: int) -> CubicData:
     """Seeded instance with every coefficient uniform in F_p.
 
@@ -152,14 +137,14 @@ def gram_matrix(d: CubicData) -> tuple:
     return symmetric_matrix(d.entries)
 
 
-def discriminant(d: CubicData) -> DiscriminantSurface:
-    """delta = det(Gram matrix); raises if it vanishes identically."""
+def discriminant(d: CubicData) -> MultiPoly:
+    """The branch sextic delta = det(Gram matrix); raises if it vanishes identically."""
     delta = mp_det(gram_matrix(d))
     if delta.is_zero():
         raise DegenerateDiscriminant("determinant of the Gram matrix is identically zero")
     if delta.homogeneous_degree() != 6:
         raise DegenerateDiscriminant("discriminant is not homogeneous of degree 6")
-    return DiscriminantSurface(delta)
+    return delta
 
 
 def cubic_equation(d: CubicData) -> MultiPoly:

@@ -139,22 +139,22 @@ def _acquire_instance(cfg: RunConfig, timings: dict):
     for attempt in range(1 if cfg.instance_file is not None else cfg.retries + 1):
         with _timed(timings, "instance"):
             d = _instance(cfg.instance_file, cfg.prime, cfg.seed + attempt)
-        surface = census = None
+        delta = census = None
         entry = {"attempt": attempt, "seed": d.seed}
         history.append(entry)
         try:
             with _timed(timings, "discriminant"):
-                surface = bundle.discriminant(d)
+                delta = bundle.discriminant(d)
         except DegenerateDiscriminant:
             entry["outcome"] = "degenerate_discriminant"
             continue
         with _timed(timings, "census"):
-            census = singular.node_census(surface, stage_seed(cfg.seed, attempt, "census"),
+            census = singular.node_census(delta, stage_seed(cfg.seed, attempt, "census"),
                                           cfg.budget)
         entry["outcome"] = census.verdict
         if census.verdict == singular.VERDICT_GENERIC:
             break
-    return d, surface, census, history
+    return d, delta, census, history
 
 
 def _census_section(census) -> dict:
@@ -178,7 +178,7 @@ def _flags_section(report) -> dict:
     return {**asdict(report), "pass": report.passed}
 
 
-def _fibers_section(d, surface, strata, sigma_points) -> dict:
+def _fibers_section(d, delta, strata, sigma_points) -> dict:
     """The rank contracts 4 / 3 / 2, corollaries of the strata identities
     (see the fibers module), and the exact rank at each supplied point."""
     section = {"rank_contracts": dict(fibers._EXPECTED_RANK)}
@@ -187,7 +187,7 @@ def _fibers_section(d, surface, strata, sigma_points) -> dict:
         rows = []
         for y in sigma_points:
             try:
-                s = fibers.sigma_sample(d, surface, y)
+                s = fibers.sigma_sample(d, delta, y)
                 rank = fibers.fiber_rank_check(d, s)
                 rows.append({"y": list(s.y), "gram_rank": rank, "pass": True})
             except (ValueError, StratumViolation) as exc:
@@ -214,7 +214,7 @@ def run_verify_all(cfg: RunConfig):
     """
     t_start = time.monotonic()
     timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
-    d, surface, census, history = _acquire_instance(cfg, timings)
+    d, delta, census, history = _acquire_instance(cfg, timings)
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -237,14 +237,14 @@ def run_verify_all(cfg: RunConfig):
     }
 
     generic = census is not None and census.verdict == singular.VERDICT_GENERIC
-    strata = cache(lambda: singular.strata_check(d, surface, census))  # run at most once
+    strata = cache(lambda: singular.strata_check(d, census))  # run at most once
     passed = []
     for check in CHECKS:
         if check not in cfg.checks:
             continue
         with _timed(timings, check):
             if check == "census":
-                if surface is None:
+                if delta is None:
                     section = _blocked_section("discriminant vanishes identically")
                 else:
                     section = _census_section(census)
@@ -253,14 +253,14 @@ def run_verify_all(cfg: RunConfig):
             elif check == "strata":
                 section = _flags_section(strata())
             elif check == "double_solid":
-                section = _census_section(singular.double_solid_census(surface, census))
+                section = _census_section(singular.double_solid_census(census))
             elif check == "fibers":
-                section = _fibers_section(d, surface, strata(), cfg.sigma_points)
+                section = _fibers_section(d, delta, strata(), cfg.sigma_points)
             elif check == "pairings":
                 section = _pairings_section(strata())
             else:
                 section = _flags_section(singular.smoothness_certificate(
-                    d, surface, census, strata(), cfg.budget))
+                    d, census, strata(), cfg.budget))
         report[check] = {"certificate": CERTIFICATES[check], **section}
         passed.append(bool(section.get("pass")))
 

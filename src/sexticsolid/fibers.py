@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import (CubicData, DiscriminantSurface, _normalize_projective,
-                     exceptional_conic, fiber_gram, points_on_lines)
+from .bundle import (CubicData, _normalize_projective, exceptional_conic,
+                     fiber_gram, points_on_lines)
 from .errors import SamplingExhausted, StratumViolation
 from .exactalg import SplitMix64, independent_pair, matrix_rank
+from .multipoly import MultiPoly
 
 STRATUM_OFF_DELTA = "off_delta"
 STRATUM_ON_DELTA_SMOOTH = "on_delta_smooth"
@@ -71,13 +72,11 @@ class PairingCertificate:
     all_even: bool
 
 
-def sample_off_delta(d: CubicData, surface: DiscriminantSurface,
-                     seed: int, n: int):
+def sample_off_delta(d: CubicData, delta: MultiPoly, seed: int, n: int):
     """n seeded uniform base points with delta(y) != 0 (rejection sampling)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = d.p
-    delta = surface.delta
     rng = SplitMix64(seed)
     samples = []
     for _ in range(128 * n + 512):
@@ -92,23 +91,23 @@ def sample_off_delta(d: CubicData, surface: DiscriminantSurface,
     return samples
 
 
-def sample_on_delta(d: CubicData, surface: DiscriminantSurface,
-                    seed: int, n: int):
+def sample_on_delta(d: CubicData, delta: MultiPoly, seed: int, n: int):
     """n distinct smooth points of the branch sextic: the points of
     points_on_lines (64 n + 512 lines at most) where some partial of delta
     is nonzero, in the order they are drawn."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    partials = [delta.partial(i) for i in range(4)]
     samples = []
-    for y in points_on_lines(surface.delta, SplitMix64(seed), 64 * n + 512):
-        if any(g.eval(y) for g in surface.partials):
+    for y in points_on_lines(delta, SplitMix64(seed), 64 * n + 512):
+        if any(g.eval(y) for g in partials):
             samples.append(FiberSample(y=y, stratum=STRATUM_ON_DELTA_SMOOTH))
             if len(samples) == n:
                 return samples
     raise SamplingExhausted("could not find enough smooth points on the branch sextic")
 
 
-def sigma_sample(d: CubicData, surface: DiscriminantSurface, y) -> FiberSample:
+def sigma_sample(d: CubicData, delta: MultiPoly, y) -> FiberSample:
     """Wrap an explicitly supplied singular point of the sextic as a sample.
 
     The census avoids extracting node coordinates, so rank-2 fiber checks
@@ -118,9 +117,9 @@ def sigma_sample(d: CubicData, surface: DiscriminantSurface, y) -> FiberSample:
     y = _normalize_projective([v % p for v in y], p)
     if y is None:
         raise ValueError("the zero vector is not a point")
-    if surface.delta.eval(y) != 0:
+    if delta.eval(y) != 0:
         raise ValueError("point is not on the branch sextic")
-    if any(g.eval(y) != 0 for g in surface.partials):
+    if any(delta.partial(i).eval(y) != 0 for i in range(4)):
         raise ValueError("point is a smooth point of the sextic, not a node")
     return FiberSample(y=y, stratum=STRATUM_ON_SIGMA)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bundle import (GRAM_INDEX, CubicData, DiscriminantSurface, cubic_equation,
-                     symmetric_matrix)
+from .bundle import GRAM_INDEX, CubicData, cubic_equation, symmetric_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
@@ -79,11 +78,11 @@ class SingularCensusReport:
     points_at_infinity: bool
     verdict: str
     chart_change_seed: int
-    # affine basis counted and (node census) the sextic, unmoved and moved
-    # into the chart; not compared
+    # affine basis counted, the chart matrix T and (node census) the sextic
+    # moved by it; not compared
     basis: GBasis | None = field(default=None, compare=False, repr=False)
     moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
-    sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
+    chart: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -109,26 +108,20 @@ class SmoothnessCertificate:
         return self.cubic_is_gram_form and self.plane_smooth and self.strata_passed
 
 
-def _chart_rng(p: int, seed: int):
-    rng = SplitMix64(seed)
-    T = random_invertible(4, p, rng)
-    return T, rng
-
-
-def _verdict(zero_dimensional, degree, reduced, points_at_infinity) -> str:
-    if zero_dimensional and degree == EXPECTED_NODE_COUNT and not points_at_infinity:
+def _verdict(degree, reduced, points_at_infinity) -> str:
+    if degree == EXPECTED_NODE_COUNT and not points_at_infinity:
         if reduced == "certified":
             return VERDICT_GENERIC
         return VERDICT_INCONCLUSIVE
     return VERDICT_DEGENERATE
 
 
-def node_census(surface: DiscriminantSurface, seed: int,
-                budget=DEFAULT_BUDGET) -> SingularCensusReport:
+def node_census(delta: MultiPoly, seed: int, budget=DEFAULT_BUDGET) -> SingularCensusReport:
     """Census of the singular scheme of the branch sextic.
 
-    Pipeline: seeded random linear coordinate change; check the Jacobian
-    ideal has no projective zeros on the plane at infinity of the chart;
+    Pipeline: seeded random linear coordinate change T; check the four
+    partials, restricted to the plane at infinity y0 = 0 of the chart, have
+    no common zero there (all four zero: the whole plane is singular);
     dehomogenize in that chart; Groebner basis, replaying
     ``CENSUS_SCHEDULE`` before the completion that certifies it (so a
     generic chart skips the 110 S-pairs that reduce to zero, and an
@@ -138,42 +131,38 @@ def node_census(surface: DiscriminantSurface, seed: int,
     degree = dimension of the quotient algebra; reducedness by the
     multiplication-operator certificate.  Structural failures produce
     verdict "degenerate" (with the honestly computed degree), never a wrong
-    count reported as generic.  Carries its basis and moved sextic.
+    count reported as generic.  Carries its basis, chart T and moved sextic.
     """
-    delta = surface.delta
-    p = delta.p
-    T, rng = _chart_rng(p, seed)
+    rng = SplitMix64(seed)
+    T = random_invertible(4, delta.p, rng)
     moved = delta.linear_change(T)
     parts = [moved.partial(i) for i in range(4)]
 
-    y0 = MultiPoly.variable(0, 4, p)
-    points_at_infinity = not is_irrelevant(parts + [y0], budget)
+    plane = [f.specialize(0, 0) for f in parts]
+    points_at_infinity = all(f.is_zero() for f in plane) or not is_irrelevant(plane, budget)
 
     affine = [f.specialize(0, 1) for f in parts]
-    if all(f.is_zero() for f in affine):
-        return SingularCensusReport(False, -1, "failed", points_at_infinity,
-                                    VERDICT_DEGENERATE, seed)
-    gb = buchberger(affine, budget, schedule=CENSUS_SCHEDULE)
-    if not is_zero_dimensional(gb):
+    gb = (buchberger(affine, budget, schedule=CENSUS_SCHEDULE)
+          if any(not f.is_zero() for f in affine) else None)
+    if gb is None or not is_zero_dimensional(gb):
         return SingularCensusReport(False, -1, "failed", points_at_infinity,
                                     VERDICT_DEGENERATE, seed)
     degree = quotient_dim(gb)
     reduced = reducedness_certificate(gb, rng)
     return SingularCensusReport(True, degree, reduced, points_at_infinity,
-                                _verdict(True, degree, reduced, points_at_infinity), seed,
-                                basis=gb, moved_sextic=moved, sextic=delta)
+                                _verdict(degree, reduced, points_at_infinity), seed,
+                                basis=gb, moved_sextic=moved, chart=T)
 
 
-def _certified_census(census, surface, stage) -> SingularCensusReport:
+def _certified_census(census, stage) -> SingularCensusReport:
     """The census the downstream certificates stand on: generic, certified
-    reduced (so its affine ideal is radical), nothing at infinity, and taken
-    of this surface's sextic."""
+    reduced (so its affine ideal is radical), nothing at infinity, with its
+    basis, chart and moved sextic."""
     if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
-            or census.points_at_infinity or None in (census.basis, census.moved_sextic)):
+            or census.points_at_infinity
+            or None in (census.basis, census.chart, census.moved_sextic)):
         raise CensusNotGeneric(f"{stage} needs a certified generic node census "
                                f"with its basis, got {census.verdict!r}")
-    if census.sextic != surface.delta:
-        raise CensusNotGeneric(f"{stage} got a node census of another sextic")
     return census
 
 
@@ -183,14 +172,13 @@ def _double_solid_equation(moved: MultiPoly) -> MultiPoly:
     return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
 
 
-def double_solid_census(surface: DiscriminantSurface,
-                        census: SingularCensusReport) -> SingularCensusReport:
+def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
     Its Tjurina ideal I_DS (the equation g = w^2 - delta_aff and its
     partials) has one reduced point above each surface node, so the
     expected degree is again 31.  It runs in the chart of the given
-    certified generic node census of this surface, with no Groebner
+    certified generic node census, on its moved sextic, with no Groebner
     completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
     sum y_i (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked
     as polynomial identities, put (w) + J_aff inside I_DS (2 and 6 are
@@ -198,7 +186,7 @@ def double_solid_census(surface: DiscriminantSurface,
     basis B = {w} + census basis gives the converse.  So the quotient is the
     census's, and so are degree, reducedness and verdict.
     """
-    census = _certified_census(census, surface, "double-solid census")
+    census = _certified_census(census, "double-solid census")
     moved = census.moved_sextic
     delta_aff = moved.specialize(0, 1)
     parts_aff = [moved.partial(i).specialize(0, 1) for i in range(4)]
@@ -213,7 +201,7 @@ def double_solid_census(surface: DiscriminantSurface,
     g = _double_solid_equation(moved)
     if not all(normal_form(f, B).is_zero() for f in [g] + [g.partial(i) for i in range(4)]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
-    return replace(census, basis=B, moved_sextic=None, sextic=None)
+    return replace(census, basis=B, moved_sextic=None)
 
 
 def rank_stratum_ideal(M) -> tuple:
@@ -230,12 +218,11 @@ def rank_stratum_ideal(M) -> tuple:
     return symmetric_matrix(cofactors)
 
 
-def strata_check(d: CubicData, surface: DiscriminantSurface,
-                 census: SingularCensusReport) -> StrataReport:
+def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     """Certify the rank stratification of the Gram matrix M with no Groebner
     basis of its own, in the chart of the given certified generic node
-    census of this surface (an invertible change of coordinates preserves
-    every ideal membership below).
+    census (an invertible change of coordinates preserves every ideal
+    membership below).  A census of another sextic fails the identities.
 
     Rank-2 locus = Sing(delta), and delta in (3x3 minors).  Minors ->
     Jacobian: with no singular point at infinity and J_aff reduced, each
@@ -253,9 +240,8 @@ def strata_check(d: CubicData, surface: DiscriminantSurface,
     characteristic polynomial: every local length is 1) with nothing at
     infinity.
     """
-    census = _certified_census(census, surface, "strata check")
-    T, _ = _chart_rng(surface.delta.p, census.chart_change_seed)
-    moved = symmetric_matrix([f.linear_change(T) for f in d.entries])
+    census = _certified_census(census, "strata check")
+    moved = symmetric_matrix([f.linear_change(census.chart) for f in d.entries])
     adj = rank_stratum_ideal(moved)
 
     # the distinct nonzero entries of adj M, row by row
@@ -284,11 +270,10 @@ def center_plane_conics(f: MultiPoly) -> list:
                                           if e[3:] == unit]) for unit in units]
 
 
-def smoothness_certificate(d: CubicData, surface: DiscriminantSurface,
-                           census: SingularCensusReport, strata: StrataReport,
-                           budget=DEFAULT_BUDGET) -> SmoothnessCertificate:
+def smoothness_certificate(d: CubicData, census: SingularCensusReport,
+                           strata: StrataReport, budget=DEFAULT_BUDGET) -> SmoothnessCertificate:
     """Certify the cubic X = {F' = 0}, F' = cubic_equation(d), smooth from
-    the certified generic census of this surface, its strata check, and one
+    the certified generic census of its sextic, its strata check, and one
     basis of four conics: Beauville's conic-bundle argument (Ann. Sci. ENS
     10, 1977, sec. 1) carried over to quadric bundles.
 
@@ -307,7 +292,7 @@ def smoothness_certificate(d: CubicData, surface: DiscriminantSurface,
     span the binary quadrics and no kernel vector kills all v^T d_k M v.
     Rank <= 1: empty (strata).
     """
-    _certified_census(census, surface, "smoothness certificate")
+    _certified_census(census, "smoothness certificate")
     f, p = cubic_equation(d), d.p
     # F'(x, s y) in (X0..X2, s, Y0..Y3): a term's Y-degree becomes its s-degree
     lhs = MultiPoly.from_terms(8, p, [(e[:3] + (sum(e[3:]),) + e[3:], c)

@@ -14,10 +14,10 @@ PRIME = 32003
 def seed1():
     """One generic instance shared by the unit tests."""
     d = random_instance(PRIME, 1)
-    surface = discriminant(d)
-    census = node_census(surface, 1)
+    delta = discriminant(d)
+    census = node_census(delta, 1)
     assert census.verdict == "generic_31_nodes", "seed 1 is pinned as generic"
-    return SimpleNamespace(d=d, surface=surface, census=census)
+    return SimpleNamespace(d=d, delta=delta, census=census)
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +28,14 @@ def census_suite():
     for seed in range(1, 11):
         d = random_instance(PRIME, seed)
         try:
-            surface = discriminant(d)
+            delta = discriminant(d)
         except DegenerateDiscriminant:
-            entries.append(SimpleNamespace(seed=seed, d=d, surface=None,
+            entries.append(SimpleNamespace(seed=seed, d=d, delta=None,
                                            census=None, seconds=0.0))
             continue
         t0 = time.monotonic()
-        census = node_census(surface, seed)
-        entries.append(SimpleNamespace(seed=seed, d=d, surface=surface,
+        census = node_census(delta, seed)
+        entries.append(SimpleNamespace(seed=seed, d=d, delta=delta,
                                        census=census,
                                        seconds=time.monotonic() - t0))
     return entries

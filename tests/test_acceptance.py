@@ -48,7 +48,7 @@ def test_c1_node_census_10_seeds(census_suite):
 def test_c2_double_solid_census(census_suite):
     results = {}
     for e in _passing(census_suite):
-        rep = double_solid_census(e.surface, e.census)
+        rep = double_solid_census(e.census)
         results[e.seed] = (rep.degree, rep.reduced)
     ok = bool(results) and all(v == (31, "certified") for v in results.values())
     assert _report("C2 double-solid census", ok, f"degrees {results}")
@@ -57,7 +57,7 @@ def test_c2_double_solid_census(census_suite):
 def test_c3_rank_stratification(census_suite):
     results = {}
     for e in _passing(census_suite):
-        rep = strata_check(e.d, e.surface, e.census)
+        rep = strata_check(e.d, e.census)
         results[e.seed] = (rep.rank2_equals_sigma, rep.rank1_empty,
                           rep.delta_in_minor_ideal)
     ok = bool(results) and all(v == (True, True, True) for v in results.values())
@@ -68,8 +68,8 @@ def test_c3_rank_stratification(census_suite):
 def test_c4_fiber_ranks(census_suite):
     tallies = {}
     for e in _passing(census_suite):
-        off = fibers.sample_off_delta(e.d, e.surface, seed=40 + e.seed, n=100)
-        on = fibers.sample_on_delta(e.d, e.surface, seed=80 + e.seed, n=100)
+        off = fibers.sample_off_delta(e.d, e.delta, seed=40 + e.seed, n=100)
+        on = fibers.sample_on_delta(e.d, e.delta, seed=80 + e.seed, n=100)
         off_ranks = {fibers.fiber_rank_check(e.d, s) for s in off}
         on_ranks = {fibers.fiber_rank_check(e.d, s) for s in on}
         tallies[e.seed] = (sorted(off_ranks), sorted(on_ranks))
@@ -82,7 +82,7 @@ def test_c5_pairing_certificates(census_suite):
     total = 0
     bad = []
     for e in _passing(census_suite):
-        samples = fibers.sample_off_delta(e.d, e.surface, seed=120 + e.seed, n=100)
+        samples = fibers.sample_off_delta(e.d, e.delta, seed=120 + e.seed, n=100)
         for i, s in enumerate(samples):
             cert = fibers.pairing_certificate(e.d, s.y, seed=1_000_000 * e.seed + i)
             total += 1
@@ -105,10 +105,10 @@ def test_c5_pairing_certificates(census_suite):
 
 def test_c6_degenerate_diagonal_handling(tmp_path):
     d = bundle.diagonal_instance(P)
-    surf = bundle.discriminant(d)
+    delta = bundle.discriminant(d)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
-    exact = surf.delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
-    census = node_census(surf, seed=6)
+    exact = delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
+    census = node_census(delta, seed=6)
     path_ok = (not census.zero_dimensional and census.degree == -1
                and census.verdict == "degenerate")
     inst = tmp_path / "diagonal.txt"
@@ -189,8 +189,8 @@ def test_c9_degree_bookkeeping(census_suite):
                       and (m[i][j].is_zero()
                            or m[i][j].homogeneous_degree() == 1 + (i == 3) + (j == 3))
                       for i in range(4) for j in range(4))
-        degree6 = (e.surface is not None
-                   and e.surface.delta.homogeneous_degree() == 6)
+        degree6 = (e.delta is not None
+                   and e.delta.homogeneous_degree() == 6)
         checks[e.seed] = (pattern, degree6)
     ok = all(v == (True, True) for v in checks.values())
     assert _report("C9 degree bookkeeping", ok,

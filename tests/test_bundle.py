@@ -60,11 +60,11 @@ def test_gram_degree_pattern_on_seeded_instances():
 
 def test_discriminant_diagonal_and_seeded_degree():
     d = diagonal_instance(P)
-    surf = discriminant(d)
+    delta = discriminant(d)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
-    assert surf.delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
+    assert delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
     for seed in range(1, 6):
-        assert discriminant(random_instance(P, seed)).delta.homogeneous_degree() == 6
+        assert discriminant(random_instance(P, seed)).homogeneous_degree() == 6
 
 
 def test_discriminant_degenerate_error():
@@ -79,7 +79,7 @@ def test_discriminant_equals_permutation_expansion_oracle():
     for seed in range(1, 6):
         d = random_instance(P, seed)
         m = gram_matrix(d)
-        assert discriminant(d).delta == oracles.det_by_permutations(m)
+        assert discriminant(d) == oracles.det_by_permutations(m)
 
 
 def test_cubic_equation_diagonal_and_plane_containment():
@@ -128,14 +128,14 @@ def test_fiber_gram_examples_and_determinant_compatibility():
     with pytest.raises(ZeroPoint):
         fiber_gram(d, (0, 0, 0, 0))
     seeded = random_instance(P, 2)
-    surf = discriminant(seeded)
+    delta = discriminant(seeded)
     rng = SplitMix64(10)
     for _ in range(100):
         y = tuple(rng.below(P) for _ in range(4))
         if not any(y):
             continue
         G = fiber_gram(seeded, y)
-        assert oracles.det_int(G, P) == surf.delta.eval(y)
+        assert oracles.det_int(G, P) == delta.eval(y)
 
 
 @pytest.mark.parametrize("which", ["seed1", "seed2", "seed5", "diagonal"])

@@ -239,7 +239,7 @@ def _scripted_attempts(monkeypatch, seed1, vanishing):
         seeds.append(d.seed)
         if len(seeds) - 1 in vanishing:
             raise DegenerateDiscriminant("discriminant vanishes identically")
-        return seed1.surface
+        return seed1.delta
 
     def node_census(*args):
         if len(seeds) == 2:
@@ -395,10 +395,11 @@ def test_verify_computes_no_basis_twice(monkeypatch):
     assert ds_calls == [0]
     # one strata check serves the strata, fibers, pairings and smoothness sections
     assert strata_calls == [True]
-    # the infinity check and the affine basis of the census, and the four
-    # plane conics of the smoothness certificate, nothing else
+    # the infinity check on the plane y0 = 0 and the affine basis of the
+    # census, and the four plane conics of the smoothness certificate,
+    # nothing else
     assert len(bases) == 3 and len(irrelevant_calls) == 2
-    assert [g.nvars for g in bases] == [4, 3, 3]
+    assert [g.nvars for g in bases] == [3, 3, 3]
     for i, a in enumerate(bases):
         assert all(a != b for b in bases[i + 1:])
 
@@ -454,7 +455,7 @@ def test_verify_samples_flag_is_gone(capsys):
 
 
 def test_a_strata_failure_fails_the_sections_it_certifies(seed1, monkeypatch):
-    failed = replace(singular.strata_check(seed1.d, seed1.surface, seed1.census),
+    failed = replace(singular.strata_check(seed1.d, seed1.census),
                      rank2_equals_sigma=False)
     calls = []
 

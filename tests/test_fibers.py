@@ -5,9 +5,8 @@ import sys
 import pytest
 
 from sexticsolid import bundle, multipoly
-from sexticsolid.bundle import (GRAM_FORMS, CubicData, DiscriminantSurface,
-                                diagonal_instance, discriminant, fiber_gram,
-                                random_instance)
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, diagonal_instance, discriminant,
+                                fiber_gram, random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
@@ -41,37 +40,37 @@ def plant_rank2_node(seed=1, p=P):
 
 
 def test_sample_off_delta_properties(seed1):
-    samples = sample_off_delta(seed1.d, seed1.surface, seed=3, n=50)
+    samples = sample_off_delta(seed1.d, seed1.delta, seed=3, n=50)
     assert len(samples) == 50
     for s in samples:
         assert s.stratum == "off_delta"
-        assert seed1.surface.delta.eval(s.y) != 0
+        assert seed1.delta.eval(s.y) != 0
         assert fiber_rank_check(seed1.d, s) == 4
 
 
 def test_sample_off_delta_diagonal_example_point():
     d = diagonal_instance(P)
-    surf = discriminant(d)
-    assert surf.delta.eval((1, 1, 1, 1)) == 1
-    samples = sample_off_delta(d, surf, seed=4, n=5)
+    delta = discriminant(d)
+    assert delta.eval((1, 1, 1, 1)) == 1
+    samples = sample_off_delta(d, delta, seed=4, n=5)
     assert len(samples) == 5
 
 
 def test_samplers_reject_n_zero(seed1):
     with pytest.raises(ValueError):
-        sample_off_delta(seed1.d, seed1.surface, seed=1, n=0)
+        sample_off_delta(seed1.d, seed1.delta, seed=1, n=0)
     with pytest.raises(ValueError):
-        sample_on_delta(seed1.d, seed1.surface, seed=1, n=0)
+        sample_on_delta(seed1.d, seed1.delta, seed=1, n=0)
 
 
 def test_sample_on_delta_properties(seed1):
-    samples = sample_on_delta(seed1.d, seed1.surface, seed=5, n=50)
+    samples = sample_on_delta(seed1.d, seed1.delta, seed=5, n=50)
     assert len(samples) == 50
     seen = set()
     for s in samples:
         assert s.stratum == "on_delta_smooth"
-        assert seed1.surface.delta.eval(s.y) == 0
-        assert any(seed1.surface.delta.partial(i).eval(s.y) != 0 for i in range(4))
+        assert seed1.delta.eval(s.y) == 0
+        assert any(seed1.delta.partial(i).eval(s.y) != 0 for i in range(4))
         assert fiber_rank_check(seed1.d, s) == 3
         assert s.y not in seen
         seen.add(s.y)
@@ -81,11 +80,11 @@ def test_sample_on_delta_diagonal_line_slice():
     # the line (t,1,1,1) meets the diagonal sextic Y0*Y1*Y2*Y3^3 at t=0,
     # where the partial along Y0 equals 1: an accepted smooth point
     d = diagonal_instance(P)
-    surf = discriminant(d)
+    delta = discriminant(d)
     y = (0, 1, 1, 1)
-    assert surf.delta.eval(y) == 0
-    assert surf.delta.partial(0).eval(y) == 1
-    samples = sample_on_delta(d, surf, seed=6, n=10)
+    assert delta.eval(y) == 0
+    assert delta.partial(0).eval(y) == 1
+    samples = sample_on_delta(d, delta, seed=6, n=10)
     assert all(fiber_rank_check(d, s) == 3 for s in samples)
 
 
@@ -95,8 +94,7 @@ def test_sample_on_delta_smooth_surface_accepts_everything():
     fermat = MultiPoly.from_terms(
         4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
-    surf = DiscriminantSurface(fermat)
-    samples = sample_on_delta(diagonal_instance(P), surf, seed=14, n=10)
+    samples = sample_on_delta(diagonal_instance(P), fermat, seed=14, n=10)
     assert len(samples) == 10
     assert all(s.stratum == "on_delta_smooth" for s in samples)
     assert all(fermat.eval(s.y) == 0 for s in samples)
@@ -107,7 +105,7 @@ def test_sample_on_delta_exhausts_when_every_point_is_singular(seed1):
     # smooth point and the sampler gives up after its line budget
     y0 = MultiPoly.variable(0, 4, P)
     with pytest.raises(SamplingExhausted, match="smooth points"):
-        sample_on_delta(seed1.d, DiscriminantSurface(y0 ** 6), seed=3, n=1)
+        sample_on_delta(seed1.d, y0 ** 6, seed=3, n=1)
 
 
 def test_conic_restriction_diagonal_example():
@@ -118,7 +116,7 @@ def test_conic_restriction_diagonal_example():
 
 
 def test_fiber_rank_check_raises_on_contradicted_tag(seed1):
-    on = sample_on_delta(seed1.d, seed1.surface, seed=7, n=1)[0]
+    on = sample_on_delta(seed1.d, seed1.delta, seed=7, n=1)[0]
     lying = FiberSample(y=on.y, stratum="off_delta")
     with pytest.raises(StratumViolation) as info:
         fiber_rank_check(seed1.d, lying)
@@ -127,22 +125,22 @@ def test_fiber_rank_check_raises_on_contradicted_tag(seed1):
 
 def test_planted_sigma_point_has_rank_2():
     d = plant_rank2_node()
-    surf = discriminant(d)
+    delta = discriminant(d)
     e0 = (1, 0, 0, 0)
     assert fiber_gram(d, e0) == [[1, 0, 0, 0], [0, 1, 0, 0],
                                  [0, 0, 0, 0], [0, 0, 0, 0]]
-    s = sigma_sample(d, surf, e0)
+    s = sigma_sample(d, delta, e0)
     assert s.stratum == "on_sigma"
     assert fiber_rank_check(d, s) == 2
 
 
 def test_sigma_sample_rejects_non_singular_points(seed1):
-    off = sample_off_delta(seed1.d, seed1.surface, seed=8, n=1)[0]
+    off = sample_off_delta(seed1.d, seed1.delta, seed=8, n=1)[0]
     with pytest.raises(ValueError):
-        sigma_sample(seed1.d, seed1.surface, off.y)
-    on = sample_on_delta(seed1.d, seed1.surface, seed=9, n=1)[0]
+        sigma_sample(seed1.d, seed1.delta, off.y)
+    on = sample_on_delta(seed1.d, seed1.delta, seed=9, n=1)[0]
     with pytest.raises(ValueError):
-        sigma_sample(seed1.d, seed1.surface, on.y)
+        sigma_sample(seed1.d, seed1.delta, on.y)
 
 
 def test_restriction_multiplicity_bookkeeping():
@@ -209,7 +207,7 @@ def test_conic_line_pairing_rank1_double_line():
 
 
 def test_pairing_certificate_values_and_parity(seed1):
-    samples = sample_off_delta(seed1.d, seed1.surface, seed=10, n=25)
+    samples = sample_off_delta(seed1.d, seed1.delta, seed=10, n=25)
     for i, s in enumerate(samples):
         cert = pairing_certificate(seed1.d, s.y, seed=100 + i)
         assert (cert.pairing_h2, cert.pairing_pl, cert.pairing_qpi) == (2, 2, 0)
@@ -222,7 +220,7 @@ def test_pairing_certificate_values_and_parity(seed1):
 
 
 def test_pairings_constant_across_20_line_choices(seed1):
-    y = sample_off_delta(seed1.d, seed1.surface, seed=11, n=1)[0].y
+    y = sample_off_delta(seed1.d, seed1.delta, seed=11, n=1)[0].y
     h2 = {line_quadric_pairing(seed1.d, y, seed) for seed in range(20)}
     pl = {conic_line_pairing(seed1.d, y, seed) for seed in range(20)}
     assert h2 == {2}
@@ -230,11 +228,11 @@ def test_pairings_constant_across_20_line_choices(seed1):
 
 
 def test_sampling_is_deterministic(seed1):
-    a = sample_off_delta(seed1.d, seed1.surface, seed=12, n=10)
-    b = sample_off_delta(seed1.d, seed1.surface, seed=12, n=10)
+    a = sample_off_delta(seed1.d, seed1.delta, seed=12, n=10)
+    b = sample_off_delta(seed1.d, seed1.delta, seed=12, n=10)
     assert a == b
-    c = sample_on_delta(seed1.d, seed1.surface, seed=13, n=10)
-    e = sample_on_delta(seed1.d, seed1.surface, seed=13, n=10)
+    c = sample_on_delta(seed1.d, seed1.delta, seed=13, n=10)
+    e = sample_on_delta(seed1.d, seed1.delta, seed=13, n=10)
     assert c == e
 
 
@@ -247,9 +245,9 @@ def test_drawn_points_match_their_golden_digests(seed1, monkeypatch):
     # verify draws no point; these pin the points the samplers draw for the
     # tests and the benchmark, and the order in which they are drawn
     n = 200
-    off = sample_off_delta(seed1.d, seed1.surface, seed=1, n=n)
+    off = sample_off_delta(seed1.d, seed1.delta, seed=1, n=n)
     assert _points_digest([list(s.y) for s in off]) == "f8d8197002309a81"
-    on = sample_on_delta(seed1.d, seed1.surface, seed=2, n=n)
+    on = sample_on_delta(seed1.d, seed1.delta, seed=2, n=n)
     assert _points_digest([list(s.y) for s in on]) == "4b0a3f7778a8ab80"
     certs = [pairing_certificate(seed1.d, s.y, seed=3 + k) for k, s in enumerate(off)]
     assert _points_digest([[list(c.y), c.pairing_h2, c.pairing_pl, c.pairing_qpi]
@@ -300,7 +298,7 @@ def test_line_restriction_runs_without_evaluating(seed1, monkeypatch):
                     monkeypatch.setattr(module, attr, restrict)
     monkeypatch.setattr(multipoly.MultiPoly, "eval", evaluate)
 
-    on = sample_on_delta(seed1.d, seed1.surface, seed=11, n=20)
+    on = sample_on_delta(seed1.d, seed1.delta, seed=11, n=20)
     report = bundle.smoothness_spotcheck(seed1.d, 20, seed=12)
     assert len(on) == 20 and report.passed
     assert restrictions

@@ -4,7 +4,8 @@ from sexticsolid.bundle import gram_matrix, random_instance
 from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
-from sexticsolid.exactalg import SplitMix64, charpoly, fp_inv, upoly, upoly_is_squarefree
+from sexticsolid.exactalg import (SplitMix64, charpoly, fp_inv, random_invertible, upoly,
+                                  upoly_is_squarefree)
 from sexticsolid import groebner
 from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
                                   _Reducer, buchberger, in_radical, is_irrelevant,
@@ -13,7 +14,7 @@ from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
                                   reducedness_certificate, standard_monomials)
 from sexticsolid.multipoly import MultiPoly, grevlex_key, mp_det
 from sexticsolid import singular
-from sexticsolid.singular import CENSUS_SCHEDULE, _chart_rng, rank_stratum_ideal
+from sexticsolid.singular import CENSUS_SCHEDULE, rank_stratum_ideal
 
 import oracles
 
@@ -188,17 +189,18 @@ def test_census_basis_within_sugar_step_count(seed1):
     assert quotient_dim(gb) == 31
 
 
-def census_ideal(surface, seed):
+def census_ideal(delta, seed):
     """The affine Jacobian ideal that the census of verify --seed seed
-    (first attempt) hands to buchberger."""
-    T, _ = _chart_rng(surface.delta.p, stage_seed(seed, 0, "census"))
-    moved = surface.delta.linear_change(T)
+    (first attempt) hands to buchberger: its chart T is node_census's
+    first draw from that seed."""
+    T = random_invertible(4, delta.p, SplitMix64(stage_seed(seed, 0, "census")))
+    moved = delta.linear_change(T)
     return [f for f in (moved.partial(i).specialize(0, 1) for i in range(4))
             if not f.is_zero()]
 
 
 def census_affine_ideal(seed1):
-    return census_ideal(seed1.surface, 1)
+    return census_ideal(seed1.delta, 1)
 
 
 def test_census_basis_step_count_is_pinned(seed1):
@@ -229,14 +231,14 @@ def test_census_schedule_is_the_plain_trace(seed, census_suite):
     # nonzero, pair for pair and lead for lead, and the replay runs to its
     # last pair; a change to the sugar order or the pair criteria fails
     # here until CENSUS_SCHEDULE is recorded again
-    affine = census_ideal(census_suite[seed - 1].surface, seed)
+    affine = census_ideal(census_suite[seed - 1].delta, seed)
     assert oracles.record_schedule(affine) == CENSUS_SCHEDULE
     assert oracles.record_schedule(affine, schedule=CENSUS_SCHEDULE) == CENSUS_SCHEDULE
 
 
 def test_schedule_never_changes_the_census_basis_at_ten_seeds(census_suite):
     for entry in census_suite:
-        affine = census_ideal(entry.surface, entry.seed)
+        affine = census_ideal(entry.delta, entry.seed)
         assert buchberger(affine, schedule=CENSUS_SCHEDULE) == buchberger(affine)
 
 

@@ -1,13 +1,13 @@
 import json
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
 from sexticsolid import bundle, singular
-from sexticsolid.bundle import (GRAM_FORMS, CubicData, DiscriminantSurface,
-                                cubic_equation, diagonal_instance, discriminant,
-                                gram_matrix, random_instance)
-from sexticsolid.cli import main
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, cubic_equation, diagonal_instance,
+                                discriminant, gram_matrix, random_instance)
+from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import CensusNotGeneric
 from sexticsolid.groebner import (buchberger, is_irrelevant, is_zero_dimensional,
                                   normal_form, quotient_dim, reducedness_certificate)
@@ -26,7 +26,7 @@ def test_jacobian_ideal_of_fermat_sextic():
     f = MultiPoly.from_terms(
         4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
-    jac = DiscriminantSurface(f).partials
+    jac = [f.partial(i) for i in range(4)]
     assert len(jac) == 4
     mono = [g.scale(fp_inv(g.lead_coeff(), P)) for g in jac]
     for i in range(4):
@@ -35,15 +35,15 @@ def test_jacobian_ideal_of_fermat_sextic():
 
 
 def test_jacobian_ideal_seeded_is_four_quintics():
-    surf = discriminant(random_instance(P, 1))
-    assert [g.homogeneous_degree() for g in surf.partials] == [5, 5, 5, 5]
+    delta = discriminant(random_instance(P, 1))
+    assert [delta.partial(i).homogeneous_degree() for i in range(4)] == [5, 5, 5, 5]
 
 
 def test_node_census_fermat_is_degenerate_with_empty_singular_locus():
     f = MultiPoly.from_terms(
         4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
-    rep = node_census(DiscriminantSurface(f), seed=3)
+    rep = node_census(f, seed=3)
     assert rep.zero_dimensional
     assert rep.degree == 0
     assert not rep.points_at_infinity
@@ -51,8 +51,8 @@ def test_node_census_fermat_is_degenerate_with_empty_singular_locus():
 
 
 def test_node_census_diagonal_not_zero_dimensional():
-    surf = discriminant(diagonal_instance(P))
-    rep = node_census(surf, seed=4)
+    delta = discriminant(diagonal_instance(P))
+    rep = node_census(delta, seed=4)
     assert not rep.zero_dimensional
     assert rep.degree == -1
     assert rep.reduced == "failed"
@@ -70,7 +70,7 @@ def test_node_census_seed1_pinned_generic(seed1):
 
 def test_node_census_verdict_invariant_under_chart_seed(seed1):
     for chart_seed in (101, 202):
-        rep = node_census(seed1.surface, chart_seed)
+        rep = node_census(seed1.delta, chart_seed)
         assert rep.degree == seed1.census.degree
         assert rep.verdict == seed1.census.verdict
 
@@ -78,12 +78,36 @@ def test_node_census_verdict_invariant_under_chart_seed(seed1):
 def test_node_census_degree_matches_macaulay_oracle(seed1):
     # independent dimension count for the pinned instance: Macaulay matrices
     # on the dehomogenized Jacobian in the same chart the census used
-    from sexticsolid.singular import _chart_rng
-    T, _ = _chart_rng(P, seed1.census.chart_change_seed)
-    moved = seed1.surface.delta.linear_change(T)
+    moved = seed1.delta.linear_change(seed1.census.chart)
     affine = [moved.partial(i).specialize(0, 1) for i in range(4)]
     affine = [f for f in affine if not f.is_zero()]
     assert oracles.macaulay_quotient_dim(affine, max_degree=17, window=2) == 31
+
+
+@cache
+def verify_census(p, seed):
+    """The node census of verify --prime p --seed seed (first attempt)."""
+    return node_census(discriminant(random_instance(p, seed)), stage_seed(seed, 0, "census"))
+
+
+@pytest.mark.parametrize("p, degree", [(19, 31), (7, 28)])
+def test_node_census_sees_a_singular_point_at_infinity(p, degree):
+    # seed 1's census chart puts a singular point of the sextic on y0 = 0:
+    # the affine count misses it, and the verdict is degenerate
+    rep = verify_census(p, 1)
+    assert (rep.degree, rep.points_at_infinity) == (degree, True)
+    assert rep.verdict == "degenerate"
+
+
+@pytest.mark.parametrize("p", [7, 19, 32003])
+def test_infinity_check_on_the_plane_matches_the_projective_oracle(p):
+    # the partials restricted to y0 = 0 meet in P^2 iff the partials and y0
+    # meet in P^3
+    y0 = MultiPoly.variable(0, 4, p)
+    for seed in range(1, 6):
+        rep = verify_census(p, seed)
+        parts = [rep.moved_sextic.partial(i) for i in range(4)]
+        assert rep.points_at_infinity == (not is_irrelevant(parts + [y0])), seed
 
 
 def entries(rows) -> list:
@@ -106,7 +130,7 @@ def test_rank_stratum_ideal_shapes():
     assert degs == [3, 4, 4, 4, 5, 5, 5, 5, 5, 5]
 
     # the rank <= 3 and rank <= 1 ideals, by the tuple-determinant oracle
-    assert [oracles.tuple_det(m)] == oracles.symmetric_minors(m, 4) == [discriminant(d).delta]
+    assert [oracles.tuple_det(m)] == oracles.symmetric_minors(m, 4) == [discriminant(d)]
     assert len(oracles.symmetric_minors(m, 2)) == 21
 
 
@@ -114,7 +138,7 @@ def test_rank_stratum_ideal_shapes():
 def test_gram_minors_and_delta_match_the_tuple_determinant(seed):
     d = random_instance(P, seed)
     m = gram_matrix(d)
-    assert discriminant(d).delta == oracles.tuple_det(m)
+    assert discriminant(d) == oracles.tuple_det(m)
     adj = rank_stratum_ideal(m)
     for i in range(4):
         for j in range(4):
@@ -131,7 +155,7 @@ def test_gram_matrix_times_its_adjugate_is_delta(seed):
     d = diagonal_instance(P) if seed == "diagonal" else random_instance(P, seed)
     m = gram_matrix(d)
     adj = rank_stratum_ideal(m)
-    delta = discriminant(d).delta
+    delta = discriminant(d)
     zero = MultiPoly.zero(4, P)
     for i in range(4):
         for j in range(4):
@@ -158,7 +182,7 @@ def test_rank_loci_are_nested():
 
 
 def test_strata_check_passes_on_pinned_instance(seed1):
-    report = strata_check(seed1.d, seed1.surface, seed1.census)
+    report = strata_check(seed1.d, seed1.census)
     assert report.rank2_equals_sigma
     assert report.rank1_empty
     assert report.delta_in_minor_ideal
@@ -180,7 +204,7 @@ def test_strata_check_refuses_a_flipped_cofactor_sign(seed1, monkeypatch):
         return tuple(map(tuple, adj))
 
     monkeypatch.setattr(singular, "rank_stratum_ideal", flipped)
-    report = strata_check(seed1.d, seed1.surface, seed1.census)
+    report = strata_check(seed1.d, seed1.census)
     assert not report.passed
     assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
     failed = [label for label, ok in report.details if not ok]
@@ -189,22 +213,21 @@ def test_strata_check_refuses_a_flipped_cofactor_sign(seed1, monkeypatch):
 
 
 def test_strata_check_refuses_a_mutated_gram_entry(seed1):
-    # the Gram matrix of another instance, against this surface and census
+    # the Gram matrix of another instance, against this census
     y0 = MultiPoly.variable(0, 4, P)
     d = seed1.d
     mutated = replace(d, entries=d.entries[:6] + (d.entries[6] + y0 * y0,) + d.entries[7:])
-    report = strata_check(mutated, seed1.surface, seed1.census)
+    report = strata_check(mutated, seed1.census)
     assert not report.passed
     assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
 
 
 def test_strata_check_refuses_degenerate_census():
     d = diagonal_instance(P)
-    surf = discriminant(d)
-    census = node_census(surf, 5)
+    census = node_census(discriminant(d), 5)
     assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        strata_check(d, surf, census)
+        strata_check(d, census)
 
 
 def test_double_solid_chart_shape(seed1):
@@ -217,7 +240,7 @@ def test_double_solid_chart_shape(seed1):
 
 
 def test_double_solid_census_matches_node_census(seed1):
-    rep = double_solid_census(seed1.surface, seed1.census)
+    rep = double_solid_census(seed1.census)
     assert rep.degree == seed1.census.degree == 31
     assert rep.reduced == "certified"
     assert rep.verdict == "generic_31_nodes"
@@ -227,12 +250,9 @@ def test_double_solid_census_matches_node_census(seed1):
 def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
     # the shortcut's basis {w} + census basis is the reduced basis of the
     # Tjurina generators themselves, and the census's counts carry over
-    if seed == 1:
-        surface, census = seed1.surface, seed1.census
-    else:
-        surface = discriminant(random_instance(P, seed))
-        census = node_census(surface, seed)
-    rep = double_solid_census(surface, census)
+    census = seed1.census if seed == 1 else node_census(
+        discriminant(random_instance(P, seed)), seed)
+    rep = double_solid_census(census)
     g = _double_solid_equation(census.moved_sextic)
     assert rep.basis == buchberger([g] + [g.partial(i) for i in range(4)])
     assert rep.degree == census.degree == 31
@@ -242,30 +262,26 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
 @pytest.mark.parametrize("change", [{"reduced": "not_certified"},
                                     {"points_at_infinity": True},
                                     {"basis": None}, {"moved_sextic": None},
-                                    {"sextic": None}])
+                                    {"chart": None}])
 def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
     # the verdict still reads generic: the guards look past it
     census = replace(seed1.census, **change)
     assert census.verdict == "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        strata_check(seed1.d, seed1.surface, census)
+        strata_check(seed1.d, census)
     with pytest.raises(CensusNotGeneric):
-        double_solid_census(seed1.surface, census)
-    strata = strata_check(seed1.d, seed1.surface, seed1.census)
+        double_solid_census(census)
+    strata = strata_check(seed1.d, seed1.census)
     with pytest.raises(CensusNotGeneric):
-        smoothness_certificate(seed1.d, seed1.surface, census, strata)
-
-
-def test_double_solid_census_refuses_a_census_of_another_surface(seed1):
-    surface2 = discriminant(random_instance(P, 2))
-    with pytest.raises(CensusNotGeneric, match="another sextic"):
-        double_solid_census(surface2, seed1.census)
+        smoothness_certificate(seed1.d, census, strata)
 
 
 def test_strata_check_refuses_a_census_of_another_surface(seed1):
-    d2 = random_instance(P, 2)
-    with pytest.raises(CensusNotGeneric, match="another sextic"):
-        strata_check(d2, discriminant(d2), seed1.census)
+    # fails closed: the Jacobi and Laplace identities do not hold against
+    # seed 1's moved sextic
+    report = strata_check(random_instance(P, 2), seed1.census)
+    assert not report.passed
+    assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
 
 
 def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
@@ -277,7 +293,7 @@ def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
         return original(self, T)
 
     monkeypatch.setattr(MultiPoly, "linear_change", counted)
-    assert strata_check(seed1.d, seed1.surface, seed1.census).passed
+    assert strata_check(seed1.d, seed1.census).passed
     assert len(calls) == 10
 
 
@@ -286,20 +302,17 @@ def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
     moved = seed1.census.moved_sextic
     # not homogeneous of degree 6: the Euler identity fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
-        double_solid_census(seed1.surface,
-                            replace(seed1.census, moved_sextic=moved + y1 ** 5))
+        double_solid_census(replace(seed1.census, moved_sextic=moved + y1 ** 5))
     # another sextic: its Tjurina ideal is not (w) + the census ideal
     with pytest.raises(CensusNotGeneric, match="Tjurina"):
-        double_solid_census(seed1.surface,
-                            replace(seed1.census, moved_sextic=moved + y1 ** 6))
+        double_solid_census(replace(seed1.census, moved_sextic=moved + y1 ** 6))
 
 
 def test_double_solid_census_refuses_degenerate(seed1):
-    surf = discriminant(diagonal_instance(P))
-    census = node_census(surf, 6)
+    census = node_census(discriminant(diagonal_instance(P)), 6)
     assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
-        double_solid_census(surf, census)
+        double_solid_census(census)
 
 
 def test_affine_tjurina_census_single_node_toy():
@@ -378,27 +391,26 @@ def test_center_plane_conics_are_the_y_partials_on_the_plane(seed1):
 def test_smoothness_certificate_passes_on_ten_seeds(census_suite):
     for e in census_suite:
         assert e.census.verdict == "generic_31_nodes", e.seed
-        strata = strata_check(e.d, e.surface, e.census)
-        cert = smoothness_certificate(e.d, e.surface, e.census, strata)
+        strata = strata_check(e.d, e.census)
+        cert = smoothness_certificate(e.d, e.census, strata)
         assert (cert.cubic_is_gram_form, cert.plane_smooth, cert.strata_passed) == (True,) * 3
         assert cert.passed
 
 
 def test_smoothness_certificate_refuses_a_mutated_cubic(seed1, monkeypatch):
     # a cubic that is not v^T M v breaks the identity the argument rests on
-    strata = strata_check(seed1.d, seed1.surface, seed1.census)
+    strata = strata_check(seed1.d, seed1.census)
     real = singular.cubic_equation
     monkeypatch.setattr(singular, "cubic_equation",
                         lambda d: real(d) + MultiPoly.variable(0, 7, P) ** 3)
-    cert = smoothness_certificate(seed1.d, seed1.surface, seed1.census, strata)
+    cert = smoothness_certificate(seed1.d, seed1.census, strata)
     assert not cert.cubic_is_gram_form and not cert.passed
 
 
 @pytest.mark.parametrize("seed", [1, 3])
 def test_smoothness_certificate_agrees_with_the_jacobian_oracle(seed, seed1):
     d = random_instance(P, seed)
-    surface = discriminant(d)
-    census = seed1.census if seed == 1 else node_census(surface, seed)
-    cert = smoothness_certificate(d, surface, census, strata_check(d, surface, census))
+    census = seed1.census if seed == 1 else node_census(discriminant(d), seed)
+    cert = smoothness_certificate(d, census, strata_check(d, census))
     assert cert.passed
     assert oracles.hypersurface_is_smooth(cubic_equation(d)) is True
