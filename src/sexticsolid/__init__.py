@@ -11,13 +11,11 @@ over F_p from one integer seed.
 """
 
 from .bundle import (CubicData, SmoothnessReport, cubic_equation,
-                     diagonal_instance, discriminant, exceptional_conic,
-                     explicit_instance_text, fiber_gram, gram_matrix,
-                     load_instance, parse_instance, random_instance,
-                     smoothness_spotcheck, smoothness_spotcheck_cubic)
+                     diagonal_instance, discriminant, explicit_instance_text,
+                     fiber_gram, gram_matrix, load_instance, parse_instance,
+                     random_instance, smoothness_spotcheck)
 from .exactalg import SplitMix64
-from .fibers import (FiberSample, PairingCertificate, conic_line_pairing,
-                     fiber_rank_check, line_quadric_pairing,
+from .fibers import (FiberSample, PairingCertificate, fiber_rank_check,
                      pairing_certificate, sample_off_delta, sample_on_delta,
                      sigma_sample)
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, in_radical,

@@ -167,10 +167,12 @@ def _check_base_point(d: CubicData, y):
         raise ZeroPoint("the zero vector is not a point of P^3")
 
 
-def _entry_values(d: CubicData, y, count: int):
-    """The first count of the ten Gram entries at y, mod p: one dot product
-    of the packed coefficient vectors with the values of _CUBIC_MONOMIALS at
-    y, reduced mod p, and one extraction per slot."""
+def fiber_gram(d: CubicData, y):
+    """The 4x4 Gram matrix of the fiber quadric at the base point y: one dot
+    product of the packed coefficient vectors with the values of
+    _CUBIC_MONOMIALS at y, one extraction per slot of the ten distinct
+    entries, mirrored."""
+    _check_base_point(d, y)
     p = d.p
     shift, packed = d._gram_vectors
     y = [v % p for v in y]
@@ -178,24 +180,10 @@ def _entry_values(d: CubicData, y, count: int):
     cubes = [a * b % p for a, start in zip(y, _SQUARE_STARTS) for b in squares[start:]]
     total = sum(map(mul, packed, [1] + y + squares + cubes))
     mask = (1 << shift) - 1
-    return [(total >> o & mask) % p for o in range(0, count * shift, shift)]
-
-
-def fiber_gram(d: CubicData, y):
-    """The 4x4 Gram matrix of the fiber quadric at the base point y: the ten
-    distinct entries are evaluated once and mirrored."""
-    _check_base_point(d, y)
-    a00, a01, a02, a11, a12, a22, b0, b1, b2, c = _entry_values(d, y, 10)
+    a00, a01, a02, a11, a12, a22, b0, b1, b2, c = [
+        (total >> o & mask) % p for o in range(0, 10 * shift, shift)]
     return [[a00, a01, a02, b0], [a01, a11, a12, b1],
             [a02, a12, a22, b2], [b0, b1, b2, c]]
-
-
-def exceptional_conic(d: CubicData, y):
-    """The 3x3 matrix A(y): the Gram matrix of the conic traced on the
-    center plane of the projection over the base point y."""
-    _check_base_point(d, y)
-    a00, a01, a02, a11, a12, a22 = _entry_values(d, y, 6)
-    return [[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]
 
 
 @dataclass(frozen=True)
@@ -240,22 +228,13 @@ def points_on_lines(f: MultiPoly, rng: SplitMix64, lines: int):
                 yield pt
 
 
-def smoothness_spotcheck_cubic(f: MultiPoly, n_samples: int, seed: int) -> SmoothnessReport:
-    """Sample n_samples rational points of the hypersurface f = 0 on seeded
-    random lines (points_on_lines, 64 n_samples + 256 lines at most), and
-    verify the Jacobian does not vanish at any of them."""
-    return _spotcheck(f, [f.partial(i) for i in range(f.nvars)], n_samples, seed)
-
-
 def smoothness_spotcheck(d: CubicData, n_samples: int, seed: int) -> SmoothnessReport:
-    """smoothness_spotcheck_cubic of the instance's ambient cubic, whose
-    partials are built once per instance."""
-    return _spotcheck(*d._ambient, n_samples, seed)
-
-
-def _spotcheck(f: MultiPoly, partials, n_samples: int, seed: int) -> SmoothnessReport:
+    """Sample n_samples rational points of the instance's ambient cubic on
+    seeded random lines (points_on_lines, 64 n_samples + 256 lines at most),
+    and check that its Jacobian vanishes at none of them."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    f, partials = d._ambient
     points = list(islice(points_on_lines(f, SplitMix64(seed), 64 * n_samples + 256),
                          n_samples))
     failures = tuple(pt for pt in points

@@ -187,7 +187,7 @@ def _fibers_section(d, delta, strata, sigma_points) -> dict:
         rows = []
         for y in sigma_points:
             try:
-                s = fibers.sigma_sample(d, delta, y)
+                s = fibers.sigma_sample(delta, y)
                 rank = fibers.fiber_rank_check(d, s)
                 rows.append({"y": list(s.y), "gram_rank": rank, "pass": True})
             except (ValueError, StratumViolation) as exc:

@@ -42,7 +42,7 @@ class NotHomogeneous(SexticSolidError):
 
 
 class BadPrime(SexticSolidError):
-    """Field characteristic must be a prime greater than 6."""
+    """Field characteristic must be a prime greater than 6 and below 2^64."""
 
 
 class DegenerateDiscriminant(SexticSolidError):

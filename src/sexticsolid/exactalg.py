@@ -58,8 +58,8 @@ class SplitMix64:
         """Uniform integer in [0, n), bias-free via rejection.  The step of
         ``next_u64`` is inlined: the fiber stage draws tens of thousands of
         values per batch."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
+        if not 0 < n <= 1 << 64:
+            raise ValueError("below() needs a bound in [1, 2^64]")
         limit = ((1 << 64) // n) * n
         state = self.state
         while True:
@@ -106,10 +106,11 @@ def is_prime(n: int) -> bool:
 
 def ensure_field_prime(p: int) -> int:
     """The toolkit requires an odd prime p > 6 (so that 6 = deg(det) is a unit),
-    below the bound where the primality test is proven exact; returns p."""
-    if p >= PRIME_TEST_BOUND:
-        raise BadPrime(f"field characteristic must be below {PRIME_TEST_BOUND}, where "
-                       f"the primality test is proven exact, got {p}")
+    below 2^64, so that SplitMix64.below draws from F_p (and is_prime is
+    exact); returns p."""
+    if p > 1 << 64:
+        raise BadPrime(f"field characteristic must be below 2^64, the range of "
+                       f"the 64-bit draws, got {p}")
     if p <= 6 or not is_prime(p):
         raise BadPrime(f"field characteristic must be a prime > 6, got {p}")
     return p

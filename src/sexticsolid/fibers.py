@@ -8,8 +8,8 @@ corollaries of the strata check: off Delta, rank 4 iff delta(y) != 0
 partial of delta vanish (Jacobi); at a node adj M vanishes (the census
 ideal holds its entries) and rank <= 1 is empty.  fiber_rank_check checks a
 given point.  Parity: a line meets the fiber quadric, and a line of the
-center plane the exceptional conic, in 2 points by degree (a nonzero binary
-quadratic: restriction_multiplicities), and off Delta neither form is zero
+center plane the exceptional conic A(y), in 2 points by degree (a nonzero
+binary quadratic: _line_pairing), and off Delta neither form is zero
 (rank 4; A(y) = 0 would leave rank <= 2), so verify records DEGREE_PAIRING;
 the third generator pairs to 0, a push-pull identity recorded, not
 recomputed.  All are even, which obstructs a rational section.
@@ -19,16 +19,16 @@ benchmark, as an independent route to the same contracts.  Off the sextic
 points are drawn by rejection (uniform vectors until delta is nonzero); on
 it, bundle.points_on_lines meets seeded random lines with delta = 0 and
 keeps the points where some partial of delta is nonzero.  The pairings
-restrict the fiber quadric or the conic to lines drawn as two independent
-vectors from one seed.  Every sampler is a pure function of its seed and
-gives up with SamplingExhausted after a fixed budget.
+restrict the fiber quadric, or the conic in the top-left block of its Gram
+matrix, to lines drawn as two independent vectors from one seed.  Every
+sampler is a pure function of its seed and gives up with SamplingExhausted
+after a fixed budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import (CubicData, _normalize_projective, exceptional_conic,
-                     fiber_gram, points_on_lines)
+from .bundle import CubicData, _normalize_projective, fiber_gram, points_on_lines
 from .errors import SamplingExhausted, StratumViolation
 from .exactalg import SplitMix64, independent_pair, matrix_rank
 from .multipoly import MultiPoly
@@ -107,13 +107,13 @@ def sample_on_delta(d: CubicData, delta: MultiPoly, seed: int, n: int):
     raise SamplingExhausted("could not find enough smooth points on the branch sextic")
 
 
-def sigma_sample(d: CubicData, delta: MultiPoly, y) -> FiberSample:
+def sigma_sample(delta: MultiPoly, y) -> FiberSample:
     """Wrap an explicitly supplied singular point of the sextic as a sample.
 
     The census avoids extracting node coordinates, so rank-2 fiber checks
     only run on points the caller provides; this validates them.
     """
-    p = d.p
+    p = delta.p
     y = _normalize_projective([v % p for v in y], p)
     if y is None:
         raise ValueError("the zero vector is not a point")
@@ -154,60 +154,29 @@ def quadratic_restriction(gram, u, v, p):
     return a, b, c
 
 
-def restriction_multiplicities(a, b, c):
-    """Root multiplicities over the algebraic closure of the binary
-    quadratic a t^2 + b t + c on the projective line (t affine, plus the
-    point at infinity).
-
-    Returns (affine, at_infinity), or None when the form is identically
-    zero.  The total is always 2: a nonzero quadratic on a line has degree
-    2 with multiplicity."""
-    if a == 0 and b == 0 and c == 0:
-        return None
-    if a != 0:
-        return (2, 0)
-    if b != 0:
-        return (1, 1)
-    return (0, 2)
-
-
 def _line_pairing(gram, p: int, seed: int, what: str) -> int:
     """Intersection multiplicity of a seeded random line with the quadric of
-    the given Gram matrix: always 2.  A line inside the quadric (restriction
-    identically zero) is redrawn, at most 256 lines in all."""
+    the given Gram matrix: DEGREE_PAIRING, once a line is not inside it (its
+    restriction is not identically zero), at most 256 lines in all."""
     rng = SplitMix64(seed)
     for _ in range(256):
         u = tuple(rng.below(p) for _ in gram)
         v = tuple(rng.below(p) for _ in gram)
-        if not independent_pair(u, v, p):
-            continue
-        mult = restriction_multiplicities(*quadratic_restriction(gram, u, v, p))
-        if mult is not None:
-            return sum(mult)
+        if independent_pair(u, v, p) and any(quadratic_restriction(gram, u, v, p)):
+            return DEGREE_PAIRING
     raise SamplingExhausted(f"no line met {what} properly")
 
 
-def line_quadric_pairing(d: CubicData, y, seed: int) -> int:
-    """Intersection multiplicity of a seeded random line with the smooth
-    fiber quadric over an off-sextic base point: always 2."""
-    return _line_pairing(fiber_gram(d, y), d.p, seed, "the fiber quadric")
-
-
-def conic_line_pairing(d: CubicData, y, seed: int) -> int:
-    """Intersection multiplicity of a seeded random line of the center plane
-    with the exceptional conic over y: always 2, unless A(y) = 0 and every
-    line lies inside the conic (SamplingExhausted)."""
-    return _line_pairing(exceptional_conic(d, y), d.p, seed, "the exceptional conic")
-
-
 def pairing_certificate(d: CubicData, y, seed: int) -> PairingCertificate:
-    """The parity certificate at one smooth fiber: the two computed
-    pairings together with the recorded zero pairing; all must be even."""
+    """The parity certificate at one smooth fiber: the pairings with the
+    fiber quadric and with the exceptional conic (the top-left 3x3 block of
+    its Gram matrix), and the recorded zero pairing; all must be even."""
     rng = SplitMix64(seed)
     s_h2 = rng.next_u64()
     s_pl = rng.next_u64()
-    h2 = line_quadric_pairing(d, y, s_h2)
-    pl = conic_line_pairing(d, y, s_pl)
+    gram = fiber_gram(d, y)
+    h2 = _line_pairing(gram, d.p, s_h2, "the fiber quadric")
+    pl = _line_pairing([row[:3] for row in gram[:3]], d.p, s_pl, "the exceptional conic")
     qpi = QPI_PAIRING
     all_even = h2 % 2 == 0 and pl % 2 == 0 and qpi % 2 == 0
     return PairingCertificate(y=tuple(y), pairing_h2=h2, pairing_pl=pl,

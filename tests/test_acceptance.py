@@ -91,10 +91,10 @@ def test_c5_pairing_certificates(census_suite):
                 bad.append((e.seed, s.y))
         # constancy over 20 independent line choices per fiber
         for i, s in enumerate(samples):
-            h2 = {fibers.line_quadric_pairing(e.d, s.y, 7_000_000 + 100 * i + t)
-                  for t in range(20)}
-            pl = {fibers.conic_line_pairing(e.d, s.y, 9_000_000 + 100 * i + t)
-                  for t in range(20)}
+            certs = [fibers.pairing_certificate(e.d, s.y, 7_000_000 + 100 * i + t)
+                     for t in range(20)]
+            h2 = {c.pairing_h2 for c in certs}
+            pl = {c.pairing_pl for c in certs}
             if h2 != {2} or pl != {2}:
                 bad.append((e.seed, s.y, "not constant"))
     ok = total >= 900 and not bad

@@ -1,12 +1,11 @@
 import pytest
 
 from sexticsolid.bundle import (GRAM_FORMS, GRAM_INDEX, CubicData, cubic_equation,
-                                diagonal_instance,
-                                discriminant, exceptional_conic,
+                                diagonal_instance, discriminant,
                                 explicit_instance_text, fiber_gram,
                                 gram_matrix, parse_instance,
                                 points_on_lines, random_instance,
-                                smoothness_spotcheck, smoothness_spotcheck_cubic)
+                                smoothness_spotcheck)
 from sexticsolid.errors import (ArityMismatch, BadPrime, DegenerateDiscriminant,
                                 ZeroPoint)
 from sexticsolid.exactalg import SplitMix64, matrix_rank
@@ -150,7 +149,6 @@ def test_fiber_gram_matches_entrywise_gram_matrix(which):
             continue
         want = [[oracles.eval_by_pow(entries[i][j], y) for j in range(4)] for i in range(4)]
         assert fiber_gram(d, y) == want
-        assert exceptional_conic(d, y) == [row[:3] for row in want[:3]]
 
 
 def test_fiber_gram_at_the_packed_slot_bound():
@@ -169,7 +167,6 @@ def test_fiber_gram_at_the_packed_slot_bound():
             [tuple(rng.below(p) for _ in range(4)) for _ in range(20)]:
         want = [[oracles.eval_by_pow(entries[i][j], y) for j in range(4)] for i in range(4)]
         assert fiber_gram(d, y) == want
-        assert exceptional_conic(d, y) == [row[:3] for row in want[:3]]
 
 
 def test_fiber_gram_rank_scale_invariance():
@@ -184,6 +181,12 @@ def test_fiber_gram_rank_scale_invariance():
         assert matrix_rank(fiber_gram(d, y), P) == matrix_rank(fiber_gram(d, ry), P)
 
 
+def exceptional_conic(d, y):
+    """A(y), the Gram matrix of the conic on the center plane: the top-left
+    3x3 block of the fiber's Gram matrix."""
+    return [row[:3] for row in fiber_gram(d, y)[:3]]
+
+
 def test_exceptional_conic_diagonal_example():
     d = diagonal_instance(P)
     for y in ((1, 1, 1, 0), (1, 1, 1, 7)):
@@ -192,6 +195,7 @@ def test_exceptional_conic_diagonal_example():
 
 def test_exceptional_conic_is_top_block_and_generically_rank3():
     d = random_instance(P, 4)
+    a = [row[:3] for row in gram_matrix(d)[:3]]
     rng = SplitMix64(12)
     found_rank3 = False
     for _ in range(30):
@@ -199,29 +203,27 @@ def test_exceptional_conic_is_top_block_and_generically_rank3():
         if not any(y):
             continue
         conic = exceptional_conic(d, y)
-        G = fiber_gram(d, y)
-        assert conic == [row[:3] for row in G[:3]]
+        assert conic == [[f.eval(y) for f in row] for row in a]
         if matrix_rank(conic, P) == 3:
             found_rank3 = True
     assert found_rank3
 
 
-def test_smoothness_fermat_cubic_has_no_singular_samples():
-    # X0^3 + ... + Y3^3 in seven variables: the Jacobian is 3*(coordinate^2),
-    # which cannot vanish at a projective point
-    f = MultiPoly.from_terms(
-        7, P,
-        [(tuple(3 if j == i else 0 for j in range(7)), 1) for i in range(7)])
-    report = smoothness_spotcheck_cubic(f, 50, seed=5)
+def test_smoothness_smooth_instance_has_no_singular_samples():
+    # seed 1 passes the smoothness certificate: no sampled point is singular
+    report = smoothness_spotcheck(random_instance(P, 1), 50, seed=5)
     assert report.points_checked == 50
     assert report.failures == ()
     assert report.passed
 
 
 def test_smoothness_detects_constructed_singular_cubes():
-    # a perfect cube Y0^3: every point of its zero locus is singular
-    f = MultiPoly.from_terms(7, P, [((0, 0, 0, 3, 0, 0, 0), 1)])
-    report = smoothness_spotcheck_cubic(f, 20, seed=6)
+    # C = Y0^3 and every other entry zero: the ambient cubic is the perfect
+    # cube Y0^3, and every point of its zero locus is singular
+    d = CubicData(P, tuple(MultiPoly.variable(0, 4, P) ** 3 if key == "C"
+                           else MultiPoly.zero(4, P) for key, _ in GRAM_FORMS))
+    assert cubic_equation(d) == MultiPoly.from_terms(7, P, [((0, 0, 0, 3, 0, 0, 0), 1)])
+    report = smoothness_spotcheck(d, 20, seed=6)
     assert report.points_checked > 0
     assert len(report.failures) == report.points_checked
     assert not report.passed
@@ -230,7 +232,8 @@ def test_smoothness_detects_constructed_singular_cubes():
 def test_smoothness_zero_cubic_checks_nothing_and_fails():
     # every line lies inside the zero cubic: no point is found, and a check
     # of none of the requested points is not a pass
-    report = smoothness_spotcheck_cubic(MultiPoly.zero(7, P), 5, seed=8)
+    d = CubicData(P, tuple(MultiPoly.zero(4, P) for _ in GRAM_FORMS))
+    report = smoothness_spotcheck(d, 5, seed=8)
     assert (report.points_requested, report.points_checked, report.failures) == (5, 0, ())
     assert not report.passed
 

@@ -329,6 +329,20 @@ def test_budget_and_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_prime_past_64_bits_exits_2_at_once(tmp_path, capsys):
+    # 2^64 + 13 is prime, but no 64-bit draw covers F_p: refused, not drawn
+    big = 2**64 + 13
+    with pytest.raises(BadPrime, match="64-bit draws"):
+        RunConfig(prime=big)
+    assert main(["verify", "--prime", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "64-bit draws" in err
+    inst = tmp_path / "big.txt"
+    inst.write_text(f"prime: {big}\nseed: 1\n")
+    assert main(["verify", "--instance", str(inst)]) == 2
+    assert "line 1: prime:" in capsys.readouterr().err
+
+
 def test_budget_overrun_names_the_stage_and_budget(capsys):
     assert main(["verify", "--seed", "1", "--budget", "500"]) == 2
     err = capsys.readouterr().err

@@ -59,12 +59,20 @@ def test_is_prime():
 
 
 def test_ensure_field_prime_stops_at_the_proven_bound():
+    # the largest prime below 2^64 is a field; 2^64 + 13, the smallest prime
+    # above it, is not, since SplitMix64.below cannot draw from it.
+    # PRIME_TEST_BOUND is composite but passes every witness
     ensure_field_prime(2**61 - 1)
-    # PRIME_TEST_BOUND is composite but passes every witness; 2^89 - 1 is a
-    # prime the test cannot prove
-    for p in (PRIME_TEST_BOUND, 2**89 - 1):
-        with pytest.raises(BadPrime, match="proven exact"):
+    ensure_field_prime(2**64 - 59)
+    for p in (2**64 + 13, 2**89 - 1, PRIME_TEST_BOUND):
+        with pytest.raises(BadPrime, match="64-bit draws"):
             ensure_field_prime(p)
+
+
+def test_splitmix64_below_refuses_bounds_past_64_bits():
+    assert SplitMix64(1).below(1 << 64) == SplitMix64(1).next_u64()
+    with pytest.raises(ValueError):
+        SplitMix64(1).below((1 << 64) + 13)
 
 
 def test_fp_inv_examples():

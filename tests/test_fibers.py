@@ -10,10 +10,8 @@ from sexticsolid.bundle import (GRAM_FORMS, CubicData, diagonal_instance, discri
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
-                                conic_line_pairing, fiber_rank_check,
-                                line_quadric_pairing, pairing_certificate,
-                                quadratic_restriction,
-                                restriction_multiplicities, sample_off_delta,
+                                fiber_rank_check, pairing_certificate,
+                                quadratic_restriction, sample_off_delta,
                                 sample_on_delta, sigma_sample)
 from sexticsolid.multipoly import MultiPoly
 
@@ -112,7 +110,6 @@ def test_conic_restriction_diagonal_example():
     # identity conic, line X0 = 0: the restriction is X1^2 + X2^2
     conic = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert quadratic_restriction(conic, (0, 1, 0), (0, 0, 1), P) == (1, 0, 1)
-    assert restriction_multiplicities(1, 0, 1) == (2, 0)
 
 
 def test_fiber_rank_check_raises_on_contradicted_tag(seed1):
@@ -129,7 +126,7 @@ def test_planted_sigma_point_has_rank_2():
     e0 = (1, 0, 0, 0)
     assert fiber_gram(d, e0) == [[1, 0, 0, 0], [0, 1, 0, 0],
                                  [0, 0, 0, 0], [0, 0, 0, 0]]
-    s = sigma_sample(d, delta, e0)
+    s = sigma_sample(delta, e0)
     assert s.stratum == "on_sigma"
     assert fiber_rank_check(d, s) == 2
 
@@ -137,19 +134,10 @@ def test_planted_sigma_point_has_rank_2():
 def test_sigma_sample_rejects_non_singular_points(seed1):
     off = sample_off_delta(seed1.d, seed1.delta, seed=8, n=1)[0]
     with pytest.raises(ValueError):
-        sigma_sample(seed1.d, seed1.delta, off.y)
+        sigma_sample(seed1.delta, off.y)
     on = sample_on_delta(seed1.d, seed1.delta, seed=9, n=1)[0]
     with pytest.raises(ValueError):
-        sigma_sample(seed1.d, seed1.delta, on.y)
-
-
-def test_restriction_multiplicity_bookkeeping():
-    # affine double cover of the three branch shapes; the total is always 2
-    assert restriction_multiplicities(1, 5, 3) == (2, 0)
-    assert restriction_multiplicities(1, 2, 1) == (2, 0)      # double root
-    assert restriction_multiplicities(0, 7, 1) == (1, 1)      # one root at infinity
-    assert restriction_multiplicities(0, 0, 4) == (0, 2)      # double point at infinity
-    assert restriction_multiplicities(0, 0, 0) is None        # line inside the quadric
+        sigma_sample(seed1.delta, on.y)
 
 
 def test_quadratic_restriction_diagonal_example():
@@ -165,7 +153,6 @@ def test_quadratic_restriction_detects_ruling_line():
     u = (1, 1, 0, 0)
     v = (0, 0, 1, 1)
     assert quadratic_restriction(gram, u, v, P) == (0, 0, 0)
-    assert restriction_multiplicities(0, 0, 0) is None
 
 
 def test_line_quadric_pairing_on_split_quadric_survives_rulings():
@@ -177,7 +164,7 @@ def test_line_quadric_pairing_on_split_quadric_survives_rulings():
     assert fiber_gram(d, y) == [[1, 0, 0, 0], [0, P - 1, 0, 0],
                                 [0, 0, 1, 0], [0, 0, 0, P - 1]]
     for seed in range(5):
-        assert line_quadric_pairing(d, y, seed) == 2
+        assert pairing_certificate(d, y, seed).pairing_h2 == 2
 
 
 def test_line_quadric_pairing_exhausts_on_zero_quadric():
@@ -185,8 +172,8 @@ def test_line_quadric_pairing_exhausts_on_zero_quadric():
     # every line lies inside it, and resampling must give up cleanly
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     d = instance_of(A00=ys[0], A11=ys[1], A22=ys[2], C=ys[0] ** 3)
-    with pytest.raises(SamplingExhausted):
-        line_quadric_pairing(d, (0, 0, 0, 1), seed=1)
+    with pytest.raises(SamplingExhausted, match="fiber quadric"):
+        pairing_certificate(d, (0, 0, 0, 1), seed=1)
 
 
 def test_conic_line_pairing_exhausts_on_zero_conic():
@@ -194,7 +181,7 @@ def test_conic_line_pairing_exhausts_on_zero_conic():
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     d = instance_of(B0=ys[0] ** 2, B1=ys[1] ** 2, B2=ys[2] ** 2, C=ys[3] ** 3)
     with pytest.raises(SamplingExhausted, match="exceptional conic"):
-        conic_line_pairing(d, (1, 2, 3, 4), seed=1)
+        pairing_certificate(d, (1, 2, 3, 4), seed=1)
 
 
 def test_conic_line_pairing_rank1_double_line():
@@ -203,7 +190,7 @@ def test_conic_line_pairing_rank1_double_line():
     y = (1, 0, 0, 0)
     assert matrix_rank([[1, 0, 0], [0, 0, 0], [0, 0, 0]], P) == 1
     for seed in range(5):
-        assert conic_line_pairing(d, y, seed) == 2
+        assert pairing_certificate(d, y, seed).pairing_pl == 2
 
 
 def test_pairing_certificate_values_and_parity(seed1):
@@ -221,8 +208,9 @@ def test_pairing_certificate_values_and_parity(seed1):
 
 def test_pairings_constant_across_20_line_choices(seed1):
     y = sample_off_delta(seed1.d, seed1.delta, seed=11, n=1)[0].y
-    h2 = {line_quadric_pairing(seed1.d, y, seed) for seed in range(20)}
-    pl = {conic_line_pairing(seed1.d, y, seed) for seed in range(20)}
+    certs = [pairing_certificate(seed1.d, y, seed) for seed in range(20)]
+    h2 = {c.pairing_h2 for c in certs}
+    pl = {c.pairing_pl for c in certs}
     assert h2 == {2}
     assert pl == {2}
 

@@ -29,10 +29,6 @@ UNREFERENCED_ALLOWED = {
     "upoly_eval": "the oracle the univariate kernels are tested against",
     "lead_coeff": "the accessor the Groebner oracles and tests read a lead coefficient by",
     "in_radical": "perfbench's TRACED names it as a string until it is deleted",
-    "smoothness_spotcheck_cubic": "the spot-check of a bare cubic, which the tests run on "
-                                  "singular cubics; verify certifies smoothness instead, "
-                                  "and it goes when the benchmark stops naming the "
-                                  "spot-check",
 }
 
 
