@@ -216,17 +216,12 @@ def run_verify_all(cfg: RunConfig):
     timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
     d, delta, census, history = _acquire_instance(cfg, timings)
 
+    config = asdict(cfg)
+    config["prime"] = d.p  # an instance file's own prime, not the --prime flag
+    del config["timings"]
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "prime": d.p,  # an instance file's own prime, not the --prime flag
-            "seed": cfg.seed,
-            "instance_file": cfg.instance_file,
-            "checks": list(cfg.checks),
-            "retries": cfg.retries,
-            "budget": cfg.budget,
-            "sigma_points": [list(y) for y in cfg.sigma_points],
-        },
+        "config": config,
         "instance": {
             "source": "file" if cfg.instance_file is not None else "seeded",
             "seed": d.seed,
@@ -312,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--instance", default=None, metavar="PATH",
-                        help="explicit instance file (overrides --seed)")
+                        help="explicit instance file instead of the seeded one "
+                             "(verify's --seed still seeds its census chart)")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="write the output here instead of stdout")
     verify.add_argument("--checks", default=",".join(CHECKS),

@@ -18,8 +18,8 @@ Conventions
 * Euclid (``upoly_gcd``, ``upoly_divmod``) runs on lists: one inverse per
   division and one reduction per eliminated coefficient.
 
-All values are immutable (or treated as such) and every operation is a pure
-function, so concurrent use from several threads is safe.
+Every operation but a ``SplitMix64`` draw, which advances ``state``, is a
+pure function of immutable values; a generator shared by threads needs a lock.
 """
 from __future__ import annotations
 

@@ -344,10 +344,14 @@ def test_a_prime_past_64_bits_exits_2_at_once(tmp_path, capsys):
 
 
 def test_budget_overrun_names_the_stage_and_budget(capsys):
-    assert main(["verify", "--seed", "1", "--budget", "500"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err == "error: census: reduction-step budget of 500 steps exhausted\n"
+    # the budget applies to each basis, and the seed-1 census basis takes
+    # exactly 3 646 steps: 3 646 passes, 3 645 is the first budget to stop
+    assert main(["verify", "--seed", "1", "--budget", "3646"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    for budget in (500, 3645):
+        assert main(["verify", "--seed", "1", "--budget", str(budget)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: census: reduction-step budget of {budget} steps exhausted\n"
 
 
 def test_uncertified_census_downstream_exits_1(seed1, monkeypatch, capsys):
