@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -218,6 +219,8 @@ def run_verify_all(cfg: RunConfig):
 
     config = asdict(cfg)
     config["prime"] = d.p  # an instance file's own prime, not the --prime flag
+    if cfg.instance_file is not None:  # the file's name, however the path is spelled
+        config["instance_file"] = os.path.basename(cfg.instance_file)
     del config["timings"]
     report: dict = {
         "schema_version": SCHEMA_VERSION,

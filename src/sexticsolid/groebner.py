@@ -39,9 +39,9 @@ no conversion either way; a monomial of degree above ``MAX_PACKED_DEGREE``
 raises ``DegreeOverflow``.  The pair criteria alone read exponent tuples:
 the leads, and each pair's lcm, computed once when the pair is made.
 
-One reducer serves every reduction of a replay or a completion (for the
-seed-1 census basis, 77 calls and 38; the inter-reduction makes 13 one-call
-reducers), and it memoises across them: for each monomial it has reduced,
+One reducer serves every reduction of a completion (for the seed-1 census
+basis, 38 calls; the inter-reduction makes 13 one-call reducers), and it
+memoises across them: for each monomial it has reduced,
 the first reducer in list order whose lead divides it, kept as that
 reducer's tail already shifted to the monomial; for each irreducible one,
 how many reducers were tested.  The reducer list only grows, so the first
@@ -50,10 +50,26 @@ the memo test the new reducers.  The reducer chosen for every term, the
 step count and the output are those of a scan of the whole list.  A
 ``GBasis`` keeps the reducer of its elements, so its normal forms share the
 memos too.
+
+The replay (77 calls for that basis) makes the same choices and steps on
+dense rows, the row form of F4 (Faugere, "A new efficient algorithm for
+computing Groebner bases (F4)", J. Pure Appl. Algebra 139, 1999): a
+polynomial is one int whose lanes hold the coefficients of every monomial up
+to some degree in grevlex rank order, so a step is one bigint multiply-add
+and the replay takes about a third of the dict reducer's time.  Lanes are
+read mod p and never carry: they are at least 2 bitlen(p) +
+bitlen(``_LANE_CAP``) bits wide, and the replay stops before the monomials
+up to its degree would outnumber ``_LANE_CAP`` lanes.  The completion keeps
+the sparse reducer: dense rows cannot hold inputs near
+``MAX_PACKED_DEGREE``, and on the sparse homogeneous inputs of the
+infinity check they were slower.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from heapq import heapify, heappop, heappush
+from math import comb
 
 from .errors import (ArityMismatch, NotHomogeneous,
                      NotZeroDimensional, ResourceBudgetExceeded)
@@ -68,6 +84,10 @@ DEFAULT_BUDGET = 1_000_000
 CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
+
+#: Most lanes a replay row may have; the seed-1 census replay uses 220, the
+#: monomials of degree at most 9 in 3 variables.
+_LANE_CAP = 1024
 
 
 class GBasis:
@@ -158,12 +178,15 @@ class _Reducer:
         for k in range(start, len(reducers)):
             lead, tail = reducers[k]
             if (eg - lead) & guard == guard:
-                q = e - lead
-                hit = self.shifted[e] = [(q + m, cm) for m, cm in tail]
+                hit = self.shifted[e] = self._shift(tail, e - lead)
                 self.scanned.pop(e, None)
                 return hit
         self.scanned[e] = len(reducers)
         return None
+
+    def _shift(self, tail, q):
+        """The tail items times the packed monomial q."""
+        return [(q + m, cm) for m, cm in tail]
 
     def reduce_terms(self, pairs) -> dict:
         p = self.p
@@ -198,6 +221,91 @@ class _Reducer:
                     heappush(heap, -em)
                 else:
                     work[em] = v + c * cm
+        return out
+
+
+class _LaneReducer(_Reducer):
+    """The replay's reducer: the same first divisors, memos and steps as
+    ``_Reducer``, on dense rows.
+
+    A row is one int of ``width``-bit lanes, lane k holding the coefficient
+    of ``universe[k]``, the monomial of grevlex rank k; the universe is every
+    monomial up to some degree, grown a degree at a time as inputs need it,
+    so ranks only append.  ``shifted`` keeps each tail as a row, and a step
+    reads the top lane mod p, clears it and adds (p - c) times the row: one
+    bigint multiply-add.  ``reducible`` flags the ranks some lead divides, so
+    an irreducible lane goes to the output with no scan of the reducers.
+    Lanes are read mod p and otherwise never reduced; ``_replay`` states why
+    they never carry.
+    """
+
+    __slots__ = ("units", "deg_shift", "universe", "rank", "edge", "reducible",
+                 "step", "width")
+
+    def __init__(self, packing: _Packing, p: int, budget=None):
+        super().__init__(packing, p, budget)
+        self.units = packing.units
+        self.deg_shift = packing.deg_shift
+        self.universe = [0]         # rank -> packed monomial
+        self.rank = {0: 0}          # packed monomial -> rank
+        self.edge = [0]             # the monomials of the top degree
+        self.reducible = [False]    # rank -> whether some lead divides it
+        self.step = -(-(2 * p.bit_length() + _LANE_CAP.bit_length()) // 64)
+        self.width = 64 * self.step     # bits per lane, self.step words
+
+    def add(self, items):
+        super().add(items)
+        lead, n = items[0][0], len(self.units)
+        room = (self.edge[0] >> self.deg_shift) - (lead >> self.deg_shift)
+        for m in self.universe[:comb(room + n, n)]:
+            self.reducible[self.rank[lead + m]] = True
+
+    def _row(self, pairs, q=0) -> int:
+        """The row of the items times the packed monomial q."""
+        words = array("Q", bytes(8 * self.step * len(self.universe)))
+        rank, step, p = self.rank, self.step, self.p
+        for e, c in pairs:
+            k = rank[q + e] * step
+            words[k] = (words[k] + c) % p
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
+
+    _shift = _row
+
+    def reduce_terms(self, pairs) -> dict:
+        top = max(pairs)[0]
+        guard = self.guard
+        while top not in self.rank:
+            self.edge = sorted({m + u for m in self.edge for u in self.units})
+            for m in self.edge:
+                self.rank[m] = len(self.universe)
+                self.universe.append(m)
+                self.reducible.append(any(((m | guard) - lead) & guard == guard
+                                          for lead, _ in self.reducers))
+        p, width, budget = self.p, self.width, self.budget
+        shifted, universe, reducible = self.shifted, self.universe, self.reducible
+        first_divisor = self._first_divisor
+        row = self._row(pairs)
+        out: dict = {}
+        while row:
+            k = (row.bit_length() - 1) // width
+            s = k * width
+            c = row >> s
+            row ^= c << s   # clears the top lane: c is all of row from bit s up
+            c %= p
+            if not c:
+                continue
+            e = universe[k]
+            if not reducible[k]:
+                out[e] = c
+                continue
+            hit = shifted.get(e)
+            if hit is None:
+                hit = first_divisor(e)
+            if budget is not None:
+                budget.spend()
+            row += (p - c) * hit
         return out
 
 
@@ -304,12 +412,23 @@ def _replay(gens, schedule, packing, p, budget):
 
     A schedule entry (i, j, lead) names the elements i < j and the lead
     exponent its normal form had when recorded.  The replay stops at the
-    first entry that names a missing element, whose lcm would overflow the
-    packing, that reduces to zero, or whose lead differs from the recorded
-    one: past a divergence the recorded pairs would only build elements off
-    the shape of the basis."""
-    reducer = _Reducer(packing, p, budget)
+    first entry that names a missing element, that reduces to zero, or whose
+    lead differs from the recorded one: past a divergence the recorded pairs
+    would only build elements off the shape of the basis.  It also stops
+    before any input whose degree would take the universe of the
+    ``_LaneReducer`` past ``_LANE_CAP`` lanes.
+
+    That cap keeps every lane from carrying into the next.  A row starts
+    with each lane below p; a step clears the top lane and adds (p - c)
+    times a row of lanes below p, so less than p^2, to each lane below it;
+    and one call makes at most one step per lane.  So a lane stays below
+    ``_LANE_CAP`` * p^2, within its 2 bitlen(p) + bitlen(``_LANE_CAP``)
+    bits or more, for every prime."""
+    reducer = _LaneReducer(packing, p, budget)
+    n = len(packing.units)
     found: list = []
+    if comb(max(g.total_degree() for g in gens) + n, n) > _LANE_CAP:
+        return found
     for g in gens:
         items = _monic_normal_form(reducer, g.packed.items(), p)
         if items:
@@ -319,7 +438,7 @@ def _replay(gens, schedule, packing, p, budget):
         if not 0 <= i < j < len(found):
             break
         lcm = _lcm(packing.unpack(found[i][0][0]), packing.unpack(found[j][0][0]))
-        if sum(lcm) > MAX_PACKED_DEGREE:
+        if comb(sum(lcm) + n, n) > _LANE_CAP:
             break
         items = _monic_normal_form(
             reducer, _s_polynomial(found[i], found[j], packing.pack(lcm), p), p)

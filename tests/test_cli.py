@@ -88,6 +88,21 @@ def test_an_instance_file_ignores_the_prime_flag(tmp_path, capsys):
         RunConfig(prime=10)
 
 
+def test_an_instance_report_names_the_file_however_its_path_is_spelled(tmp_path, monkeypatch,
+                                                                      capsys):
+    # the report records the file's name, not the path as typed, so a
+    # relative, a ./ and an absolute path give byte-identical reports
+    inst = tmp_path / "p7.txt"
+    inst.write_text("prime: 7\nseed: 2\n")
+    monkeypatch.chdir(tmp_path)
+    outs = []
+    for path in ("p7.txt", "./p7.txt", str(inst)):
+        assert main(["verify", "--checks", "census", "--instance", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["config"]["instance_file"] == "p7.txt"
+
+
 @pytest.mark.parametrize("checks", ["", ",,"])
 def test_verify_with_no_checks_exits_2(checks, capsys):
     # a report that checked nothing must not read "pass"

@@ -7,9 +7,9 @@ from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
 from sexticsolid.exactalg import (SplitMix64, charpoly, fp_inv, random_invertible, upoly,
                                   upoly_is_squarefree)
 from sexticsolid import groebner
-from sexticsolid.groebner import (MAX_PACKED_DEGREE, GBasis, _Budget, _packing,
-                                  _Reducer, buchberger, in_radical, is_irrelevant,
-                                  is_zero_dimensional, mult_matrix,
+from sexticsolid.groebner import (_LANE_CAP, MAX_PACKED_DEGREE, GBasis, _Budget,
+                                  _LaneReducer, _packing, _Reducer, buchberger,
+                                  in_radical, is_irrelevant, is_zero_dimensional, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
 from sexticsolid.multipoly import MultiPoly, grevlex_key, mp_det
@@ -35,7 +35,7 @@ def rand_poly(rng, nvars=2, maxdeg=2, terms=3, p=P):
     return MultiPoly.from_terms(nvars, p, pairs)
 
 
-def small_ideals(seed, count, nvars=2, zero_dim=True):
+def small_ideals(seed, count, nvars=2, zero_dim=True, p=P):
     """Seeded zero-dimensional ideals: pure powers plus random noise."""
     rng = SplitMix64(seed)
     out = []
@@ -44,10 +44,10 @@ def small_ideals(seed, count, nvars=2, zero_dim=True):
         for i in range(nvars):
             a = rng.below(3) + 1
             lead = tuple(a if j == i else 0 for j in range(nvars))
-            noise = rand_poly(rng, nvars, maxdeg=a - 1 if a > 1 else 0, terms=3)
-            gens.append(poly([(lead, 1)], nvars) + noise)
+            noise = rand_poly(rng, nvars, maxdeg=a - 1 if a > 1 else 0, terms=3, p=p)
+            gens.append(poly([(lead, 1)], nvars, p) + noise)
         if zero_dim:
-            gens.append(rand_poly(rng, nvars, maxdeg=2, terms=3))
+            gens.append(rand_poly(rng, nvars, maxdeg=2, terms=3, p=p))
         gens = [g for g in gens if not g.is_zero()]
         if gens:
             out.append(gens)
@@ -82,7 +82,7 @@ def tame_zero_dim_ideals(seed, count, nvars=2):
     return out
 
 
-def mixed_degree_ideals(seed, count, nvars=3):
+def mixed_degree_ideals(seed, count, nvars=3, p=P):
     """Seeded inhomogeneous ideals: each generator is a pure power of degree
     a in 1..4 plus random terms whose exponents are at most a."""
     rng = SplitMix64(seed)
@@ -92,7 +92,8 @@ def mixed_degree_ideals(seed, count, nvars=3):
         for i in range(nvars):
             a = rng.below(4) + 1
             lead = tuple(a if j == i else 0 for j in range(nvars))
-            gens.append(poly([(lead, 1)], nvars) + rand_poly(rng, nvars, maxdeg=a, terms=4))
+            noise = rand_poly(rng, nvars, maxdeg=a, terms=4, p=p)
+            gens.append(poly([(lead, 1)], nvars, p) + noise)
         out.append(gens)
     return out
 
@@ -125,7 +126,7 @@ def test_packed_monomials_match_grevlex_tuples(nvars):
     assert seen == {True, False}
 
 
-def test_degree_beyond_the_packed_field_raises():
+def test_degree_beyond_the_packed_field_raises(monkeypatch):
     x, y = V(0), V(1)
     gb = buchberger([x - 1, y - 1])
     one = MultiPoly.constant(1, 2, P)
@@ -139,9 +140,19 @@ def test_degree_beyond_the_packed_field_raises():
     with pytest.raises(DegreeOverflow):
         buchberger([x ** h * y - 1, x * y ** h - 1])
     # the product criterion drops the pair of x^h and y^h, whose lcm does
-    # not fit either; a schedule naming it stops the replay, no more
+    # not fit either; a schedule naming it stops the replay, no more, and
+    # the replay's lane universe never grows past its cap to reach them
+    replays = []
+
+    class Watched(_LaneReducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            replays.append(self)
+
+    monkeypatch.setattr(groebner, "_LaneReducer", Watched)
     pure = [x ** h, y ** h]
     assert buchberger(pure, schedule=((0, 1, (0, 0)),)) == buchberger(pure)
+    assert [len(r.universe) <= _LANE_CAP for r in replays] == [True]
 
 
 def test_buchberger_trivial_examples():
@@ -242,10 +253,15 @@ def test_schedule_never_changes_the_census_basis_at_ten_seeds(census_suite):
         assert buchberger(affine, schedule=CENSUS_SCHEDULE) == buchberger(affine)
 
 
-@pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])
+@pytest.mark.parametrize("prime", [7, 11, 13, 19, 101, 32003, 2 ** 61 - 1,
+                                   18446744073709551557])
 def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch, capsys):
-    # the census ideals of the small-prime verify sweep, where unlucky
-    # charts and coincident leads make most replays stop early
+    # the census ideals of the verify sweep, where at small primes unlucky
+    # charts and coincident leads make most replays stop early; then the
+    # first of them and the random ideals at the prime, each replaying its
+    # own trace: the basis is the plain one, also with no budget, and the
+    # replay's lane rows make the steps the dict reducer makes, from 64-bit
+    # lanes at p = 7 to 192-bit lanes just below 2^64
     calls = []
 
     def recording(gens, budget, schedule):
@@ -259,6 +275,14 @@ def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch,
     for gens, budget, schedule in calls:
         assert schedule is CENSUS_SCHEDULE
         assert buchberger(gens, budget, schedule=schedule) == buchberger(gens, budget)
+    ideals = small_ideals(52, 5, p=prime) + mixed_degree_ideals(63, 8, p=prime)
+    for gens in [calls[0][0]] + ideals:
+        reference = buchberger(gens)
+        schedule = oracles.record_schedule(gens)
+        assert buchberger(gens, None, schedule=schedule) == reference
+        lanes = basis_and_steps(gens, monkeypatch, schedule)
+        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=_Reducer)
+        assert lanes[0] == reference
 
 
 def test_a_stale_schedule_costs_time_not_correctness(seed1):
@@ -279,7 +303,9 @@ def test_a_stale_schedule_costs_time_not_correctness(seed1):
     assert buchberger(affine, schedule=S, selection_seed=7) == reference
 
 
-def basis_and_steps(gens, reducer_class, monkeypatch):
+def basis_and_steps(gens, monkeypatch, schedule=(), **reducer_classes):
+    """buchberger's basis and step count with the engine's reducer classes
+    replaced as named, e.g. ``_Reducer=oracles.HeapReducer``."""
     budgets = []
 
     class RecordedBudget(_Budget):
@@ -287,9 +313,11 @@ def basis_and_steps(gens, reducer_class, monkeypatch):
             super().__init__(limit)
             budgets.append(self)
 
-    monkeypatch.setattr(groebner, "_Reducer", reducer_class)
-    monkeypatch.setattr(groebner, "_Budget", RecordedBudget)
-    gb = buchberger(gens)
+    with monkeypatch.context() as patch:
+        for name, cls in reducer_classes.items():
+            patch.setattr(groebner, name, cls)
+        patch.setattr(groebner, "_Budget", RecordedBudget)
+        gb = buchberger(gens, schedule=schedule)
     (budget,) = budgets
     return gb, budget.limit - budget.left
 
@@ -299,8 +327,8 @@ def test_memoised_reducer_matches_heap_oracle_in_buchberger(monkeypatch):
     ideals = small_ideals(58, 8) + small_ideals(59, 4, nvars=3) + mixed_degree_ideals(64, 8)
     steps = 0
     for gens in ideals:
-        got = basis_and_steps(gens, _Reducer, monkeypatch)
-        assert got == basis_and_steps(gens, oracles.HeapReducer, monkeypatch)
+        got = basis_and_steps(gens, monkeypatch)
+        assert got == basis_and_steps(gens, monkeypatch, _Reducer=oracles.HeapReducer)
         steps += got[1]
     assert steps > 1000
 
