@@ -40,16 +40,16 @@ raises ``DegreeOverflow``.  The pair criteria alone read exponent tuples:
 the leads, and each pair's lcm, computed once when the pair is made.
 
 One reducer serves every reduction of a completion (for the seed-1 census
-basis, 38 calls; the inter-reduction makes 13 one-call reducers), and it
-memoises across them: for each monomial it has reduced,
+basis, 38 calls), one the final inter-reduction, and each memoises
+across its calls: for each monomial it has reduced,
 the first reducer in list order whose lead divides it, kept as that
 reducer's tail already shifted to the monomial; for each irreducible one,
 how many reducers were tested.  The reducer list only grows, so the first
 divisor of a monomial never changes once found, and an ``add`` only makes
 the memo test the new reducers.  The reducer chosen for every term, the
 step count and the output are those of a scan of the whole list.  A
-``GBasis`` keeps the reducer of its elements, so its normal forms share the
-memos too.
+``GBasis`` keeps the reducer that inter-reduced it (the completion's, when
+one after a replay appends nothing), so its normal forms share the memos.
 
 The replay (77 calls for that basis) makes the same choices and steps on
 dense rows, the row form of F4 (Faugere, "A new efficient algorithm for
@@ -92,19 +92,20 @@ _LANE_CAP = 1024
 
 class GBasis:
     """Reduced grevlex Groebner basis, elements monic and sorted by increasing
-    lead monomial (canonical for the ideal)."""
+    lead monomial (canonical for the ideal), with the reducer that holds
+    exactly those elements, in that order, and spends no budget."""
 
-    __slots__ = ("basis", "nvars", "p", "_reducer")
+    __slots__ = ("basis", "nvars", "p", "reducer")
 
     #: Not a parameter: the order is always grevlex.  A class constant only
     #: because perfbench/tracing.py's basis_fingerprint reads repr(gb.order).
     order = "grevlex"
 
-    def __init__(self, basis):
+    def __init__(self, basis, reducer):
         self.basis = tuple(basis)
         self.nvars = self.basis[0].nvars
         self.p = self.basis[0].p
-        self._reducer = None
+        self.reducer = reducer
 
     def lead_exps(self):
         return tuple(g.lead_exp() for g in self.basis)
@@ -150,7 +151,7 @@ class _Reducer:
     [(q + m, cm)], and ``scanned`` maps an irreducible e to the number of
     reducers already tested against it, so after an ``add`` only the new
     reducers are tested.  The memos live and die with the reducer: one
-    completion, or one ``GBasis`` for its normal forms.
+    completion or inter-reduction, then the ``GBasis`` that keeps it.
     """
 
     __slots__ = ("reducers", "guard", "p", "budget", "shifted", "scanned")
@@ -322,18 +323,6 @@ def _monic_normal_form(reducer, terms, p):
     return [(e, c * inv % p) for e, c in items]
 
 
-def _basis_reducer(gb: GBasis) -> _Reducer:
-    """The reducer of the basis elements, built on first use and kept with
-    the basis, so its normal forms and multiplication matrices share one
-    set of memos."""
-    if gb._reducer is None:
-        packing = _packing(gb.nvars)
-        gb._reducer = _Reducer(packing, gb.p)
-        for g in gb.basis:
-            gb._reducer.add(packing.encode(g))
-    return gb._reducer
-
-
 def _lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
@@ -385,24 +374,22 @@ def _s_polynomial(a, b, lcm, p):
 
 
 def _interreduce(elements, packing, p, budget):
-    """Minimalize, then inter-reduce: the elements whose lead no other lead
-    divides, each fully reduced against the others, monic and sorted by
-    increasing lead.  The reduced basis when the elements form a Groebner
+    """Minimalize, then inter-reduce through one growing reducer: the
+    elements whose lead no other lead divides, in increasing lead order,
+    each reduced, made monic and added.  No larger lead divides a monomial
+    below a lead, so that reduces each against all the others.  Returns the
+    reducer and the elements: the reduced basis when they form a Groebner
     basis."""
     guard = packing.guard
+    reducer = _Reducer(packing, p, budget)
     polys: list = []
     for items in sorted(elements, key=lambda items: items[0][0]):
         lead = items[0][0] | guard
         if not any((lead - kept[0][0]) & guard == guard for kept in polys):
+            items = _monic_normal_form(reducer, items, p)   # keeps its lead
+            reducer.add(items)
             polys.append(items)
-    for t in range(len(polys)):
-        other = _Reducer(packing, p, budget)
-        for s, items in enumerate(polys):
-            if s != t:
-                other.add(items)
-        # no other lead divides this lead, so it survives and the order holds
-        polys[t] = _monic_normal_form(other, polys[t], p)
-    return polys
+    return reducer, polys
 
 
 def _replay(gens, schedule, packing, p, budget):
@@ -449,15 +436,13 @@ def _replay(gens, schedule, packing, p, budget):
     return found
 
 
-def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) -> GBasis:
+def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Pairs are processed by smallest sugar, then smallest grevlex lcm.
     An input generator's sugar is its total degree; the S-pair of elements i
     and j has sugar ``max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm``,
     and an element appended from it inherits that sugar.
-    ``selection_seed`` makes the pair-processing order random (a test hook:
-    the reduced result is independent of it).
 
     ``schedule`` is a recorded trace (Traverso, "Groebner trace algorithms",
     ISSAC 1988): the (i, j, lead) of each S-pair whose normal form was
@@ -470,8 +455,9 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
     generators must reduce to zero against the replayed basis and so must
     the pairs that the Gebauer-Moeller criteria keep (Buchberger's
     criterion).  A short or stale schedule costs time, never correctness.
-    If the completion appends nothing, the replayed basis is the result.
-    The budget covers the replay and the completion together.
+    If the completion appends nothing, the replayed basis is the result and
+    the completion's reducer its reducer.  The budget covers the replay and
+    the completion together, not the normal forms of the returned basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -483,12 +469,11 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
     pack, unpack = packing.pack, packing.unpack
     deg_shift = packing.deg_shift
     bud = _Budget(budget) if budget is not None else None
-    rng = SplitMix64(selection_seed) if selection_seed is not None else None
 
     inputs = [(g.packed.items(), g.total_degree()) for g in gens]
     found: list = []
     if schedule:
-        found = _interreduce(_replay(gens, schedule, packing, p, bud), packing, p, bud)
+        found = _interreduce(_replay(gens, schedule, packing, p, bud), packing, p, bud)[1]
         inputs[:0] = [(items, items[0][0] >> deg_shift) for items in found]
 
     reducer = _Reducer(packing, p, bud)
@@ -507,39 +492,36 @@ def buchberger(gens, budget=DEFAULT_BUDGET, selection_seed=None, schedule=()) ->
         if inputs:
             terms, sugar = inputs.pop(0)
         else:
-            if rng is not None:
-                ordered = sorted(pairs)
-                pair = ordered[rng.below(len(ordered))]
-            else:
-                pair = min(pairs.values())[2:]
+            pair = min(pairs.values())[2:]
             sugar, neg_lcm, i, j = pairs.pop(pair)
             del lcms[pair]
             terms = _s_polynomial(basis_items[i], basis_items[j], -neg_lcm, p)
         items = _monic_normal_form(reducer, terms, p)
         if items is None:
             continue
-        if items[0][0] == 0:
-            return GBasis((MultiPoly.constant(1, nvars, p),))
         basis_items.append(items)
+        reducer.add(items)
+        if items[0][0] == 0:
+            break   # the unit ideal: the inter-reduction keeps only 1
         leads.append(unpack(items[0][0]))
         sugars.append(sugar - (items[0][0] >> deg_shift))
-        reducer.add(items)
         # a pair's lcm and key never change, so each is computed once
         lcms = _update_pairs(leads, lcms, len(leads) - 1)
         pairs = {ij: pairs[ij] if ij in pairs else selection_key(ij, L)
                  for ij, L in lcms.items()}
 
     if len(basis_items) > len(found):  # else the replayed basis, already reduced
-        basis_items = _interreduce(basis_items, packing, p, bud)
-    return GBasis(tuple(MultiPoly._make(nvars, p, dict(items), items[0][0])
-                        for items in basis_items))
+        reducer, basis_items = _interreduce(basis_items, packing, p, bud)
+    reducer.budget = None
+    return GBasis((MultiPoly._make(nvars, p, dict(items), items[0][0])
+                   for items in basis_items), reducer)
 
 
 def normal_form(f: MultiPoly, gb: GBasis) -> MultiPoly:
     """The unique remainder of f modulo the basis (zero iff f is in the ideal)."""
     if (f.nvars, f.p) != (gb.nvars, gb.p):
         raise ArityMismatch("polynomial and basis live in different rings")
-    nf = _basis_reducer(gb).reduce_terms(f.packed.items())
+    nf = gb.reducer.reduce_terms(f.packed.items())
     return MultiPoly._make(f.nvars, f.p, nf, next(iter(nf), None))
 
 
@@ -602,10 +584,9 @@ def mult_matrix(gb: GBasis, ell: MultiPoly):
     index = {packing.pack(m): i for i, m in enumerate(B)}
     D = len(B)
     M = [[0] * D for _ in range(D)]
-    red = _basis_reducer(gb)
     ell_items = ell.packed.items()
     for j, b in enumerate(index):
-        nf = red.reduce_terms([(b + e, c) for e, c in ell_items])
+        nf = gb.reducer.reduce_terms([(b + e, c) for e, c in ell_items])
         for e, c in nf.items():
             M[index[e]][j] = c
     return M

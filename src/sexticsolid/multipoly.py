@@ -109,15 +109,6 @@ class _Packing:
     def unpack(self, m: int) -> tuple:
         return tuple((m >> s) & _FIELD_MASK for s in self.shifts)
 
-    @staticmethod
-    def encode(f: "MultiPoly") -> list:
-        """Terms of f as (packed, coeff) items, the lead item first and the
-        rest in no order (what a Groebner reducer registers)."""
-        if not f.packed:
-            return []
-        lead = f.lead_key()
-        return [(lead, f.packed[lead])] + [(m, c) for m, c in f.packed.items() if m != lead]
-
 
 @lru_cache(maxsize=None)
 def _packing(nvars: int) -> _Packing:

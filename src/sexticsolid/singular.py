@@ -26,7 +26,7 @@ from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
                        is_zero_dimensional, normal_form, quotient_dim,
                        reducedness_certificate)
-from .multipoly import MultiPoly, grevlex_key, mp_det
+from .multipoly import MultiPoly, mp_det
 
 EXPECTED_NODE_COUNT = 31
 
@@ -78,8 +78,9 @@ class SingularCensusReport:
     points_at_infinity: bool
     verdict: str
     chart_change_seed: int
-    # affine basis counted, the chart matrix T and (node census) the sextic
-    # moved by it; not compared
+    # affine census basis counted (the double solid's too: its quotient is
+    # the census's), the chart matrix T and (node census) the sextic moved
+    # by it; not compared
     basis: GBasis | None = field(default=None, compare=False, repr=False)
     moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
     chart: tuple | None = field(default=None, compare=False, repr=False)
@@ -166,12 +167,6 @@ def _certified_census(census, stage) -> SingularCensusReport:
     return census
 
 
-def _double_solid_equation(moved: MultiPoly) -> MultiPoly:
-    """w^2 - moved(1, y1, y2, y3) in the variables (w, y1, y2, y3)."""
-    w = MultiPoly.variable(0, 4, moved.p)
-    return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
-
-
 def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
@@ -182,9 +177,12 @@ def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
     sum y_i (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked
     as polynomial identities, put (w) + J_aff inside I_DS (2 and 6 are
-    units), and each Tjurina generator reducing to zero modulo the reduced
-    basis B = {w} + census basis gives the converse.  So the quotient is the
-    census's, and so are degree, reducedness and verdict.
+    units).  For the converse, I_DS = (w) + (delta_aff, d_{y_i} delta_aff)
+    since 2 is a unit, so it suffices that delta_aff and its three partials
+    reduce to zero modulo the census basis: in the census ring, the check
+    of the five Tjurina generators modulo {w} + census basis.  So the
+    quotient is the census's, and so are degree, reducedness and verdict;
+    the report carries the census basis.
     """
     census = _certified_census(census, "double-solid census")
     moved = census.moved_sextic
@@ -195,13 +193,10 @@ def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     if (delta_aff.scale(6) != euler
             or any(delta_aff.partial(i) != parts_aff[i + 1] for i in range(3))):
         raise CensusNotGeneric("census sextic fails the Euler identity of a sextic")
-    B = GBasis(sorted([MultiPoly.variable(0, 4, moved.p)]
-                      + [f.embed(4, (1, 2, 3)) for f in census.basis.basis],
-                      key=lambda f: grevlex_key(f.lead_exp()), reverse=True))
-    g = _double_solid_equation(moved)
-    if not all(normal_form(f, B).is_zero() for f in [g] + [g.partial(i) for i in range(4)]):
+    if not all(normal_form(f, census.basis).is_zero()
+               for f in [delta_aff] + parts_aff[1:]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
-    return replace(census, basis=B, moved_sextic=None)
+    return replace(census, moved_sextic=None)
 
 
 def rank_stratum_ideal(M) -> tuple:

@@ -11,8 +11,10 @@ the memoised one, Macaulay matrices instead of staircase counting,
 evaluation and Lagrange interpolation instead of Kronecker substitution,
 exponent tuples instead of packed exponents, term-by-term expansion
 instead of Horner's scheme, the full Jacobian of a hypersurface instead of
-a corollary of the census).  ``record_schedule`` is no oracle but a
-recorder: it reads the trace of a Groebner completion back from the engine.
+a corollary of the census, the double solid's equation in four variables
+instead of its check in the census ring).  ``record_schedule`` is no oracle
+but a recorder: it reads the trace of a Groebner completion back from the
+engine.
 """
 from __future__ import annotations
 
@@ -478,6 +480,14 @@ def brute_normal_form(f: MultiPoly, basis, rng) -> MultiPoly:
         factor = c * pow(g.lead_coeff(), p - 2, p) % p
         mono = MultiPoly.from_terms(f.nvars, p, [(shift, factor)])
         f = f - mono * g
+
+
+def double_solid_equation(moved: MultiPoly) -> MultiPoly:
+    """w^2 - moved(1, y1, y2, y3) in the variables (w, y1, y2, y3): the
+    double solid in the census chart, whose Tjurina generators
+    ``singular.double_solid_census`` checks in the census ring instead."""
+    w = MultiPoly.variable(0, 4, moved.p)
+    return w * w - moved.specialize(0, 1).embed(4, (1, 2, 3))
 
 
 class HeapReducer:

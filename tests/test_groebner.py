@@ -1,6 +1,6 @@
 import pytest
 
-from sexticsolid.bundle import gram_matrix, random_instance
+from sexticsolid.bundle import discriminant, gram_matrix, random_instance
 from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
@@ -33,6 +33,15 @@ def rand_poly(rng, nvars=2, maxdeg=2, terms=3, p=P):
     pairs = [(tuple(rng.below(maxdeg + 1) for _ in range(nvars)), rng.below(p))
              for _ in range(rng.below(terms) + 1)]
     return MultiPoly.from_terms(nvars, p, pairs)
+
+
+def encode(f):
+    """Terms of f as (packed, coeff) items, the lead first: what a reducer
+    registers."""
+    if not f.packed:
+        return []
+    lead = f.lead_key()
+    return [(lead, f.packed[lead])] + [(m, c) for m, c in f.packed.items() if m != lead]
 
 
 def small_ideals(seed, count, nvars=2, zero_dim=True, p=P):
@@ -181,15 +190,21 @@ def test_buchberger_is_reduced_and_monic():
 
 def test_buchberger_unique_under_selection_shuffles():
     # the mixed-degree ideals are where sugar order and lcm order disagree;
-    # each ideal's own recorded trace, replayed first, changes nothing either
+    # each ideal's own recorded trace, replayed first, changes nothing either.
+    # Permuting the generators changes which pairs the completion forms and
+    # the order it selects them in, and can make the recorded trace stale
     for k, gens in enumerate(small_ideals(52, 5) + mixed_degree_ideals(63, 8)):
         reference = buchberger(gens)
         schedule = oracles.record_schedule(gens)
         assert buchberger(gens, schedule=schedule) == reference
         for shuffle_seed in range(5):
-            assert buchberger(gens, selection_seed=1000 * k + shuffle_seed) == reference
-            assert buchberger(gens, selection_seed=1000 * k + shuffle_seed,
-                              schedule=schedule) == reference
+            rng = SplitMix64(1000 * k + shuffle_seed)
+            shuffled = list(gens)
+            for i in range(len(shuffled) - 1, 0, -1):
+                j = rng.below(i + 1)
+                shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+            assert buchberger(shuffled) == reference
+            assert buchberger(shuffled, schedule=schedule) == reference
 
 
 def test_census_basis_within_sugar_step_count(seed1):
@@ -288,8 +303,7 @@ def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch,
 def test_a_stale_schedule_costs_time_not_correctness(seed1):
     # every way a replay can stop early: it runs out (truncated), names a
     # missing element (reversed, out of range), reduces to zero (a repeated
-    # pair) or leads elsewhere (a wrong recorded lead); and the completion
-    # after a replay may select its pairs in any order
+    # pair) or leads elsewhere (a wrong recorded lead)
     affine = census_affine_ideal(seed1)
     reference = buchberger(affine)
     S = CENSUS_SCHEDULE
@@ -300,7 +314,6 @@ def test_a_stale_schedule_costs_time_not_correctness(seed1):
     for schedule, trace in stale:
         assert oracles.record_schedule(affine, schedule=schedule) == trace
         assert buchberger(affine, schedule=schedule) == reference
-    assert buchberger(affine, schedule=S, selection_seed=7) == reference
 
 
 def basis_and_steps(gens, monkeypatch, schedule=(), **reducer_classes):
@@ -343,11 +356,11 @@ def test_memoised_reducer_matches_heap_oracle_as_the_list_grows():
         memo = _Reducer(packing, P, _Budget(10 ** 6))
         scan = oracles.HeapReducer(packing, P, _Budget(10 ** 6))
         for g in gens + list(buchberger(gens).basis):
-            items = packing.encode(g.scale(fp_inv(g.lead_coeff(), P)))
+            items = encode(g.scale(fp_inv(g.lead_coeff(), P)))
             memo.add(items)
             scan.add(items)
             for _ in range(4):
-                f = packing.encode(rand_poly(rng, nvars, maxdeg=4, terms=8))
+                f = encode(rand_poly(rng, nvars, maxdeg=4, terms=8))
                 assert memo.reduce_terms(f) == scan.reduce_terms(f)
                 assert memo.budget.left == scan.budget.left
 
@@ -356,17 +369,17 @@ def test_reducer_memo_rescans_after_add():
     x, y = V(0), V(1)
     packing = _packing(2)
     red = _Reducer(packing, P)
-    red.add(packing.encode(x * x - 1))
+    red.add(encode(x * x - 1))
     y2 = [(packing.pack((0, 2)), 1)]
     x2y = [(packing.pack((2, 1)), 1)]
     assert red.reduce_terms(y2) == dict(y2)          # irreducible so far
     assert red.reduce_terms(x2y) == {packing.pack((0, 1)): 1}
-    red.add(packing.encode(y - 3))
+    red.add(encode(y - 3))
     assert red.reduce_terms(y2) == {0: 9}            # y^2 -> 9 after the add
     # x^2*y still goes through x^2 - 1, the first reducer that divides it
     scan = oracles.HeapReducer(packing, P)
-    scan.add(packing.encode(x * x - 1))
-    scan.add(packing.encode(y - 3))
+    scan.add(encode(x * x - 1))
+    scan.add(encode(y - 3))
     assert red.reduce_terms(x2y) == scan.reduce_terms(x2y) == {0: 3}
 
 
@@ -398,6 +411,56 @@ def test_normal_form_against_brute_force_oracle():
             assert nf == oracles.brute_normal_form(f, gb.basis, rng)
             cases += 1
     assert cases == 150
+
+
+def test_a_basis_reducer_spends_no_budget(seed1):
+    # the census basis takes exactly its 3 646 steps and leaves no budget,
+    # yet everything the census and the strata check ask of it still runs
+    affine = census_affine_ideal(seed1)
+    gb = buchberger(affine, budget=3646, schedule=CENSUS_SCHEDULE)
+    assert quotient_dim(gb) == 31
+    assert reducedness_certificate(gb, SplitMix64(1)) == "certified"
+    T = random_invertible(4, P, SplitMix64(stage_seed(1, 0, "census")))
+    moved = [[m.linear_change(T) for m in row] for row in gram_matrix(seed1.d)]
+    minors = {m for row in rank_stratum_ideal(moved) for m in row if not m.is_zero()}
+    assert all(normal_form(m.specialize(0, 1), gb).is_zero() for m in minors)
+    # the unit ideal, in the one step that finds -1, by the completion or
+    # by a replay (a stale one, which stops at once): its basis is 1 and
+    # every polynomial reduces to zero, however many steps that takes
+    x = V(0)
+    rng = SplitMix64(66)
+    for schedule in [(), CENSUS_SCHEDULE]:
+        unit = buchberger([x, x - 1], budget=1, schedule=schedule)
+        assert unit.is_unit() and unit.basis == (MultiPoly.constant(1, 2, P),)
+        for _ in range(10):
+            assert normal_form(rand_poly(rng, maxdeg=5, terms=8), unit).is_zero()
+
+
+def test_basis_reducer_matches_brute_force_on_both_exits(seed1, monkeypatch):
+    # a replay that finds the whole basis (p = 32003), whose reducer is the
+    # certifying completion's, and one the completion has to extend (the
+    # first census chart of seed 1 at p = 7), whose reducer is the final
+    # inter-reduction's: the second inter-reduction only runs there
+    delta7 = discriminant(random_instance(7, 1))
+    rng = SplitMix64(67)
+    for gens, interreductions in [(census_affine_ideal(seed1), 1),
+                                  (census_ideal(delta7, 1), 2)]:
+        calls = []
+        original = groebner._interreduce
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_interreduce", counted)
+            gb = buchberger(gens, schedule=CENSUS_SCHEDULE)
+        assert len(calls) == interreductions
+        assert gb == buchberger(gens)
+        p = gb.p
+        for _ in range(8):
+            f = rand_poly(rng, nvars=3, maxdeg=2, terms=8, p=p)
+            assert normal_form(f, gb) == oracles.brute_normal_form(f, gb.basis, rng)
 
 
 def test_normal_form_is_multiplicative_modulo_ideal():
