@@ -10,10 +10,10 @@ intersection pairings on smooth fibers.  Everything is computed exactly
 over F_p from one integer seed.
 """
 
-from .bundle import (CubicData, SmoothnessReport, cubic_equation,
-                     diagonal_instance, discriminant, explicit_instance_text,
-                     fiber_gram, gram_matrix, load_instance, parse_instance,
-                     random_instance, smoothness_spotcheck)
+from .bundle import (CubicData, SmoothnessReport, cubic_equation, discriminant,
+                     explicit_instance_text, fiber_gram, gram_matrix,
+                     load_instance, parse_instance, random_instance,
+                     smoothness_spotcheck)
 from .exactalg import SplitMix64
 from .fibers import (FiberSample, PairingCertificate, fiber_rank_check,
                      pairing_certificate, sample_off_delta, sample_on_delta,

@@ -118,13 +118,6 @@ def random_instance(p: int, seed: int) -> CubicData:
         for _, degree in GRAM_FORMS), seed & MASK64)
 
 
-def diagonal_instance(p: int) -> CubicData:
-    """The degenerate reference instance A = diag(Y0, Y1, Y2), B = 0, C = Y3^3."""
-    ys = [MultiPoly.variable(i, 4, p) for i in range(4)]
-    forms = {"A00": ys[0], "A11": ys[1], "A22": ys[2], "C": ys[3] * ys[3] * ys[3]}
-    return CubicData(p, tuple(forms.get(key, MultiPoly.zero(4, p)) for key, _ in GRAM_FORMS))
-
-
 def symmetric_matrix(entries) -> tuple:
     """The symmetric 4x4 tuple of rows holding the ten entries, given in
     GRAM_FORMS order, at their GRAM_INDEX places."""

@@ -8,15 +8,10 @@ Conventions
 * A univariate polynomial ("upoly") is a ``tuple`` of coefficients, lowest
   degree first, with no trailing zeros; the zero polynomial is ``()``.
 * A matrix is a list of row lists of ``int``.
-* Inside ``upoly_pow_mod`` a residue modulo a monic modulus of degree n is
-  one packed ``int`` (Kronecker substitution): coefficient k sits in bits
-  k*S up to (k+1)*S.  Each exponent bit costs one bigint square, times the
-  packed base when the bit is set, and one fold of the high slots.  S is
-  the bit length of (n*max(s, 1) + n - 1 + d)*p^2 for a base of degree d and
-  coefficient sum s, a bound on every unreduced slot of that product and its
-  fold; for x^p it is (2*n*p^2).bit_length().
-* Euclid (``upoly_gcd``, ``upoly_divmod``) runs on lists: one inverse per
-  division and one reduction per eliminated coefficient.
+* Kernels compute on lists of coefficients (or, in ``upoly_pow_mod``, on
+  packed ints) and accumulate unreduced where they can; a univariate
+  polynomial is a canonical tuple only where it crosses a function
+  boundary, as an argument or a return value.
 
 Every operation but a ``SplitMix64`` draw, which advances ``state``, is a
 pure function of immutable values; a generator shared by threads needs a lock.
@@ -146,28 +141,11 @@ def upoly_sub(f: UPoly, g: UPoly, p: int) -> UPoly:
                   for i in range(n)), p)
 
 
-def upoly_scale(f: UPoly, a: int, p: int) -> UPoly:
-    a %= p
-    if a == 0:
-        return UPOLY_ZERO
-    return upoly((c * a for c in f), p)
-
-
-def upoly_mul(f: UPoly, g: UPoly, p: int) -> UPoly:
-    if not f or not g:
-        return UPOLY_ZERO
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return upoly(out, p)
-
-
 def upoly_monic(f: UPoly, p: int) -> UPoly:
     if not f or f[-1] == 1:
         return f
-    return upoly_scale(f, fp_inv(f[-1], p), p)
+    inv = fp_inv(f[-1], p)
+    return tuple([c * inv % p for c in f])
 
 
 def upoly_divmod(f: UPoly, g: UPoly, p: int) -> tuple[UPoly, UPoly]:
@@ -187,10 +165,6 @@ def upoly_divmod(f: UPoly, g: UPoly, p: int) -> tuple[UPoly, UPoly]:
             for j in range(dg):
                 r[i - dg + j] -= c * g[j]
     return upoly(q, p), upoly(r[:dg], p)
-
-
-def upoly_rem(f: UPoly, g: UPoly, p: int) -> UPoly:
-    return upoly_divmod(f, g, p)[1]
 
 
 def upoly_gcd(f: UPoly, g: UPoly, p: int) -> UPoly:
@@ -230,13 +204,6 @@ def upoly_is_squarefree(f: UPoly, p: int) -> bool:
     return upoly_deg(upoly_gcd(f, upoly_deriv(f, p), p)) == 0
 
 
-def upoly_eval(f: UPoly, a: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * a + c) % p
-    return acc
-
-
 def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
     """base**e modulo mod, by left-to-right square-and-multiply on packed
     residues, with one fold per exponent bit.
@@ -270,7 +237,7 @@ def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
         return UPOLY_ONE
     mult = upoly(base, p)
     if len(mult) > n + 1:
-        mult = upoly_rem(mult, m, p)
+        mult = upoly_divmod(mult, m, p)[1]
     d = max(len(mult) - 1, 0)
     shift = ((n * max(sum(mult), 1) + n - 1 + d) * p * p).bit_length()
     mask = (1 << shift) - 1
@@ -293,7 +260,7 @@ def upoly_pow_mod(base: UPoly, e: int, mod: UPoly, p: int) -> UPoly:
     square_folds = folds[:n - 1]
 
     b = pack(mult)
-    result = b if len(mult) <= n else pack(upoly_rem(mult, m, p))
+    result = b if len(mult) <= n else pack(upoly_divmod(mult, m, p)[1])
     for bit in bin(e)[3:]:
         if bit == "1":
             prod, high = result * result * b, folds
@@ -463,9 +430,13 @@ def charpoly(M, p: int) -> UPoly:
                     hi[c] = (hi[c] - u * hj1[c]) % p
                 for r in range(n):
                     H[r][j + 1] = (H[r][j + 1] + u * H[r][i]) % p
-    polys: list[UPoly] = [UPOLY_ONE]
+    # p_m = (t - h_mm) p_{m-1} - sum_k c_k p_k, each p_k a monic list of
+    # length k + 1, accumulated unreduced and reduced once per coefficient
+    polys = [[1]]
     for m in range(1, n + 1):
-        pm = upoly_mul(polys[m - 1], ((-H[m - 1][m - 1]) % p, 1), p)
+        prev = polys[m - 1]
+        h = H[m - 1][m - 1]
+        pm = [a - h * b for a, b in zip([0] + prev, prev + [0])]
         prod = 1
         for k in range(m - 2, -1, -1):
             prod = prod * H[k + 1][k] % p
@@ -473,9 +444,10 @@ def charpoly(M, p: int) -> UPoly:
                 break
             c = H[k][m - 1] * prod % p
             if c:
-                pm = upoly_sub(pm, upoly_scale(polys[k], c, p), p)
-        polys.append(pm)
-    return polys[n]
+                for i, b in enumerate(polys[k]):
+                    pm[i] -= c * b
+        polys.append([a % p for a in pm])
+    return tuple(polys[n])
 
 
 # ---------------------------------------------------------------------------

@@ -206,10 +206,6 @@ class MultiPoly:
         lead = self.lead_key()
         return None if lead is None else _packing(self.nvars).unpack(lead)
 
-    def lead_coeff(self) -> int:
-        lead = self.lead_key()
-        return 0 if lead is None else self.packed[lead]
-
     def total_degree(self) -> int:
         """Maximum term degree, read off the lead's header; -1 for zero."""
         lead = self.lead_key()

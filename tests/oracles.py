@@ -14,7 +14,9 @@ instead of Horner's scheme, the full Jacobian of a hypersurface instead of
 a corollary of the census, the double solid's equation in four variables
 instead of its check in the census ring).  ``record_schedule`` is no oracle
 but a recorder: it reads the trace of a Groebner completion back from the
-engine.
+engine.  The schoolbook ``upoly_mul``, ``upoly_scale`` and ``upoly_eval``
+build and evaluate test polynomials, and ``diagonal_instance`` is the
+degenerate reference instance; the library itself runs none of them.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from itertools import combinations, permutations
 from operator import add, mul
 
 from sexticsolid import groebner
-from sexticsolid.exactalg import UPOLY_ONE, fp_inv, upoly, upoly_mul, upoly_scale
+from sexticsolid.bundle import GRAM_FORMS, CubicData
+from sexticsolid.exactalg import UPOLY_ONE, UPOLY_ZERO, fp_inv, upoly
 from sexticsolid.multipoly import MultiPoly
 
 MASK64 = (1 << 64) - 1
@@ -66,6 +69,31 @@ def splitmix64_reference(seed, count):
 
 
 # -- univariate helpers ------------------------------------------------------
+
+def upoly_scale(f, a, p):
+    a %= p
+    if a == 0:
+        return UPOLY_ZERO
+    return upoly((c * a for c in f), p)
+
+
+def upoly_mul(f, g, p):
+    if not f or not g:
+        return UPOLY_ZERO
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return upoly(out, p)
+
+
+def upoly_eval(f, a, p):
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * a + c) % p
+    return acc
+
 
 def _schoolbook_mod(mod, p):
     """Schoolbook product and long division by the (not necessarily monic)
@@ -292,6 +320,15 @@ def mat_inverse(T, p):
     return [row[n:] for row in A]
 
 
+# -- instances ---------------------------------------------------------------
+
+def diagonal_instance(p: int) -> CubicData:
+    """The degenerate reference instance A = diag(Y0, Y1, Y2), B = 0, C = Y3^3."""
+    ys = [MultiPoly.variable(i, 4, p) for i in range(4)]
+    forms = {"A00": ys[0], "A11": ys[1], "A22": ys[2], "C": ys[3] * ys[3] * ys[3]}
+    return CubicData(p, tuple(forms.get(key, MultiPoly.zero(4, p)) for key, _ in GRAM_FORMS))
+
+
 # -- multivariate oracles ----------------------------------------------------
 
 def naive_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -477,7 +514,7 @@ def brute_normal_form(f: MultiPoly, basis, rng) -> MultiPoly:
         g = basis[k]
         c = f.terms[e]
         shift = tuple(b - a for a, b in zip(g.lead_exp(), e))
-        factor = c * pow(g.lead_coeff(), p - 2, p) % p
+        factor = c * pow(g.packed[g.lead_key()], p - 2, p) % p
         mono = MultiPoly.from_terms(f.nvars, p, [(shift, factor)])
         f = f - mono * g
 

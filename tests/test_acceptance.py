@@ -104,7 +104,7 @@ def test_c5_pairing_certificates(census_suite):
 
 
 def test_c6_degenerate_diagonal_handling(tmp_path):
-    d = bundle.diagonal_instance(P)
+    d = oracles.diagonal_instance(P)
     delta = bundle.discriminant(d)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     exact = delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3

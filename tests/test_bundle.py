@@ -1,8 +1,7 @@
 import pytest
 
 from sexticsolid.bundle import (GRAM_FORMS, GRAM_INDEX, CubicData, cubic_equation,
-                                diagonal_instance, discriminant,
-                                explicit_instance_text, fiber_gram,
+                                discriminant, explicit_instance_text, fiber_gram,
                                 gram_matrix, parse_instance,
                                 points_on_lines, random_instance,
                                 smoothness_spotcheck)
@@ -13,6 +12,7 @@ from sexticsolid.multipoly import (MultiPoly, format_poly,
                                    monomials_of_degree, parse_poly)
 
 import oracles
+from oracles import diagonal_instance
 
 P = 32003
 NAMES4 = ("Y0", "Y1", "Y2", "Y3")

@@ -11,6 +11,8 @@ from sexticsolid.cli import (CERTIFICATES, CHECKS, RunConfig, fnv1a64, instance_
                              main, render_report, run_verify_all)
 from sexticsolid.errors import BadPrime, ConfigError, DegenerateDiscriminant, UnknownCheck
 
+from oracles import diagonal_instance
+
 P = 32003
 
 
@@ -198,7 +200,7 @@ def test_a_malformed_sigma_point_names_the_flag(raw, capsys):
 ], ids=["form", "variable", "prime", "seed", "degree"])
 def test_a_bad_instance_value_names_its_line_and_key(edit, message, tmp_path, capsys):
     inst = tmp_path / "bad.txt"
-    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)).replace(*edit))
+    inst.write_text(bundle.explicit_instance_text(diagonal_instance(P)).replace(*edit))
     for command in (["verify", "--checks", "census"], ["show-instance"]):
         assert main(command + ["--instance", str(inst)]) == 2
         out, err = capsys.readouterr()
@@ -301,7 +303,7 @@ def test_a_vanishing_last_discriminant_blocks_the_census(seed1, monkeypatch):
 
 def test_single_check_blocked_on_degenerate_instance(tmp_path):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(diagonal_instance(P)))
     report, code = run_verify_all(RunConfig(instance_file=str(inst), checks=("pairings",)))
     assert code == 1
     assert report["pairings"]["status"] == "blocked"
@@ -311,7 +313,7 @@ def test_single_check_blocked_on_degenerate_instance(tmp_path):
 
 def test_diagonal_instance_verify_exit_1(tmp_path):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(diagonal_instance(P)))
     out = tmp_path / "report.json"
     code = main(["verify", "--instance", str(inst), "--out", str(out)])
     assert code == 1
@@ -337,7 +339,7 @@ def test_smoothness_of_the_zero_cubic_fails(tmp_path, capsys):
 
 def test_budget_and_config_errors_exit_2(tmp_path, capsys):
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(diagonal_instance(P)))
     assert main(["verify", "--instance", str(inst), "--budget", "10"]) == 2
     assert main(["verify", "--prime", "10"]) == 2
     assert main(["verify", "--instance", str(tmp_path / "missing.txt")]) == 2
@@ -521,7 +523,7 @@ def test_every_report_certificate_is_in_the_readme_table(tmp_path):
                run_verify_all(RunConfig(instance_file=_planted_instance_file(tmp_path),
                                         sigma_points=((1, 0, 0, 0),)))[0]]
     inst = tmp_path / "diagonal.txt"
-    inst.write_text(bundle.explicit_instance_text(bundle.diagonal_instance(P)))
+    inst.write_text(bundle.explicit_instance_text(diagonal_instance(P)))
     reports.append(run_verify_all(RunConfig(instance_file=str(inst)))[0])
     for report in reports:
         for check in CHECKS:

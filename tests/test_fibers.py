@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from sexticsolid import bundle, multipoly
-from sexticsolid.bundle import (GRAM_FORMS, CubicData, diagonal_instance, discriminant,
-                                fiber_gram, random_instance)
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, discriminant, fiber_gram,
+                                random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
@@ -14,6 +14,8 @@ from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
                                 quadratic_restriction, sample_off_delta,
                                 sample_on_delta, sigma_sample)
 from sexticsolid.multipoly import MultiPoly
+
+from oracles import diagonal_instance
 
 P = 32003
 

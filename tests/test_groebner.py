@@ -179,7 +179,7 @@ def test_buchberger_is_reduced_and_monic():
         gb = buchberger(gens)
         leads = gb.lead_exps()
         for i, g in enumerate(gb.basis):
-            assert g.lead_coeff() == 1
+            assert g.packed[g.lead_key()] == 1
             for j, le in enumerate(leads):
                 if i == j:
                     continue
@@ -356,7 +356,7 @@ def test_memoised_reducer_matches_heap_oracle_as_the_list_grows():
         memo = _Reducer(packing, P, _Budget(10 ** 6))
         scan = oracles.HeapReducer(packing, P, _Budget(10 ** 6))
         for g in gens + list(buchberger(gens).basis):
-            items = encode(g.scale(fp_inv(g.lead_coeff(), P)))
+            items = encode(g.scale(fp_inv(g.packed[g.lead_key()], P)))
             memo.add(items)
             scan.add(items)
             for _ in range(4):

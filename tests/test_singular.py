@@ -5,8 +5,8 @@ from functools import cache
 import pytest
 
 from sexticsolid import bundle, singular
-from sexticsolid.bundle import (GRAM_FORMS, CubicData, cubic_equation, diagonal_instance,
-                                discriminant, gram_matrix, random_instance)
+from sexticsolid.bundle import (GRAM_FORMS, CubicData, cubic_equation, discriminant,
+                                gram_matrix, random_instance)
 from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import CensusNotGeneric
 from sexticsolid.groebner import (buchberger, is_irrelevant, is_zero_dimensional,
@@ -17,6 +17,7 @@ from sexticsolid.singular import (EXPECTED_NODE_COUNT, center_plane_conics, doub
                                   rank_stratum_ideal, smoothness_certificate, strata_check)
 
 import oracles
+from oracles import diagonal_instance
 
 P = 32003
 
@@ -27,7 +28,7 @@ def test_jacobian_ideal_of_fermat_sextic():
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
     jac = [f.partial(i) for i in range(4)]
     assert len(jac) == 4
-    mono = [g.scale(fp_inv(g.lead_coeff(), P)) for g in jac]
+    mono = [g.scale(fp_inv(g.packed[g.lead_key()], P)) for g in jac]
     for i in range(4):
         e = tuple(5 if j == i else 0 for j in range(4))
         assert MultiPoly.from_terms(4, P, [(e, 1)]) in mono
