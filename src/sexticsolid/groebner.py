@@ -1,8 +1,9 @@
 """Buchberger-based Groebner engine and zero-dimensional ideal toolkit.
 
 An ideal is given as a sequence of its generators (``MultiPoly`` in one
-ring; zero generators are ignored), and every question about it is asked of
-its reduced basis, a ``GBasis``.
+ring; zero generators are ignored), and every question about it but
+projective emptiness (``is_irrelevant``) is asked of its reduced basis, a
+``GBasis``.
 
 The completion uses the Gebauer-Moeller pair update (product + chain
 criteria; Gebauer & Moeller, "On an installation of Buchberger's
@@ -51,18 +52,33 @@ step count and the output are those of a scan of the whole list.  A
 ``GBasis`` keeps the reducer that inter-reduced it (the completion's, when
 one after a replay appends nothing), so its normal forms share the memos.
 
-The replay (77 calls for that basis) makes the same choices and steps on
-dense rows, the row form of F4 (Faugere, "A new efficient algorithm for
-computing Groebner bases (F4)", J. Pure Appl. Algebra 139, 1999): a
-polynomial is one int whose lanes hold the coefficients of every monomial up
-to some degree in grevlex rank order, so a step is one bigint multiply-add
-and the replay takes about a third of the dict reducer's time.  Lanes are
-read mod p and never carry: they are at least 2 bitlen(p) +
-bitlen(``_LANE_CAP``) bits wide, and the replay stops before the monomials
-up to its degree would outnumber ``_LANE_CAP`` lanes.  The completion keeps
-the sparse reducer: dense rows cannot hold inputs near
-``MAX_PACKED_DEGREE``, and on the sparse homogeneous inputs of the
-infinity check they were slower.
+A completion given a schedule runs all its reducers on dense rows, the row
+form of F4 (Faugere, "A new efficient algorithm for computing Groebner
+bases (F4)", J. Pure Appl. Algebra 139, 1999): the replay (77 calls for
+that basis), both inter-reductions, the certifying completion and the
+``GBasis`` reducer, which serves the strata minors, the ``mult_matrix``
+columns and the double-solid normal forms.  A polynomial is one int whose
+lanes hold the coefficients of every monomial up to some degree in grevlex
+rank order, so a step is one bigint multiply-add, and the replay takes
+about a third of the dict reducer's time.  A completion given no schedule
+keeps dict rows: the infinity check and the smoothness conics are sparse
+homogeneous inputs, on which lanes were slower.  An input whose monomials
+up to its degree would outnumber ``_LANE_CAP`` lanes is reduced on the dict
+path, by a ``_Reducer`` on the same reducer list, so with the same first
+divisors and steps; dense rows could not hold inputs near
+``MAX_PACKED_DEGREE``.  Lanes are read mod p and never carry, in any lane
+call: a row starts with each lane below p; a step clears the top lane and
+adds (p - c) times a row of lanes below p, so less than p^2, to each lane
+below it; one call makes at most one step per lane; and no row has more
+than ``_LANE_CAP`` lanes.  So a lane stays below ``_LANE_CAP`` * p^2,
+within its 2 bitlen(p) + bitlen(``_LANE_CAP``) bits or more, for every
+prime.
+
+``is_irrelevant`` runs the same completion loop, ``_completion``, and stops
+at its certificate: every appended element lies in the ideal, so once the
+leads found include a pure power of every variable (lead 1 counts), LT(I)
+has finite colength.  Only a False answer runs the whole completion, and
+neither runs the inter-reduction.
 """
 from __future__ import annotations
 
@@ -85,8 +101,9 @@ CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
 
-#: Most lanes a replay row may have; the seed-1 census replay uses 220, the
-#: monomials of degree at most 9 in 3 variables.
+#: Most lanes any lane row may have; past it a ``_LaneReducer`` reduces on
+#: the dict path.  The seed-1 census replay uses 220, the monomials of degree
+#: at most 9 in 3 variables.
 _LANE_CAP = 1024
 
 
@@ -226,8 +243,8 @@ class _Reducer:
 
 
 class _LaneReducer(_Reducer):
-    """The replay's reducer: the same first divisors, memos and steps as
-    ``_Reducer``, on dense rows.
+    """The same first divisors, memos and steps as ``_Reducer``, on dense
+    rows.
 
     A row is one int of ``width``-bit lanes, lane k holding the coefficient
     of ``universe[k]``, the monomial of grevlex rank k; the universe is every
@@ -236,15 +253,18 @@ class _LaneReducer(_Reducer):
     reads the top lane mod p, clears it and adds (p - c) times the row: one
     bigint multiply-add.  ``reducible`` flags the ranks some lead divides, so
     an irreducible lane goes to the output with no scan of the reducers.
-    Lanes are read mod p and otherwise never reduced; ``_replay`` states why
-    they never carry.
+    Lanes are read mod p and otherwise never reduced; the module docstring
+    states why they never carry.  An input whose monomials up to its degree
+    would outnumber ``_LANE_CAP`` lanes goes to ``sparse``, a ``_Reducer`` on
+    the same reducer list, so with the same first divisors and steps.
     """
 
     __slots__ = ("units", "deg_shift", "universe", "rank", "edge", "reducible",
-                 "step", "width")
+                 "step", "width", "packing", "sparse")
 
     def __init__(self, packing: _Packing, p: int, budget=None):
         super().__init__(packing, p, budget)
+        self.packing = packing
         self.units = packing.units
         self.deg_shift = packing.deg_shift
         self.universe = [0]         # rank -> packed monomial
@@ -253,21 +273,30 @@ class _LaneReducer(_Reducer):
         self.reducible = [False]    # rank -> whether some lead divides it
         self.step = -(-(2 * p.bit_length() + _LANE_CAP.bit_length()) // 64)
         self.width = 64 * self.step     # bits per lane, self.step words
+        self.sparse = None          # made at the first input past the cap
 
     def add(self, items):
         super().add(items)
         lead, n = items[0][0], len(self.units)
         room = (self.edge[0] >> self.deg_shift) - (lead >> self.deg_shift)
-        for m in self.universe[:comb(room + n, n)]:
-            self.reducible[self.rank[lead + m]] = True
+        if room >= 0:   # else a dict-path lead above the universe: nothing to flag
+            for m in self.universe[:comb(room + n, n)]:
+                self.reducible[self.rank[lead + m]] = True
 
     def _row(self, pairs, q=0) -> int:
-        """The row of the items times the packed monomial q."""
+        """The row of the items times the packed monomial q.  For q != 0
+        they are a monic reducer's tail (``_shift``): distinct monomials and
+        coefficients below p, each stored as it is."""
         words = array("Q", bytes(8 * self.step * len(self.universe)))
-        rank, step, p = self.rank, self.step, self.p
-        for e, c in pairs:
-            k = rank[q + e] * step
-            words[k] = (words[k] + c) % p
+        rank, step = self.rank, self.step
+        if q:
+            for e, c in pairs:
+                words[rank[q + e] * step] = c
+        else:
+            p = self.p
+            for e, c in pairs:
+                k = rank[e] * step
+                words[k] = (words[k] + c) % p
         if sys.byteorder == "big":
             words.byteswap()
         return int.from_bytes(words, "little")
@@ -275,7 +304,14 @@ class _LaneReducer(_Reducer):
     _shift = _row
 
     def reduce_terms(self, pairs) -> dict:
-        top = max(pairs)[0]
+        top = max(pairs, default=(0, 0))[0]
+        n = len(self.units)
+        if comb((top >> self.deg_shift) + n, n) > _LANE_CAP:
+            if self.sparse is None:
+                self.sparse = _Reducer(self.packing, self.p)
+                self.sparse.reducers = self.reducers
+            self.sparse.budget = self.budget
+            return self.sparse.reduce_terms(pairs)
         guard = self.guard
         while top not in self.rank:
             self.edge = sorted({m + u for m in self.edge for u in self.units})
@@ -373,20 +409,19 @@ def _s_polynomial(a, b, lcm, p):
     return spairs
 
 
-def _interreduce(elements, packing, p, budget):
-    """Minimalize, then inter-reduce through one growing reducer: the
+def _interreduce(elements, reducer):
+    """Minimalize, then inter-reduce through one growing, empty reducer: the
     elements whose lead no other lead divides, in increasing lead order,
     each reduced, made monic and added.  No larger lead divides a monomial
     below a lead, so that reduces each against all the others.  Returns the
     reducer and the elements: the reduced basis when they form a Groebner
     basis."""
-    guard = packing.guard
-    reducer = _Reducer(packing, p, budget)
+    guard = reducer.guard
     polys: list = []
     for items in sorted(elements, key=lambda items: items[0][0]):
         lead = items[0][0] | guard
         if not any((lead - kept[0][0]) & guard == guard for kept in polys):
-            items = _monic_normal_form(reducer, items, p)   # keeps its lead
+            items = _monic_normal_form(reducer, items, reducer.p)   # keeps its lead
             reducer.add(items)
             polys.append(items)
     return reducer, polys
@@ -403,14 +438,8 @@ def _replay(gens, schedule, packing, p, budget):
     lead differs from the recorded one: past a divergence the recorded pairs
     would only build elements off the shape of the basis.  It also stops
     before any input whose degree would take the universe of the
-    ``_LaneReducer`` past ``_LANE_CAP`` lanes.
-
-    That cap keeps every lane from carrying into the next.  A row starts
-    with each lane below p; a step clears the top lane and adds (p - c)
-    times a row of lanes below p, so less than p^2, to each lane below it;
-    and one call makes at most one step per lane.  So a lane stays below
-    ``_LANE_CAP`` * p^2, within its 2 bitlen(p) + bitlen(``_LANE_CAP``)
-    bits or more, for every prime."""
+    ``_LaneReducer`` past ``_LANE_CAP`` lanes, where it would leave the
+    lane rows."""
     reducer = _LaneReducer(packing, p, budget)
     n = len(packing.units)
     found: list = []
@@ -436,47 +465,28 @@ def _replay(gens, schedule, packing, p, budget):
     return found
 
 
-def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
-
-    Pairs are processed by smallest sugar, then smallest grevlex lcm.
-    An input generator's sugar is its total degree; the S-pair of elements i
-    and j has sugar ``max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm``,
-    and an element appended from it inherits that sugar.
-
-    ``schedule`` is a recorded trace (Traverso, "Groebner trace algorithms",
-    ISSAC 1988): the (i, j, lead) of each S-pair whose normal form was
-    nonzero in a plain completion of an input of the same shape, in the
-    order reduced.  The scheduled pairs are reduced first, with no pair
-    criteria and no selection, up to the first that diverges (see
-    ``_replay``); what they found is inter-reduced and fed, followed by
-    ``gens``, to the completion below, unchanged.  Every replayed element
-    lies in the ideal, so that completion is the certificate: the
-    generators must reduce to zero against the replayed basis and so must
-    the pairs that the Gebauer-Moeller criteria keep (Buchberger's
-    criterion).  A short or stale schedule costs time, never correctness.
-    If the completion appends nothing, the replayed basis is the result and
-    the completion's reducer its reducer.  The budget covers the replay and
-    the completion together, not the normal forms of the returned basis.
-    """
+def _start(gens, budget):
+    """The nonzero generators, their packing and the step budget."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("buchberger needs at least one nonzero generator")
     for g in gens[1:]:
         gens[0]._check_ctx(g)
-    nvars, p = gens[0].nvars, gens[0].p
-    packing = _packing(nvars)
-    pack, unpack = packing.pack, packing.unpack
-    deg_shift = packing.deg_shift
-    bud = _Budget(budget) if budget is not None else None
+    return gens, _packing(gens[0].nvars), _Budget(budget) if budget is not None else None
 
-    inputs = [(g.packed.items(), g.total_degree()) for g in gens]
-    found: list = []
-    if schedule:
-        found = _interreduce(_replay(gens, schedule, packing, p, bud), packing, p, bud)[1]
-        inputs[:0] = [(items, items[0][0] >> deg_shift) for items in found]
 
-    reducer = _Reducer(packing, p, bud)
+def _completion(gens, found, reducer, packing):
+    """Buchberger's loop: yields each element it appends to the basis, as
+    monic packed items, up to a Groebner basis or the unit ideal's 1.
+
+    The inputs are the elements ``found`` (sugar: their lead degree) and then
+    ``gens`` (their total degree), each reduced against all before it; then
+    the pairs the Gebauer-Moeller criteria keep, by ``buchberger``'s sugar
+    order.  Every element lies in the ideal of the inputs."""
+    p = reducer.p
+    pack, unpack, deg_shift = packing.pack, packing.unpack, packing.deg_shift
+    inputs = [(items, items[0][0] >> deg_shift) for items in found]
+    inputs += [(g.packed.items(), g.total_degree()) for g in gens]
     leads: list = []         # lead exponent tuples, for the pair criteria
     basis_items: list = []   # packed (monomial, coeff) items, largest first
     sugars: list = []        # sugar minus lead degree, per basis element
@@ -501,8 +511,9 @@ def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
             continue
         basis_items.append(items)
         reducer.add(items)
+        yield items
         if items[0][0] == 0:
-            break   # the unit ideal: the inter-reduction keeps only 1
+            return   # the unit ideal: the inter-reduction keeps only 1
         leads.append(unpack(items[0][0]))
         sugars.append(sugar - (items[0][0] >> deg_shift))
         # a pair's lcm and key never change, so each is computed once
@@ -510,8 +521,42 @@ def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
         pairs = {ij: pairs[ij] if ij in pairs else selection_key(ij, L)
                  for ij, L in lcms.items()}
 
+
+def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens``.
+
+    Pairs are processed by smallest sugar, then smallest grevlex lcm.
+    An input generator's sugar is its total degree; the S-pair of elements i
+    and j has sugar ``max(s_i - deg lead_i, s_j - deg lead_j) + deg lcm``,
+    and an element appended from it inherits that sugar.
+
+    ``schedule`` is a recorded trace (Traverso, "Groebner trace algorithms",
+    ISSAC 1988): the (i, j, lead) of each S-pair whose normal form was
+    nonzero in a plain completion of an input of the same shape, in the
+    order reduced.  The scheduled pairs are reduced first, with no pair
+    criteria and no selection, up to the first that diverges (see
+    ``_replay``); what they found is inter-reduced and fed, followed by
+    ``gens``, to the completion below, unchanged.  Every replayed element
+    lies in the ideal, so that completion is the certificate: the
+    generators must reduce to zero against the replayed basis and so must
+    the pairs that the Gebauer-Moeller criteria keep (Buchberger's
+    criterion).  A short or stale schedule costs time, never correctness.
+    If the completion appends nothing, the replayed basis is the result and
+    the completion's reducer its reducer.  The budget covers the replay and
+    the completion together, not the normal forms of the returned basis.
+    """
+    gens, packing, bud = _start(gens, budget)
+    nvars, p = gens[0].nvars, gens[0].p
+    Reducer = _LaneReducer if schedule else _Reducer
+
+    found: list = []
+    if schedule:
+        found = _interreduce(_replay(gens, schedule, packing, p, bud),
+                             Reducer(packing, p, bud))[1]
+    reducer = Reducer(packing, p, bud)
+    basis_items = list(_completion(gens, found, reducer, packing))
     if len(basis_items) > len(found):  # else the replayed basis, already reduced
-        reducer, basis_items = _interreduce(basis_items, packing, p, bud)
+        reducer, basis_items = _interreduce(basis_items, Reducer(packing, p, bud))
     reducer.budget = None
     return GBasis((MultiPoly._make(nvars, p, dict(items), items[0][0])
                    for items in basis_items), reducer)
@@ -635,7 +680,17 @@ def in_radical(g: MultiPoly, gens, budget=DEFAULT_BUDGET) -> bool:
 def is_irrelevant(gens, budget=DEFAULT_BUDGET) -> bool:
     """True iff the homogeneous generators have no common projective zero,
     i.e. their ideal is zero-dimensional: its affine zero locus is at most
-    the origin."""
+    the origin.  True is answered at the first lead that completes a pure
+    power of every variable (see the module docstring)."""
     if any(g.homogeneous_degree() is None for g in gens):
         raise NotHomogeneous("projective emptiness needs a homogeneous ideal")
-    return is_zero_dimensional(buchberger(gens, budget))
+    gens, packing, bud = _start(gens, budget)
+    n = gens[0].nvars
+    powers: set = set()      # the variables some lead is a pure power of
+    for items in _completion(gens, (), _Reducer(packing, gens[0].p, bud), packing):
+        support = [i for i, v in enumerate(packing.unpack(items[0][0])) if v]
+        if len(support) <= 1:
+            powers.update(support or range(n))
+            if len(powers) == n:
+                return True
+    return False

@@ -14,7 +14,7 @@ dimension 1 exactly when it is an ordinary double point).  The strata and
 double-solid checks compute no Groebner basis: normal forms over the
 census's basis and polynomial identities (Jacobi, Laplace, Euler) certify them.
 Smoothness of the ambient cubic is a corollary of the census and the strata
-check, plus one basis of four plane conics (smoothness_certificate).
+check, plus one emptiness test of four plane conics (smoothness_certificate).
 """
 from __future__ import annotations
 
@@ -236,7 +236,8 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     infinity.
     """
     census = _certified_census(census, "strata check")
-    moved = symmetric_matrix([f.linear_change(census.chart) for f in d.entries])
+    entries = [f.linear_change(census.chart) for f in d.entries]
+    moved = symmetric_matrix(entries)
     adj = rank_stratum_ideal(moved)
 
     # the distinct nonzero entries of adj M, row by row
@@ -247,8 +248,11 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     delta = census.moved_sextic
     zero = MultiPoly.zero(4, delta.p)
     for i in range(4):
-        jacobi = sum((adj[j][k] * moved[k][j].partial(i)
-                      for j in range(4) for k in range(4)), zero)
+        # adj M and d_i M are symmetric: the diagonal terms, then twice those with j < k
+        d_moved = symmetric_matrix([f.partial(i) for f in entries])
+        jacobi = (sum((adj[j][j] * d_moved[j][j] for j in range(4)), zero)
+                  + sum((adj[j][k] * d_moved[j][k] for j in range(4)
+                         for k in range(j + 1, 4)), zero).scale(2))
         details.append((f"jacobian_{i}_in_radical_of_minors3", delta.partial(i) == jacobi))
     rank2_equals_sigma = all(ok for _, ok in details)
 
@@ -269,8 +273,8 @@ def smoothness_certificate(d: CubicData, census: SingularCensusReport,
                            strata: StrataReport, budget=DEFAULT_BUDGET) -> SmoothnessCertificate:
     """Certify the cubic X = {F' = 0}, F' = cubic_equation(d), smooth from
     the certified generic census of its sextic, its strata check, and one
-    basis of four conics: Beauville's conic-bundle argument (Ann. Sci. ENS
-    10, 1977, sec. 1) carried over to quadric bundles.
+    emptiness test of four conics: Beauville's conic-bundle argument (Ann.
+    Sci. ENS 10, 1977, sec. 1) carried over to quadric bundles.
 
     The identity F'(x, s y) = s (x, s) M(y) (x, s)^T, checked here, puts a Y
     in every term of F', so on the plane P = {Y = 0} the X-partials vanish

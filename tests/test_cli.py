@@ -430,13 +430,12 @@ def test_verify_computes_no_basis_twice(monkeypatch):
     assert ds_calls == [0]
     # one strata check serves the strata, fibers, pairings and smoothness sections
     assert strata_calls == [True]
-    # the infinity check on the plane y0 = 0 and the affine basis of the
-    # census, and the four plane conics of the smoothness certificate,
-    # nothing else
-    assert len(bases) == 3 and len(irrelevant_calls) == 2
-    assert [g.nvars for g in bases] == [3, 3, 3]
-    for i, a in enumerate(bases):
-        assert all(a != b for b in bases[i + 1:])
+    # one basis, the affine census basis, and two irrelevance tests, which
+    # build none: the infinity check on the plane y0 = 0 and the four plane
+    # conics of the smoothness certificate, nothing else
+    assert len(bases) == 1 and len(irrelevant_calls) == 2
+    assert [g.nvars for g in bases] == [3]
+    assert [len(gens) for gens, *_ in irrelevant_calls] == [4, 4]
 
 
 def _planted_instance_file(tmp_path):

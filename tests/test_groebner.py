@@ -1,6 +1,6 @@
 import pytest
 
-from sexticsolid.bundle import discriminant, gram_matrix, random_instance
+from sexticsolid.bundle import cubic_equation, discriminant, gram_matrix, random_instance
 from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import (DegreeOverflow, NotHomogeneous,
                                 NotZeroDimensional, ResourceBudgetExceeded)
@@ -150,18 +150,94 @@ def test_degree_beyond_the_packed_field_raises(monkeypatch):
         buchberger([x ** h * y - 1, x * y ** h - 1])
     # the product criterion drops the pair of x^h and y^h, whose lcm does
     # not fit either; a schedule naming it stops the replay, no more, and
-    # the replay's lane universe never grows past its cap to reach them
-    replays = []
+    # no lane reducer (the replay's, the completion's and the two
+    # inter-reductions') grows its universe past its cap to reach them
+    lane_reducers = []
 
     class Watched(_LaneReducer):
         def __init__(self, *args):
             super().__init__(*args)
-            replays.append(self)
+            lane_reducers.append(self)
 
     monkeypatch.setattr(groebner, "_LaneReducer", Watched)
     pure = [x ** h, y ** h]
     assert buchberger(pure, schedule=((0, 1, (0, 0)),)) == buchberger(pure)
-    assert [len(r.universe) <= _LANE_CAP for r in replays] == [True]
+    assert [len(r.universe) <= _LANE_CAP for r in lane_reducers] == [True] * 4
+
+
+def past_the_lane_cap():
+    """Scheduled ideals whose inputs or S-pairs have more monomials up to
+    their degree than ``_LANE_CAP``: the pure powers of
+    ``test_degree_beyond_the_packed_field_raises`` (their replay stops at
+    once), and two binomials of degrees 12 and 14 in 3 variables whose
+    completion reaches degree 17, past the 969 monomials of degree at most 16
+    (their replay stops at that pair)."""
+    h = MAX_PACKED_DEGREE // 2 + 1
+    x, y = V(0), V(1)
+    X, Y, Z = (V(i, 3) for i in range(3))
+    binomials = [X ** 4 * Y ** 3 * Z - 4 * X ** 5 * Z ** 2 + 5 * Y * Z,
+                 Y ** 6 * Z ** 6 - X ** 5 * Y ** 2 * Z + 7 * Y]
+    return [([x ** h, y ** h], ((0, 1, (0, 0)),)),
+            (binomials, oracles.record_schedule(binomials))]
+
+
+class CappedLanes(_LaneReducer):
+    """A lane reducer that records the lanes of every row it builds and
+    whether it had to reduce on the dict path."""
+
+    rows: list = []
+    dict_path: list = []
+
+    def _row(self, pairs, q=0):
+        row = super()._row(pairs, q)
+        CappedLanes.rows.append((len(self.universe), row.bit_length() <= len(self.universe) * self.width))
+        return row
+
+    _shift = _row
+
+    def reduce_terms(self, pairs):
+        out = super().reduce_terms(pairs)
+        CappedLanes.dict_path.append(self.sparse is not None)
+        return out
+
+
+def test_lane_reducers_take_the_dict_path_past_the_cap(monkeypatch):
+    # an input or S-pair past the cap is reduced on the dict path, with the
+    # same first divisors: a scheduled completion gives the basis and the
+    # steps of one on the dict reducer, and no row has more lanes than the cap
+    for gens, schedule in past_the_lane_cap():
+        CappedLanes.rows, CappedLanes.dict_path = [], []
+        lanes = basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=CappedLanes)
+        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=_Reducer)
+        assert lanes[0] == buchberger(gens)
+        assert any(CappedLanes.dict_path)
+        assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.rows)
+    # the pure powers build no row; the binomials fill 969 lanes, every
+    # monomial of degree at most 16, the most the cap allows
+    assert max(lanes for lanes, _ in CappedLanes.rows) == 969
+
+
+def test_census_basis_normal_forms_past_the_lane_cap(seed1, monkeypatch):
+    # the census basis reduces on lane rows up to degree 16 and on the dict
+    # path above (degree 20: 1,771 monomials), both as a brute-force
+    # reduction does, with no row past the cap.  Brute force on a degree-20
+    # input takes minutes, so the oracle builds NF(y1^k) = NF(y1 NF(y1^(k-1)))
+    # by brute force, a degree at a time: a normal form is unique per coset
+    CappedLanes.rows, CappedLanes.dict_path = [], []
+    monkeypatch.setattr(groebner, "_LaneReducer", CappedLanes)
+    gb = buchberger(census_affine_ideal(seed1), schedule=CENSUS_SCHEDULE)
+    assert type(gb.reducer) is CappedLanes and not any(CappedLanes.dict_path)
+    rng = SplitMix64(68)
+    y1 = V(0, 3)
+    powers = [MultiPoly.constant(1, 3, P)]
+    for _ in range(20):
+        powers.append(oracles.brute_normal_form(y1 * powers[-1], gb.basis, rng))
+    for k, dict_path in [(16, False), (20, True)]:
+        g = rand_poly(rng, nvars=3, maxdeg=3, terms=6)
+        expected = oracles.brute_normal_form(powers[k] + g, gb.basis, rng)
+        assert normal_form(y1 ** k + g, gb) == expected
+        assert CappedLanes.dict_path[-1] is dict_path
+    assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.rows)
 
 
 def test_buchberger_trivial_examples():
@@ -570,6 +646,55 @@ def test_is_irrelevant_examples():
     assert not is_irrelevant([ys[0] * ys[1], ys[2], ys[3]])
     with pytest.raises(NotHomogeneous):
         is_irrelevant([ys[0] + 1])
+    with pytest.raises(ValueError):
+        is_irrelevant([MultiPoly.zero(n, P)])
+
+
+def random_forms(rng, nvars, count, p, planted):
+    """``count`` random forms of degrees 1 to 3 in ``nvars`` variables, with
+    a common projective zero when ``planted``: no form has the pure power of
+    y0, so all vanish at (1, 0, ..., 0), which a random chart then moves."""
+    forms = []
+    while len(forms) < count:
+        d = rng.below(3) + 1
+        terms = [(e, rng.below(p)) for e in oracles._monomials_of_degree(nvars, d)
+                 if not (planted and e[0] == d)]
+        f = MultiPoly.from_terms(nvars, p, terms)
+        if not f.is_zero():
+            forms.append(f)
+    T = random_invertible(nvars, p, rng)
+    return [f.linear_change(T) for f in forms]
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_is_irrelevant_stops_with_the_answer_of_the_whole_basis(p):
+    # True at the first pure power of every variable among the leads found,
+    # False only after the whole completion: the answer of the reduced basis
+    rng = SplitMix64(69)
+    answers = []
+    for nvars in (3, 4):
+        for count, planted in [(nvars, False), (nvars, True), (nvars + 1, True),
+                               (nvars - 1, False), (nvars + 1, False)]:
+            for _ in range(3):
+                gens = random_forms(rng, nvars, count, p, planted)
+                answer = is_irrelevant(gens)
+                assert answer == is_zero_dimensional(buchberger(gens))
+                answers.append(answer)
+    assert answers.count(True) >= 10 and answers.count(False) >= 10
+
+
+def test_seed1_irrelevance_checks_take_pinned_steps(seed1):
+    # the verify at seed 1 asks two irrelevance questions, both True: the
+    # census partials on the plane at infinity of its chart (223 steps) and
+    # the smoothness certificate's four plane conics (18 steps)
+    T = random_invertible(4, P, SplitMix64(stage_seed(1, 0, "census")))
+    moved = seed1.delta.linear_change(T)
+    plane = [moved.partial(i).specialize(0, 0) for i in range(4)]
+    conics = singular.center_plane_conics(cubic_equation(seed1.d))
+    for gens, steps in [(plane, 223), (conics, 18)]:
+        assert is_irrelevant(gens, budget=steps)
+        with pytest.raises(ResourceBudgetExceeded):
+            is_irrelevant(gens, budget=steps - 1)
 
 
 def test_is_irrelevant_for_rank1_minors_of_seeded_gram():
