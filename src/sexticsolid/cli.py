@@ -133,29 +133,27 @@ def _instance(path, prime: int, seed: int):
 
 def _acquire_instance(cfg: RunConfig, timings: dict):
     """Build or load the instance; seeded instances are resampled (seed+k)
-    up to cfg.retries times while the census verdict stays non-generic.
-    The seconds spent building instances, discriminants and node censuses
-    are added to timings["instance"], ["discriminant"] and ["census"]."""
+    up to cfg.retries times while the census verdict stays non-generic.  The
+    census takes the sextic in its chart; a vanishing one leaves census None.
+    Seconds go to timings["instance"] and ["census"]."""
     history = []
     for attempt in range(1 if cfg.instance_file is not None else cfg.retries + 1):
         with _timed(timings, "instance"):
             d = _instance(cfg.instance_file, cfg.prime, cfg.seed + attempt)
-        delta = census = None
+        census = None
         entry = {"attempt": attempt, "seed": d.seed}
         history.append(entry)
         try:
-            with _timed(timings, "discriminant"):
-                delta = bundle.discriminant(d)
+            with _timed(timings, "census"):
+                census = singular.node_census(d, stage_seed(cfg.seed, attempt, "census"),
+                                              cfg.budget)
         except DegenerateDiscriminant:
             entry["outcome"] = "degenerate_discriminant"
             continue
-        with _timed(timings, "census"):
-            census = singular.node_census(delta, stage_seed(cfg.seed, attempt, "census"),
-                                          cfg.budget)
         entry["outcome"] = census.verdict
         if census.verdict == singular.VERDICT_GENERIC:
             break
-    return d, delta, census, history
+    return d, census, history
 
 
 def _census_section(census) -> dict:
@@ -179,12 +177,13 @@ def _flags_section(report) -> dict:
     return {**asdict(report), "pass": report.passed}
 
 
-def _fibers_section(d, delta, strata, sigma_points) -> dict:
+def _fibers_section(d, strata, sigma_points) -> dict:
     """The rank contracts 4 / 3 / 2, corollaries of the strata identities
     (see the fibers module), and the exact rank at each supplied point."""
     section = {"rank_contracts": dict(fibers._EXPECTED_RANK)}
     ok = strata.passed
     if sigma_points:
+        delta = bundle.discriminant(d)
         rows = []
         for y in sigma_points:
             try:
@@ -214,8 +213,8 @@ def run_verify_all(cfg: RunConfig):
     maps them to exit code 2.
     """
     t_start = time.monotonic()
-    timings = dict.fromkeys(("instance", "discriminant", "census"), 0.0)
-    d, delta, census, history = _acquire_instance(cfg, timings)
+    timings = dict.fromkeys(("instance", "census"), 0.0)
+    d, census, history = _acquire_instance(cfg, timings)
 
     config = asdict(cfg)
     config["prime"] = d.p  # an instance file's own prime, not the --prime flag
@@ -242,7 +241,7 @@ def run_verify_all(cfg: RunConfig):
             continue
         with _timed(timings, check):
             if check == "census":
-                if delta is None:
+                if census is None:
                     section = _blocked_section("discriminant vanishes identically")
                 else:
                     section = _census_section(census)
@@ -253,7 +252,7 @@ def run_verify_all(cfg: RunConfig):
             elif check == "double_solid":
                 section = _census_section(singular.double_solid_census(census))
             elif check == "fibers":
-                section = _fibers_section(d, delta, strata(), cfg.sigma_points)
+                section = _fibers_section(d, strata(), cfg.sigma_points)
             elif check == "pairings":
                 section = _pairings_section(strata())
             else:

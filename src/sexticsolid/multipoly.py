@@ -21,9 +21,10 @@ Every field is ``_FIELD_BITS`` wide with its top bit a guard, so no
 monomial of any ``MultiPoly`` may exceed degree ``MAX_PACKED_DEGREE``
 (32,767): a product and ``mp_det`` check the sum of their factors' lead
 degrees, and every exponent tuple that is packed (by the constructor,
-``from_terms``, ``parse_poly`` and ``specialize``) is checked for its
-degree, its arity and its signs; too high a degree raises
-``DegreeOverflow``.
+``from_terms`` and ``parse_poly``) is checked for its degree, its arity
+and its signs; too high a degree raises ``DegreeOverflow``.  ``specialize``
+and ``embed`` re-pack valid monomials by a dot product with the target
+ring's units, unchecked: dropping or renaming a variable cannot overflow.
 
 On first use a polynomial unpacks its terms once into a list of
 (coefficient, power-table indices).  ``eval`` fills the table with powers
@@ -35,14 +36,15 @@ bound).
 
 ``mp_det`` expands cofactors on the packed dicts directly: each memoised
 column subset's expansion accumulates unreduced in one dict and is reduced
-mod p once.  ``linear_change`` runs Horner's scheme, so that every product
-it forms is by a linear form.
+mod p once.  ``LinearChange`` moves polynomials of bounded degree through
+one table of moved monomials, which all ten Gram entries of an instance
+share.
 """
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import ArityMismatch, DegreeOverflow, IndexOutOfRange, SingularChange
@@ -368,59 +370,20 @@ class MultiPoly:
             self._compiled = (terms, maxes, self.total_degree())
         return self._compiled
 
-    def linear_change(self, T):
-        """Substitute variables -> T @ variables for an invertible matrix T.
-
-        Multivariate Horner on the packed products: with L_k the linear
-        form of row k of T, f = sum_j x_k^j f_j splits on its last variable
-        x_k and becomes (..(f_top(L) * L_k + f_{top-1}(L)) * L_k ..) + f_0(L),
-        each f_j(L) found the same way on the variables before x_k.  So
-        every product is by a linear form, and the exponents are unpacked
-        once."""
-        n = self.nvars
-        p = self.p
-        if len(T) != n or any(len(row) != n for row in T):
-            raise ArityMismatch("change-of-coordinates matrix has wrong shape")
-        if matrix_rank(T, p) != n:
-            raise SingularChange("coordinate change is not invertible")
-        if not self.packed:
-            return self
-        packing = _packing(n)
-        forms = [MultiPoly._make(n, p, _reduced(p, dict(zip(packing.units, row)))) for row in T]
-        zero = MultiPoly.zero(n, p)
-
-        def substitute(terms, k):
-            # sum of c x^e over the (e, c), all supported on x_0..x_{k-1}
-            if k == 0:
-                return MultiPoly.constant(terms[0][1], n, p)
-            parts: dict = {}
-            for e, c in terms:
-                parts.setdefault(e[k - 1], []).append((e, c))
-            acc = zero
-            for j in range(max(parts), -1, -1):
-                if acc.packed:
-                    acc = acc * forms[k - 1]
-                if j in parts:
-                    acc = acc + substitute(parts[j], k - 1)
-            return acc
-
-        return substitute([(packing.unpack(m), c) for m, c in self.packed.items()], n)
-
     def specialize(self, i: int, value: int):
-        """Substitute variable i := value, dropping it from the ring."""
+        """Substitute variable i := value, dropping it; re-packs like ``embed``."""
         if not 0 <= i < self.nvars:
             raise IndexOutOfRange(f"variable {i} of {self.nvars}")
-        p = self.p
-        value %= p
-        unpack = _packing(self.nvars).unpack
-        pack = _packing(self.nvars - 1).pack
+        p, unpack = self.p, _packing(self.nvars).unpack
+        units = _packing(self.nvars - 1).units
+        targets = units[:i] + (0,) + units[i:]
+        powers = list(accumulate(repeat(value, max(self.total_degree(), 0)),
+                                 lambda x, v: x * v % p, initial=1))
         raw: dict = {}
         for m, c in self.packed.items():
             e = unpack(m)
-            if e[i]:
-                c = c * pow(value, e[i], p)
-            ne = pack(e[:i] + e[i + 1:])
-            raw[ne] = raw.get(ne, 0) + c
+            k = sum(map(mul, e, targets))
+            raw[k] = raw.get(k, 0) + c * powers[e[i]]
         return MultiPoly._make(self.nvars - 1, p, _reduced(p, raw))
 
     def embed(self, new_nvars: int, positions):
@@ -434,6 +397,39 @@ class MultiPoly:
         return MultiPoly._make(new_nvars, self.p,
                                {sum(map(mul, unpack(m), targets)): c
                                 for m, c in self.packed.items()})
+
+
+class LinearChange:
+    """The change of coordinates y -> T y for an invertible n x n matrix T
+    over F_p, on polynomials of degree at most ``degree``.  ``images`` maps
+    every packed monomial of that degree or less to its image, built once
+    as the image of a monomial of one degree less times one row of T.
+    Calling the change on f sums the images of f's terms, reduced once."""
+
+    __slots__ = ("degree", "matrix", "images")
+
+    def __init__(self, T, p: int, degree: int):
+        n = len(T)
+        if any(len(row) != n for row in T) or matrix_rank(T, p) != n:
+            raise SingularChange("coordinate change is not an invertible square matrix")
+        self.degree, self.matrix = degree, T
+        pack, units = _packing(n).pack, _packing(n).units
+        forms = [MultiPoly._make(n, p, _reduced(p, dict(zip(units, row)))) for row in T]
+        self.images = images = {0: MultiPoly.constant(1, n, p)}
+        for e in (e for k in range(1, degree + 1) for e in monomials_of_degree(n, k)):
+            i = next(j for j, a in enumerate(e) if a)     # x^e = x^(e - u_i) x_i
+            images[pack(e)] = images[pack(e) - units[i]] * forms[i]
+
+    def __call__(self, f: MultiPoly) -> MultiPoly:
+        self.images[0]._check_ctx(f)
+        if f.total_degree() > self.degree:
+            raise DegreeOverflow(f"degree {f.total_degree()} exceeds the change's {self.degree}")
+        raw: dict = {}
+        get = raw.get
+        for m, c in f.packed.items():
+            for k, ck in self.images[m].packed.items():
+                raw[k] = get(k, 0) + c * ck
+        return MultiPoly._make(f.nvars, f.p, _reduced(f.p, raw))
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bundle import GRAM_INDEX, CubicData, cubic_equation, symmetric_matrix
+from .bundle import GRAM_INDEX, CubicData, cubic_equation, discriminant, symmetric_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
 from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
                        is_zero_dimensional, normal_form, quotient_dim,
                        reducedness_certificate)
-from .multipoly import MultiPoly, mp_det
+from .multipoly import LinearChange, MultiPoly, mp_det
 
 EXPECTED_NODE_COUNT = 31
 
@@ -78,12 +78,13 @@ class SingularCensusReport:
     points_at_infinity: bool
     verdict: str
     chart_change_seed: int
-    # affine census basis counted (the double solid's too: its quotient is
-    # the census's), the chart matrix T and (node census) the sextic moved
-    # by it; not compared
+    # not compared: the affine census basis (the double solid's too), the chart
+    # change and (node census) the moved sextic, its partials and their y0 = 1 parts
     basis: GBasis | None = field(default=None, compare=False, repr=False)
     moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
-    chart: tuple | None = field(default=None, compare=False, repr=False)
+    chart: LinearChange | None = field(default=None, compare=False, repr=False)
+    partials: tuple | None = field(default=None, compare=False, repr=False)
+    affine_partials: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -117,32 +118,36 @@ def _verdict(degree, reduced, points_at_infinity) -> str:
     return VERDICT_DEGENERATE
 
 
-def node_census(delta: MultiPoly, seed: int, budget=DEFAULT_BUDGET) -> SingularCensusReport:
-    """Census of the singular scheme of the branch sextic.
-
-    Pipeline: seeded random linear coordinate change T; check the four
-    partials, restricted to the plane at infinity y0 = 0 of the chart, have
-    no common zero there (all four zero: the whole plane is singular);
-    dehomogenize in that chart; Groebner basis, replaying
-    ``CENSUS_SCHEDULE`` before the completion that certifies it (so a
-    generic chart skips the 110 S-pairs that reduce to zero, and an
-    unlucky one, common at small primes, stops the replay early and
-    completes the usual way); the quotient must be
-    zero-dimensional (a pure power of each variable among the leads);
-    degree = dimension of the quotient algebra; reducedness by the
-    multiplication-operator certificate.  Structural failures produce
-    verdict "degenerate" (with the honestly computed degree), never a wrong
-    count reported as generic.  Carries its basis, chart T and moved sextic.
-    """
+def node_census(d: CubicData, seed: int, budget=DEFAULT_BUDGET) -> SingularCensusReport:
+    """Census of the singular scheme of the instance's branch sextic: draw
+    the chart T from the seed, move the ten Gram entries through T's table
+    of moved monomials, and take the moved sextic as the discriminant of
+    the moved instance (det M(T y) = (det M)(T y); a vanishing one raises
+    ``DegenerateDiscriminant``); then ``_census`` of it."""
     rng = SplitMix64(seed)
-    T = random_invertible(4, delta.p, rng)
-    moved = delta.linear_change(T)
-    parts = [moved.partial(i) for i in range(4)]
+    chart = LinearChange(random_invertible(4, d.p, rng), d.p, 3)
+    moved = discriminant(CubicData(d.p, tuple(chart(f) for f in d.entries)))
+    return _census(moved, seed, rng, budget, chart)
+
+
+def _census(moved: MultiPoly, seed: int, rng, budget, chart) -> SingularCensusReport:
+    """The census of a sextic in its chart, rng holding the rest of the
+    chart seed's stream: the four partials, restricted to the plane at
+    infinity y0 = 0, have no common zero there (all four zero: the whole
+    plane is singular); dehomogenize; Groebner basis, replaying
+    ``CENSUS_SCHEDULE`` before the completion that certifies it (a generic
+    chart skips the 110 S-pairs that reduce to zero; an unlucky one, common
+    at small primes, stops the replay early); the quotient must be
+    zero-dimensional; degree = its dimension; reducedness by the
+    multiplication-operator certificate.  Structural failures give verdict
+    "degenerate" (with the honestly computed degree), never a wrong count
+    reported as generic."""
+    parts = tuple(moved.partial(i) for i in range(4))
 
     plane = [f.specialize(0, 0) for f in parts]
     points_at_infinity = all(f.is_zero() for f in plane) or not is_irrelevant(plane, budget)
 
-    affine = [f.specialize(0, 1) for f in parts]
+    affine = tuple(f.specialize(0, 1) for f in parts)
     gb = (buchberger(affine, budget, schedule=CENSUS_SCHEDULE)
           if any(not f.is_zero() for f in affine) else None)
     if gb is None or not is_zero_dimensional(gb):
@@ -152,16 +157,18 @@ def node_census(delta: MultiPoly, seed: int, budget=DEFAULT_BUDGET) -> SingularC
     reduced = reducedness_certificate(gb, rng)
     return SingularCensusReport(True, degree, reduced, points_at_infinity,
                                 _verdict(degree, reduced, points_at_infinity), seed,
-                                basis=gb, moved_sextic=moved, chart=T)
+                                basis=gb, moved_sextic=moved, chart=chart,
+                                partials=parts, affine_partials=affine)
 
 
 def _certified_census(census, stage) -> SingularCensusReport:
     """The census the downstream certificates stand on: generic, certified
     reduced (so its affine ideal is radical), nothing at infinity, with its
-    basis, chart and moved sextic."""
+    basis, chart, moved sextic and partials."""
     if (census.verdict != VERDICT_GENERIC or census.reduced != "certified"
             or census.points_at_infinity
-            or None in (census.basis, census.chart, census.moved_sextic)):
+            or None in (census.basis, census.chart, census.moved_sextic,
+                        census.partials, census.affine_partials)):
         raise CensusNotGeneric(f"{stage} needs a certified generic node census "
                                f"with its basis, got {census.verdict!r}")
     return census
@@ -170,33 +177,30 @@ def _certified_census(census, stage) -> SingularCensusReport:
 def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     """Census of the singular scheme of the double solid w^2 = delta.
 
-    Its Tjurina ideal I_DS (the equation g = w^2 - delta_aff and its
-    partials) has one reduced point above each surface node, so the
-    expected degree is again 31.  It runs in the chart of the given
-    certified generic node census, on its moved sextic, with no Groebner
-    completion: Euler's formula 6 delta_aff = (d0 delta)_aff +
-    sum y_i (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked
-    as polynomial identities, put (w) + J_aff inside I_DS (2 and 6 are
-    units).  For the converse, I_DS = (w) + (delta_aff, d_{y_i} delta_aff)
-    since 2 is a unit, so it suffices that delta_aff and its three partials
-    reduce to zero modulo the census basis: in the census ring, the check
-    of the five Tjurina generators modulo {w} + census basis.  So the
-    quotient is the census's, and so are degree, reducedness and verdict;
-    the report carries the census basis.
+    Its Tjurina ideal I_DS (g = w^2 - delta_aff and its partials) has one
+    reduced point above each surface node, so the expected degree is again
+    31.  It runs in the chart of the given certified generic node census,
+    on its moved sextic and the affine restrictions of its partials, with
+    no Groebner completion: Euler's 6 delta_aff = (d0 delta)_aff + sum y_i
+    (d_i delta)_aff and d_{y_i} delta_aff = (d_i delta)_aff, checked as
+    identities, put (w) + J_aff inside I_DS (2 and 6 are units).  For the
+    converse, I_DS = (w) + (delta_aff, d_{y_i} delta_aff) since 2 is a
+    unit, so it suffices that delta_aff and its three partials reduce to
+    zero modulo the census basis.  So the quotient is the census's, and so
+    are degree, reducedness and verdict; the report carries the census basis.
     """
     census = _certified_census(census, "double-solid census")
-    moved = census.moved_sextic
-    delta_aff = moved.specialize(0, 1)
-    parts_aff = [moved.partial(i).specialize(0, 1) for i in range(4)]
-    euler = sum((MultiPoly.variable(i, 3, moved.p) * parts_aff[i + 1]
+    delta_aff = census.moved_sextic.specialize(0, 1)
+    parts_aff = census.affine_partials
+    euler = sum((MultiPoly.variable(i, 3, delta_aff.p) * parts_aff[i + 1]
                  for i in range(3)), parts_aff[0])
     if (delta_aff.scale(6) != euler
             or any(delta_aff.partial(i) != parts_aff[i + 1] for i in range(3))):
         raise CensusNotGeneric("census sextic fails the Euler identity of a sextic")
     if not all(normal_form(f, census.basis).is_zero()
-               for f in [delta_aff] + parts_aff[1:]):
+               for f in (delta_aff,) + parts_aff[1:]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
-    return replace(census, moved_sextic=None)
+    return replace(census, moved_sextic=None, partials=None, affine_partials=None)
 
 
 def rank_stratum_ideal(M) -> tuple:
@@ -217,7 +221,8 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     """Certify the rank stratification of the Gram matrix M with no Groebner
     basis of its own, in the chart of the given certified generic node
     census (an invertible change of coordinates preserves every ideal
-    membership below).  A census of another sextic fails the identities.
+    membership below), d's entries moved through the census's table with no
+    second chart change.  A census of another sextic fails the identities.
 
     Rank-2 locus = Sing(delta), and delta in (3x3 minors).  Minors ->
     Jacobian: with no singular point at infinity and J_aff reduced, each
@@ -225,7 +230,7 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     zero modulo the census basis.  Jacobian -> minors, and delta exactly:
     Jacobi's d_i delta = sum_jk adj(M)_jk d_i M_kj and Laplace's
     delta = sum_k M_0k adj(M)_k0, checked as identities against the
-    census's moved sextic.
+    census's moved sextic and its partials.
 
     Rank <= 1 empty, a corollary of the census guard: where rank M(y) <= 1,
     three rows of M vanish at y after a constant row change, so delta
@@ -236,7 +241,7 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
     infinity.
     """
     census = _certified_census(census, "strata check")
-    entries = [f.linear_change(census.chart) for f in d.entries]
+    entries = [census.chart(f) for f in d.entries]
     moved = symmetric_matrix(entries)
     adj = rank_stratum_ideal(moved)
 
@@ -253,7 +258,7 @@ def strata_check(d: CubicData, census: SingularCensusReport) -> StrataReport:
         jacobi = (sum((adj[j][j] * d_moved[j][j] for j in range(4)), zero)
                   + sum((adj[j][k] * d_moved[j][k] for j in range(4)
                          for k in range(j + 1, 4)), zero).scale(2))
-        details.append((f"jacobian_{i}_in_radical_of_minors3", delta.partial(i) == jacobi))
+        details.append((f"jacobian_{i}_in_radical_of_minors3", census.partials[i] == jacobi))
     rank2_equals_sigma = all(ok for _, ok in details)
 
     delta_exact = delta == sum((moved[0][k] * adj[k][0] for k in range(4)), zero)

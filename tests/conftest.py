@@ -15,7 +15,7 @@ def seed1():
     """One generic instance shared by the unit tests."""
     d = random_instance(PRIME, 1)
     delta = discriminant(d)
-    census = node_census(delta, 1)
+    census = node_census(d, 1)
     assert census.verdict == "generic_31_nodes", "seed 1 is pinned as generic"
     return SimpleNamespace(d=d, delta=delta, census=census)
 
@@ -34,7 +34,7 @@ def census_suite():
                                            census=None, seconds=0.0))
             continue
         t0 = time.monotonic()
-        census = node_census(delta, seed)
+        census = node_census(d, seed)
         entries.append(SimpleNamespace(seed=seed, d=d, delta=delta,
                                        census=census,
                                        seconds=time.monotonic() - t0))

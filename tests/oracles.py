@@ -5,12 +5,12 @@ library code it checks (extended Euclid instead of built-in modular inverses,
 schoolbook products instead of packed residues, tuple Euclid with a
 reduction per coefficient instead of list Euclid, exhaustive evaluation
 instead of factorization, permutation expansion instead of
-memoized cofactors, randomized single-step reduction instead of the heap
-reducer, a heap reducer that scans every reducer for every term instead of
+memoized cofactors, top reduction on exponent tuples with randomly chosen
+divisors instead of the packed reducers, a heap reducer that scans every reducer for every term instead of
 the memoised one, Macaulay matrices instead of staircase counting,
 evaluation and Lagrange interpolation instead of Kronecker substitution,
-exponent tuples instead of packed exponents, term-by-term expansion
-instead of Horner's scheme, the full Jacobian of a hypersurface instead of
+exponent tuples instead of packed exponents, Horner's scheme and
+term-by-term expansion instead of a table of moved monomials, the full Jacobian of a hypersurface instead of
 a corollary of the census, the double solid's equation in four variables
 instead of its check in the census ring).  ``record_schedule`` is no oracle
 but a recorder: it reads the trace of a Groebner completion back from the
@@ -373,6 +373,35 @@ def linear_change_by_tuples(f: MultiPoly, T) -> MultiPoly:
     return MultiPoly(n, p, acc)
 
 
+def linear_change(f: MultiPoly, T) -> MultiPoly:
+    """f(T @ variables) by multivariate Horner: with L_k the linear form of
+    row k of T, f = sum_j x_k^j f_j splits on its last variable x_k and
+    becomes (..(f_top(L) * L_k + f_{top-1}(L)) * L_k ..) + f_0(L), each
+    f_j(L) found the same way on the variables before x_k, so every product
+    is by a linear form and no monomial image is kept."""
+    n, p = f.nvars, f.p
+    zero = MultiPoly.zero(n, p)
+    forms = [sum((MultiPoly.variable(j, n, p).scale(c) for j, c in enumerate(row)), zero)
+             for row in T]
+
+    def substitute(terms, k):
+        # sum of c x^e over the (e, c), all supported on x_0..x_{k-1}
+        if k == 0:
+            return MultiPoly.constant(terms[0][1], n, p)
+        parts: dict = {}
+        for e, c in terms:
+            parts.setdefault(e[k - 1], []).append((e, c))
+        acc = zero
+        for j in range(max(parts), -1, -1):
+            if not acc.is_zero():
+                acc = acc * forms[k - 1]
+            if j in parts:
+                acc = acc + substitute(parts[j], k - 1)
+        return acc
+
+    return f if f.is_zero() else substitute(list(f.terms.items()), n)
+
+
 def eval_by_pow(f: MultiPoly, point) -> int:
     """Term-by-term evaluation: each term is its coefficient times the
     built-in modular power of every coordinate."""
@@ -497,26 +526,42 @@ def det_by_permutations(grid) -> MultiPoly:
 
 
 def brute_normal_form(f: MultiPoly, basis, rng) -> MultiPoly:
-    """Repeated single-step top reduction in randomized order; for a Groebner
-    basis the result must coincide with the library's normal form."""
+    """Top reduction on exponent tuples: the remaining terms stay in one
+    dict, and each time the largest of them (by a heap of grevlex keys) is
+    reduced by a basis element chosen at random among those whose lead
+    divides it, or else moved to the result.  For a Groebner basis the
+    result must coincide with the library's normal form."""
     p = f.p
-    while True:
-        options = []
-        for e in f.terms:
-            for k, g in enumerate(basis):
-                le = g.lead_exp()
-                if all(a <= b for a, b in zip(le, e)):
-                    options.append((e, k))
-        if not options:
-            return f
-        options.sort()
-        e, k = options[rng.below(len(options))]
-        g = basis[k]
-        c = f.terms[e]
-        shift = tuple(b - a for a, b in zip(g.lead_exp(), e))
-        factor = c * pow(g.packed[g.lead_key()], p - 2, p) % p
-        mono = MultiPoly.from_terms(f.nvars, p, [(shift, factor)])
-        f = f - mono * g
+    reducers = []
+    for g in basis:
+        lead = g.lead_exp()
+        inv = inverse_by_xgcd(g.terms[lead], p)
+        reducers.append((lead, [(e, c * inv % p) for e, c in g.terms.items() if e != lead]))
+    rest = dict(f.terms)
+    heap = [((-sum(e), e[::-1]), e) for e in rest]
+    heapify(heap)
+    out = []
+    while heap:
+        e = heappop(heap)[1]
+        c = rest.pop(e, 0)
+        if not c:
+            continue
+        divisors = [r for r in reducers if all(a <= b for a, b in zip(r[0], e))]
+        if not divisors:
+            out.append((e, c))
+            continue
+        lead, tail = divisors[rng.below(len(divisors))]
+        shift = [b - a for a, b in zip(lead, e)]
+        for e2, c2 in tail:
+            m = tuple(map(add, shift, e2))
+            if m not in rest:
+                heappush(heap, ((-sum(m), m[::-1]), m))
+            v = (rest.get(m, 0) - c * c2) % p
+            if v:
+                rest[m] = v
+            else:
+                rest.pop(m, None)
+    return MultiPoly.from_terms(f.nvars, p, out)
 
 
 def double_solid_equation(moved: MultiPoly) -> MultiPoly:

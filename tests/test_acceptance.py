@@ -108,7 +108,7 @@ def test_c6_degenerate_diagonal_handling(tmp_path):
     delta = bundle.discriminant(d)
     ys = [MultiPoly.variable(i, 4, P) for i in range(4)]
     exact = delta == ys[0] * ys[1] * ys[2] * ys[3] ** 3
-    census = node_census(delta, seed=6)
+    census = node_census(d, seed=6)
     path_ok = (not census.zero_dimensional and census.degree == -1
                and census.verdict == "degenerate")
     inst = tmp_path / "diagonal.txt"

@@ -146,6 +146,20 @@ def test_verify_report_matches_its_golden_digest(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_sigma_point_report_matches_its_golden_digest(monkeypatch, capsys):
+    # the one path that builds the unmoved discriminant, once, for
+    # sigma_sample; the default verify never does
+    real, calls = bundle.discriminant, []
+    monkeypatch.setattr(bundle, "discriminant", lambda d: calls.append(d) or real(d))
+    assert main(["verify", "--seed", "1"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    assert main(["verify", "--checks", "census,fibers", "--sigma-point", "1,0,0,0"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "6f4aeae39866df84"
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("check, digest", [
     ("census", "cbce957ebe2ab316"),
     ("strata", "b690b75f73b6954a"),
@@ -248,20 +262,21 @@ def test_seed_flag_and_seeded_files_report_the_seed_mod_2_64(tmp_path):
 
 
 def _scripted_attempts(monkeypatch, seed1, vanishing):
-    """Make the discriminant vanish on the attempts in ``vanishing`` and the
-    census of attempt 1 read degenerate; every other census is seed 1's."""
+    """Make the census find a vanishing discriminant on the attempts in
+    ``vanishing`` and read degenerate on attempt 1; every other census is
+    seed 1's.  The unmoved discriminant is never asked for."""
     seeds = []
 
-    def discriminant(d):
+    def node_census(d, *args):
         seeds.append(d.seed)
         if len(seeds) - 1 in vanishing:
             raise DegenerateDiscriminant("discriminant vanishes identically")
-        return seed1.delta
-
-    def node_census(*args):
         if len(seeds) == 2:
             return replace(seed1.census, verdict=singular.VERDICT_DEGENERATE, degree=30)
         return seed1.census
+
+    def discriminant(d):
+        raise AssertionError("the instance loop builds no unmoved discriminant")
 
     monkeypatch.setattr(bundle, "discriminant", discriminant)
     monkeypatch.setattr(singular, "node_census", node_census)
@@ -560,15 +575,14 @@ def test_timings_flag_adds_section():
     report, code = run_verify_all(RunConfig(seed=1, timings=True,
                                             checks=("smoothness",)))
     assert code == 0
-    assert set(report["timings"]) == {"instance", "discriminant", "census", "smoothness",
-                                      "total"}
+    assert set(report["timings"]) == {"instance", "census", "smoothness", "total"}
     report2, _ = run_verify_all(RunConfig(seed=1, checks=("smoothness",)))
     assert "timings" not in report2
-    # the node census runs while the instance is acquired; its time is the
-    # census entry's, not the instance's
+    # the node census, which takes the sextic in its chart, runs while the
+    # instance is acquired; its time is the census entry's, not the instance's
     report3, code3 = run_verify_all(RunConfig(seed=1, timings=True, checks=("census",)))
     assert code3 == 0
-    assert set(report3["timings"]) == {"instance", "discriminant", "census", "total"}
+    assert set(report3["timings"]) == {"instance", "census", "total"}
     assert report3["timings"]["census"] != "0.000s"
     assert all(v.endswith("s") and float(v[:-1]) >= 0 for v in report3["timings"].values())
 

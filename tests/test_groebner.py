@@ -12,7 +12,7 @@ from sexticsolid.groebner import (_LANE_CAP, MAX_PACKED_DEGREE, GBasis, _Budget,
                                   in_radical, is_irrelevant, is_zero_dimensional, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
-from sexticsolid.multipoly import MultiPoly, grevlex_key, mp_det
+from sexticsolid.multipoly import MultiPoly, grevlex_key, monomials_of_degree, mp_det
 from sexticsolid import singular
 from sexticsolid.singular import CENSUS_SCHEDULE, rank_stratum_ideal
 
@@ -220,23 +220,21 @@ def test_lane_reducers_take_the_dict_path_past_the_cap(monkeypatch):
 def test_census_basis_normal_forms_past_the_lane_cap(seed1, monkeypatch):
     # the census basis reduces on lane rows up to degree 16 and on the dict
     # path above (degree 20: 1,771 monomials), both as a brute-force
-    # reduction does, with no row past the cap.  Brute force on a degree-20
-    # input takes minutes, so the oracle builds NF(y1^k) = NF(y1 NF(y1^(k-1)))
-    # by brute force, a degree at a time: a normal form is unique per coset
+    # reduction does, with no row past the cap.  The oracle reduces a
+    # degree-16 or degree-20 input directly, a pure power and a dense form
+    # of that degree alike, in well under a second
     CappedLanes.rows, CappedLanes.dict_path = [], []
     monkeypatch.setattr(groebner, "_LaneReducer", CappedLanes)
     gb = buchberger(census_affine_ideal(seed1), schedule=CENSUS_SCHEDULE)
     assert type(gb.reducer) is CappedLanes and not any(CappedLanes.dict_path)
     rng = SplitMix64(68)
-    y1 = V(0, 3)
-    powers = [MultiPoly.constant(1, 3, P)]
-    for _ in range(20):
-        powers.append(oracles.brute_normal_form(y1 * powers[-1], gb.basis, rng))
     for k, dict_path in [(16, False), (20, True)]:
         g = rand_poly(rng, nvars=3, maxdeg=3, terms=6)
-        expected = oracles.brute_normal_form(powers[k] + g, gb.basis, rng)
-        assert normal_form(y1 ** k + g, gb) == expected
-        assert CappedLanes.dict_path[-1] is dict_path
+        dense = MultiPoly.from_terms(3, P, [(e, rng.below(P))
+                                            for e in monomials_of_degree(3, k)])
+        for f in (V(0, 3) ** k + g, dense + g):
+            assert normal_form(f, gb) == oracles.brute_normal_form(f, gb.basis, rng)
+            assert CappedLanes.dict_path[-1] is dict_path
     assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.rows)
 
 
@@ -296,7 +294,7 @@ def census_ideal(delta, seed):
     (first attempt) hands to buchberger: its chart T is node_census's
     first draw from that seed."""
     T = random_invertible(4, delta.p, SplitMix64(stage_seed(seed, 0, "census")))
-    moved = delta.linear_change(T)
+    moved = oracles.linear_change(delta, T)
     return [f for f in (moved.partial(i).specialize(0, 1) for i in range(4))
             if not f.is_zero()]
 
@@ -497,7 +495,7 @@ def test_a_basis_reducer_spends_no_budget(seed1):
     assert quotient_dim(gb) == 31
     assert reducedness_certificate(gb, SplitMix64(1)) == "certified"
     T = random_invertible(4, P, SplitMix64(stage_seed(1, 0, "census")))
-    moved = [[m.linear_change(T) for m in row] for row in gram_matrix(seed1.d)]
+    moved = [[oracles.linear_change(m, T) for m in row] for row in gram_matrix(seed1.d)]
     minors = {m for row in rank_stratum_ideal(moved) for m in row if not m.is_zero()}
     assert all(normal_form(m.specialize(0, 1), gb).is_zero() for m in minors)
     # the unit ideal, in the one step that finds -1, by the completion or
@@ -663,7 +661,7 @@ def random_forms(rng, nvars, count, p, planted):
         if not f.is_zero():
             forms.append(f)
     T = random_invertible(nvars, p, rng)
-    return [f.linear_change(T) for f in forms]
+    return [oracles.linear_change(f, T) for f in forms]
 
 
 @pytest.mark.parametrize("p", [7, 32003])
@@ -688,7 +686,7 @@ def test_seed1_irrelevance_checks_take_pinned_steps(seed1):
     # census partials on the plane at infinity of its chart (223 steps) and
     # the smoothness certificate's four plane conics (18 steps)
     T = random_invertible(4, P, SplitMix64(stage_seed(1, 0, "census")))
-    moved = seed1.delta.linear_change(T)
+    moved = oracles.linear_change(seed1.delta, T)
     plane = [moved.partial(i).specialize(0, 0) for i in range(4)]
     conics = singular.center_plane_conics(cubic_equation(seed1.d))
     for gens, steps in [(plane, 223), (conics, 18)]:

@@ -4,7 +4,7 @@ from sexticsolid.bundle import AMBIENT_NAMES, cubic_equation, random_instance
 from sexticsolid.errors import (ArityMismatch, DegreeOverflow, IndexOutOfRange,
                                 SingularChange)
 from sexticsolid.exactalg import SplitMix64, random_invertible
-from sexticsolid.multipoly import (MAX_PACKED_DEGREE, MultiPoly, format_poly,
+from sexticsolid.multipoly import (MAX_PACKED_DEGREE, LinearChange, MultiPoly, format_poly,
                                    grevlex_key, monomials_of_degree, mp_det,
                                    parse_poly, restrict_to_line)
 
@@ -118,10 +118,10 @@ def test_eval_results_of_partial_and_linear_change_stay_their_own():
     exps = monomials_of_degree(3, 4)
     f = MultiPoly.from_terms(3, P, [(e, rng.below(P)) for e in exps])
     pts = [[rng.below(P) for _ in range(3)] for _ in range(5)]
-    T = random_invertible(3, P, rng)
+    move = LinearChange(random_invertible(3, P, rng), P, 4)
     for _ in range(2):
         derived = [f, f.partial(0), f.partial(2), f.partial(0).partial(1),
-                   f.linear_change(T), f.linear_change(T).partial(1), -f, f.scale(3)]
+                   move(f), move(f).partial(1), -f, f.scale(3)]
         for g in derived + derived[::-1]:
             for pt in pts:
                 assert g.eval(pt) == oracles.eval_by_pow(g, pt)
@@ -167,18 +167,20 @@ def test_is_homogeneous_examples():
 
 
 def test_linear_change_identity_permutation_and_inverse():
+    # the table of moved monomials and the Horner oracle alike
     x, y = V(0), V(1)
     f = x * x * y
     ident = [[1, 0], [0, 1]]
-    assert f.linear_change(ident) == f
     swap = [[0, 1], [1, 0]]
-    assert f.linear_change(swap) == y * y * x
-    rng = SplitMix64(6)
-    for _ in range(20):
-        g = rand_poly(rng, nvars=3, maxdeg=3, terms=5)
-        T = random_invertible(3, P, rng)
-        Tinv = oracles.mat_inverse(T, P)
-        assert g.linear_change(T).linear_change(Tinv) == g
+    for move in (lambda g, T: LinearChange(T, P, g.total_degree())(g), oracles.linear_change):
+        assert move(f, ident) == f
+        assert move(f, swap) == y * y * x
+        rng = SplitMix64(6)
+        for _ in range(20):
+            g = rand_poly(rng, nvars=3, maxdeg=3, terms=5)
+            T = random_invertible(3, P, rng)
+            Tinv = oracles.mat_inverse(T, P)
+            assert move(move(g, T), Tinv) == g
 
 
 def test_linear_change_preserves_degree_and_homogeneity():
@@ -186,8 +188,9 @@ def test_linear_change_preserves_degree_and_homogeneity():
     exps = monomials_of_degree(4, 6)
     f = MultiPoly.from_terms(4, P, [(e, rng.below(P)) for e in exps])
     T = random_invertible(4, P, rng)
-    g = f.linear_change(T)
+    g = LinearChange(T, P, 6)(f)
     assert g.homogeneous_degree() == 6
+    assert g == oracles.linear_change(f, T)
 
 
 @pytest.mark.parametrize("p", [7, P, 2 ** 61 - 1])
@@ -195,7 +198,9 @@ def test_linear_change_preserves_degree_and_homogeneity():
 def test_linear_change_matches_tuple_oracle_at_field_widths(p, degree):
     # packed fields are a fixed 16 bits, so no degree here reaches a field
     # edge; the degrees 2^k - 1 and 2^k and the pure powers x_k^degree keep
-    # the oracle comparison at the edges of any narrower, degree-sized packing
+    # the oracle comparison at the edges of any narrower, degree-sized packing.
+    # Horner's oracle at every degree; the table (the census's has degree 3)
+    # up to degree 4, past which its every-monomial build is slow in tests
     rng = SplitMix64(900 + degree)
     for nvars in (1, 3, 4):
         pairs = [(tuple(degree if j == k else 0 for j in range(nvars)), rng.below(p - 1) + 1)
@@ -208,27 +213,39 @@ def test_linear_change_matches_tuple_oracle_at_field_widths(p, degree):
         assert f.total_degree() == degree
         for _ in range(2):
             T = random_invertible(nvars, p, rng)
-            assert f.linear_change(T) == oracles.linear_change_by_tuples(f, T)
+            expected = oracles.linear_change_by_tuples(f, T)
+            assert oracles.linear_change(f, T) == expected
+            if degree <= 4:
+                assert LinearChange(T, p, degree)(f) == expected
 
 
 def test_linear_change_of_zero_and_of_a_polynomial_missing_a_variable():
     rng = SplitMix64(62)
     for p in (P, 2 ** 61 - 1):
         T = random_invertible(3, p, rng)
+        move = LinearChange(T, p, 4)
         zero = MultiPoly.zero(3, p)
-        assert zero.linear_change(T) == zero
+        assert move(zero) == zero == oracles.linear_change(zero, T)
         with pytest.raises(SingularChange):
-            zero.linear_change([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+            LinearChange([[1, 0, 0], [0, 1, 0], [0, 0, 0]], p, 4)
         x0, x2 = MultiPoly.variable(0, 3, p), MultiPoly.variable(2, 3, p)
         f = x0 ** 3 * x2 + x2 ** 2 * 5 + 1       # no x1
-        assert f.linear_change(T) == oracles.linear_change_by_tuples(f, T)
-        assert f.linear_change(T).homogeneous_degree() is None
+        assert move(f) == oracles.linear_change(f, T) == oracles.linear_change_by_tuples(f, T)
+        assert move(f).homogeneous_degree() is None
 
 
 def test_linear_change_singular_raises():
-    f = V(0) * V(1)
     with pytest.raises(SingularChange):
-        f.linear_change([[1, 1], [1, 1]])
+        LinearChange([[1, 1], [1, 1]], P, 2)
+    with pytest.raises(SingularChange):
+        LinearChange([[1, 0], [0]], P, 2)
+    # the table moves only what it holds: its own ring, up to its degree
+    move = LinearChange([[1, 1], [0, 1]], P, 2)
+    assert move(V(0) * V(1)) == (V(0) + V(1)) * V(1)
+    with pytest.raises(DegreeOverflow):
+        move(V(0) ** 3)
+    with pytest.raises(ArityMismatch):
+        move(V(0, n=3))
 
 
 def test_specialize_and_embed():
@@ -242,6 +259,19 @@ def test_specialize_and_embed():
     assert h == 5 * y.specialize(0, 1).embed(3, (1, 2)) + (z * z).specialize(0, 1).embed(3, (1, 2))
     with pytest.raises(ArityMismatch):
         g.embed(3, (1, 1))
+
+
+@pytest.mark.parametrize("p", [7, P, 2 ** 61 - 1])
+def test_specialize_matches_the_tuple_oracle_at_0_1_and_a_random_value(p):
+    # specialize re-packs by a dot product with the smaller ring's units and
+    # reads one table of powers: every variable, exponents up to 7
+    rng = SplitMix64(710 + p % 1000)
+    for nvars in (1, 2, 3, 4):
+        for _ in range(6):
+            f = rand_poly(rng, nvars=nvars, maxdeg=7, terms=12, p=p)
+            for i in range(nvars):
+                for v in (0, 1, rng.below(p), p - 1, -3):
+                    assert f.specialize(i, v) == oracles.tuple_specialize(f, i, v)
 
 
 def test_mp_det_examples():

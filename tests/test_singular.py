@@ -9,10 +9,10 @@ from sexticsolid.bundle import (GRAM_FORMS, CubicData, cubic_equation, discrimin
                                 gram_matrix, random_instance)
 from sexticsolid.cli import main, stage_seed
 from sexticsolid.errors import CensusNotGeneric
-from sexticsolid.groebner import (buchberger, is_irrelevant, is_zero_dimensional,
+from sexticsolid.groebner import (DEFAULT_BUDGET, buchberger, is_irrelevant, is_zero_dimensional,
                                   normal_form, quotient_dim, reducedness_certificate)
 from sexticsolid.exactalg import SplitMix64, fp_inv
-from sexticsolid.multipoly import MultiPoly, grevlex_key
+from sexticsolid.multipoly import LinearChange, MultiPoly, grevlex_key
 from sexticsolid.singular import (EXPECTED_NODE_COUNT, center_plane_conics, double_solid_census, node_census,
                                   rank_stratum_ideal, smoothness_certificate, strata_check)
 
@@ -40,10 +40,12 @@ def test_jacobian_ideal_seeded_is_four_quintics():
 
 
 def test_node_census_fermat_is_degenerate_with_empty_singular_locus():
+    # no Gram matrix has this determinant at hand, so the census core runs
+    # on the bare sextic, in the chart it is written in
     f = MultiPoly.from_terms(
         4, P,
         [(tuple(6 if j == i else 0 for j in range(4)), 1) for i in range(4)])
-    rep = node_census(f, seed=3)
+    rep = singular._census(f, 3, SplitMix64(3), DEFAULT_BUDGET, None)
     assert rep.zero_dimensional
     assert rep.degree == 0
     assert not rep.points_at_infinity
@@ -51,8 +53,7 @@ def test_node_census_fermat_is_degenerate_with_empty_singular_locus():
 
 
 def test_node_census_diagonal_not_zero_dimensional():
-    delta = discriminant(diagonal_instance(P))
-    rep = node_census(delta, seed=4)
+    rep = node_census(diagonal_instance(P), seed=4)
     assert not rep.zero_dimensional
     assert rep.degree == -1
     assert rep.reduced == "failed"
@@ -70,7 +71,7 @@ def test_node_census_seed1_pinned_generic(seed1):
 
 def test_node_census_verdict_invariant_under_chart_seed(seed1):
     for chart_seed in (101, 202):
-        rep = node_census(seed1.delta, chart_seed)
+        rep = node_census(seed1.d, chart_seed)
         assert rep.degree == seed1.census.degree
         assert rep.verdict == seed1.census.verdict
 
@@ -78,7 +79,7 @@ def test_node_census_verdict_invariant_under_chart_seed(seed1):
 def test_node_census_degree_matches_macaulay_oracle(seed1):
     # independent dimension count for the pinned instance: Macaulay matrices
     # on the dehomogenized Jacobian in the same chart the census used
-    moved = seed1.delta.linear_change(seed1.census.chart)
+    moved = oracles.linear_change(seed1.delta, seed1.census.chart.matrix)
     affine = [moved.partial(i).specialize(0, 1) for i in range(4)]
     affine = [f for f in affine if not f.is_zero()]
     assert oracles.macaulay_quotient_dim(affine, max_degree=17, window=2) == 31
@@ -87,7 +88,7 @@ def test_node_census_degree_matches_macaulay_oracle(seed1):
 @cache
 def verify_census(p, seed):
     """The node census of verify --prime p --seed seed (first attempt)."""
-    return node_census(discriminant(random_instance(p, seed)), stage_seed(seed, 0, "census"))
+    return node_census(random_instance(p, seed), stage_seed(seed, 0, "census"))
 
 
 @pytest.mark.parametrize("p, degree", [(19, 31), (7, 28)])
@@ -224,7 +225,7 @@ def test_strata_check_refuses_a_mutated_gram_entry(seed1):
 
 def test_strata_check_refuses_degenerate_census():
     d = diagonal_instance(P)
-    census = node_census(discriminant(d), 5)
+    census = node_census(d, 5)
     assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
         strata_check(d, census)
@@ -251,8 +252,7 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
     # {w} + the census basis, embedded in (w, y1, y2, y3), is the reduced
     # basis of the Tjurina generators themselves, so checking them in the
     # census ring is the whole check; the census's basis and counts carry over
-    census = seed1.census if seed == 1 else node_census(
-        discriminant(random_instance(P, seed)), seed)
+    census = seed1.census if seed == 1 else node_census(random_instance(P, seed), seed)
     rep = double_solid_census(census)
     g = oracles.double_solid_equation(census.moved_sextic)
     embedded = [MultiPoly.variable(0, 4, P)] + [f.embed(4, (1, 2, 3))
@@ -267,7 +267,8 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
 @pytest.mark.parametrize("change", [{"reduced": "not_certified"},
                                     {"points_at_infinity": True},
                                     {"basis": None}, {"moved_sextic": None},
-                                    {"chart": None}])
+                                    {"chart": None}, {"partials": None},
+                                    {"affine_partials": None}])
 def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
     # the verdict still reads generic: the guards look past it
     census = replace(seed1.census, **change)
@@ -290,16 +291,39 @@ def test_strata_check_refuses_a_census_of_another_surface(seed1):
 
 
 def test_strata_check_moves_each_distinct_gram_entry_once(seed1, monkeypatch):
-    calls = []
-    original = MultiPoly.linear_change
+    # through the census's own table: no second chart change is drawn
+    calls, built = [], []
+    original_call, original_init = LinearChange.__call__, LinearChange.__init__
 
-    def counted(self, T):
+    def counted(self, f):
         calls.append(self)
-        return original(self, T)
+        return original_call(self, f)
 
-    monkeypatch.setattr(MultiPoly, "linear_change", counted)
+    def constructed(self, *args):
+        built.append(args)
+        original_init(self, *args)
+
+    monkeypatch.setattr(LinearChange, "__call__", counted)
+    monkeypatch.setattr(LinearChange, "__init__", constructed)
     assert strata_check(seed1.d, seed1.census).passed
-    assert len(calls) == 10
+    assert len(calls) == 10 and all(c is seed1.census.chart for c in calls)
+    assert built == []
+
+
+@pytest.mark.parametrize("p", [7, 19, P, 2 ** 61 - 1])
+def test_census_moves_the_instance_as_the_horner_oracle_moves_the_sextic(p):
+    # det M(T y) = (det M)(T y): the discriminant of the instance moved
+    # through the census's table is the unmoved discriminant moved by T, and
+    # each entry's move through the table is the oracle's move of it
+    for seed in (1, 2, 3):
+        d = random_instance(p, seed)
+        census = verify_census(p, seed)
+        T = census.chart.matrix
+        assert census.moved_sextic == oracles.linear_change(discriminant(d), T)
+        for f in d.entries:
+            assert census.chart(f) == oracles.linear_change(f, T)
+        assert census.partials == tuple(census.moved_sextic.partial(i) for i in range(4))
+        assert census.affine_partials == tuple(f.specialize(0, 1) for f in census.partials)
 
 
 def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
@@ -308,13 +332,20 @@ def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
     # not homogeneous of degree 6: the Euler identity fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
         double_solid_census(replace(seed1.census, moved_sextic=moved + y1 ** 5))
-    # another sextic: its Tjurina ideal is not (w) + the census ideal
+    # another sextic with its own partials: its Tjurina ideal is not (w) +
+    # the census ideal
+    other = moved + y1 ** 6
+    partials = tuple(other.partial(i) for i in range(4))
     with pytest.raises(CensusNotGeneric, match="Tjurina"):
-        double_solid_census(replace(seed1.census, moved_sextic=moved + y1 ** 6))
+        double_solid_census(replace(seed1.census, moved_sextic=other, partials=partials,
+                                    affine_partials=tuple(f.specialize(0, 1) for f in partials)))
+    # the sextic and the partials the census handed on disagree: Euler fails
+    with pytest.raises(CensusNotGeneric, match="Euler"):
+        double_solid_census(replace(seed1.census, moved_sextic=other))
 
 
 def test_double_solid_census_refuses_degenerate(seed1):
-    census = node_census(discriminant(diagonal_instance(P)), 6)
+    census = node_census(diagonal_instance(P), 6)
     assert census.verdict != "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
         double_solid_census(census)
@@ -360,7 +391,7 @@ def test_a_singular_cubic_is_not_certified_smooth(seed, tmp_path, capsys):
     # the spot-check samples 100 points and misses the singular one
     spot = bundle.smoothness_spotcheck(d, 100, seed)
     assert spot.passed and spot.points_checked == 100
-    census = node_census(discriminant(d), seed)
+    census = node_census(d, seed)
     assert (census.verdict, census.degree) == ("degenerate", 32)
     inst = tmp_path / "singular.txt"
     inst.write_text(bundle.explicit_instance_text(d))
@@ -415,7 +446,7 @@ def test_smoothness_certificate_refuses_a_mutated_cubic(seed1, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 3])
 def test_smoothness_certificate_agrees_with_the_jacobian_oracle(seed, seed1):
     d = random_instance(P, seed)
-    census = seed1.census if seed == 1 else node_census(discriminant(d), seed)
+    census = seed1.census if seed == 1 else node_census(d, seed)
     cert = smoothness_certificate(d, census, strata_check(d, census))
     assert cert.passed
     assert oracles.hypersurface_is_smooth(cubic_equation(d)) is True
