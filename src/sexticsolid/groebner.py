@@ -8,8 +8,8 @@ projective emptiness (``is_irrelevant``) is asked of its reduced basis, a
 The completion uses the Gebauer-Moeller pair update (product + chain
 criteria; Gebauer & Moeller, "On an installation of Buchberger's
 algorithm", J. Symbolic Comput. 6, 1988), sugar pair selection (Giovini, Mora, Niesi, Robbiano & Traverso,
-"One sugar cube, please", ISSAC 1991), full tail reduction through a lazy
-heap, and a final inter-reduction, so the returned basis is the unique
+"One sugar cube, please", ISSAC 1991), full tail reduction, and a final
+inter-reduction, so the returned basis is the unique
 reduced grevlex Groebner basis of the ideal.  Sugar processes pairs in
 the degree order that homogenizing the input would impose, so inhomogeneous
 inputs such as dehomogenized charts do not build the high-degree
@@ -40,39 +40,34 @@ no conversion either way; a monomial of degree above ``MAX_PACKED_DEGREE``
 raises ``DegreeOverflow``.  The pair criteria alone read exponent tuples:
 the leads, and each pair's lcm, computed once when the pair is made.
 
-One reducer serves every reduction of a completion (for the seed-1 census
-basis, 38 calls), one the final inter-reduction, and each memoises
-across its calls: for each monomial it has reduced,
-the first reducer in list order whose lead divides it, kept as that
-reducer's tail already shifted to the monomial; for each irreducible one,
-how many reducers were tested.  The reducer list only grows, so the first
-divisor of a monomial never changes once found, and an ``add`` only makes
-the memo test the new reducers.  The reducer chosen for every term, the
-step count and the output are those of a scan of the whole list.  A
-``GBasis`` keeps the reducer that inter-reduced it (the completion's, when
-one after a replay appends nothing), so its normal forms share the memos.
+Every reduction goes through a ``_Reducer``: one per completion (the
+replay's, the certifying or plain completion's, ``is_irrelevant``'s; for the
+seed-1 census basis the replay makes 77 calls and the completion 38) and one
+per inter-reduction.  Each memoises across its calls: for each monomial it
+has reduced, the first reducer in list order whose lead divides it; for
+each irreducible one, how many reducers were tested.  The reducer list only
+grows, so the first divisor of a monomial never changes once found, and an
+``add`` only makes the memo test the new reducers.  The reducer chosen for
+every term, the step count and the output are those of a scan of the whole
+list.  A ``GBasis`` keeps the reducer that inter-reduced it (the
+completion's, when one after a replay appends nothing), so its normal forms,
+the strata minors, the ``mult_matrix`` columns and the double-solid normal
+forms, share the memos.
 
-A completion given a schedule runs all its reducers on dense rows, the row
-form of F4 (Faugere, "A new efficient algorithm for computing Groebner
-bases (F4)", J. Pure Appl. Algebra 139, 1999): the replay (77 calls for
-that basis), both inter-reductions, the certifying completion and the
-``GBasis`` reducer, which serves the strata minors, the ``mult_matrix``
-columns and the double-solid normal forms.  A polynomial is one int whose
-lanes hold the coefficients of every monomial up to some degree in grevlex
-rank order, so a step is one bigint multiply-add, and the replay takes
-about a third of the dict reducer's time.  A completion given no schedule
-keeps dict rows: the infinity check and the smoothness conics are sparse
-homogeneous inputs, on which lanes were slower.  An input whose monomials
-up to its degree would outnumber ``_LANE_CAP`` lanes is reduced on the dict
-path, by a ``_Reducer`` on the same reducer list, so with the same first
-divisors and steps; dense rows could not hold inputs near
-``MAX_PACKED_DEGREE``.  Lanes are read mod p and never carry, in any lane
-call: a row starts with each lane below p; a step clears the top lane and
-adds (p - c) times a row of lanes below p, so less than p^2, to each lane
-below it; one call makes at most one step per lane; and no row has more
-than ``_LANE_CAP`` lanes.  So a lane stays below ``_LANE_CAP`` * p^2,
-within its 2 bitlen(p) + bitlen(``_LANE_CAP``) bits or more, for every
-prime.
+One rule picks how an input is reduced: on dense rows, the row form of F4
+(Faugere, "A new efficient algorithm for computing Groebner bases (F4)", J.
+Pure Appl. Algebra 139, 1999), when the monomials up to its degree fit
+``_LANE_CAP`` lanes, and on a heap of packed monomials past it, since dense
+rows could not hold inputs near ``MAX_PACKED_DEGREE``.  A row is one int
+whose lanes hold the coefficients of every monomial up to some degree in
+grevlex rank order, so a step is one bigint multiply-add.  Both paths take
+the first divisors from the same memo, so with the same steps.  Lanes are
+read mod p and never carry, in any lane call: a row starts with each lane
+below p; a step clears the top lane and adds (p - c) times a row of lanes
+below p, so less than p^2, to each lane below it; one call makes at most
+one step per lane; and no row has more than ``_LANE_CAP`` lanes.  So a lane
+stays below ``_LANE_CAP`` * p^2, within its 2 bitlen(p) +
+bitlen(``_LANE_CAP``) bits or more, for every prime.
 
 ``is_irrelevant`` runs the same completion loop, ``_completion``, and stops
 at its certificate: every appended element lies in the ideal, so once the
@@ -101,9 +96,9 @@ CERTIFICATE_TRIES = 5
 
 _STANDARD_MONOMIAL_CAP = 1_000_000
 
-#: Most lanes any lane row may have; past it a ``_LaneReducer`` reduces on
-#: the dict path.  The seed-1 census replay uses 220, the monomials of degree
-#: at most 9 in 3 variables.
+#: Most lanes any lane row may have: an input whose monomials up to its
+#: degree outnumber them is reduced on the heap.  The seed-1 census replay
+#: uses 220, the monomials of degree at most 9 in 3 variables.
 _LANE_CAP = 1024
 
 
@@ -153,118 +148,40 @@ class _Budget:
 class _Reducer:
     """Full normal-form reduction against a growing list of monic reducers.
 
-    Reducers and terms are packed monomials.  Terms are processed
-    largest-first through a heap; every inserted monomial is strictly
-    smaller than the one being reduced, so each monomial is pushed and
-    visited once, the output comes out largest first, and no product
-    outgrows the packed fields of its input.  Coefficients accumulate
-    unreduced and are taken mod p once, when their monomial is popped; a
-    monomial whose coefficient cancels is popped and skipped.
-
     The reduction of a monomial e always uses the *first* reducer in list
     order whose lead divides e.  The list only grows, so once found that
-    reducer never changes, and the reducer keeps two memos across calls:
-    ``shifted`` maps e to that reducer's tail shifted to e, as
-    [(q + m, cm)], and ``scanned`` maps an irreducible e to the number of
-    reducers already tested against it, so after an ``add`` only the new
-    reducers are tested.  The memos live and die with the reducer: one
-    completion or inter-reduction, then the ``GBasis`` that keeps it.
+    reducer never changes, and the reducer keeps its memos across calls:
+    ``first`` maps e to that reducer's (lead, tail), and ``scanned`` maps an
+    irreducible e to the number of reducers already tested against it, so
+    after an ``add`` only the new reducers are tested.  The memos live and
+    die with the reducer: one completion or inter-reduction, then the
+    ``GBasis`` that keeps it.
+
+    An input whose monomials up to its degree fit ``_LANE_CAP`` lanes is
+    reduced on a row: one int of ``width``-bit lanes, lane k holding the
+    coefficient of ``universe[k]``, the monomial of grevlex rank k.  The
+    universe is every monomial up to some degree, grown a degree at a time
+    as inputs need it, so ranks only append.  ``rows`` keeps the first
+    divisor's tail shifted to e as a row, and a step reads the top lane mod
+    p, clears it and adds (p - c) times that row: one bigint multiply-add.
+    ``reducible`` flags the ranks some lead divides, so an irreducible lane
+    goes to the output with no scan of the reducers.  Lanes are read mod p
+    and otherwise never reduced; the module docstring states why they never
+    carry.  A larger input goes to ``_reduce_on_heap``.
     """
 
-    __slots__ = ("reducers", "guard", "p", "budget", "shifted", "scanned")
+    __slots__ = ("reducers", "guard", "p", "budget", "first", "scanned", "rows",
+                 "units", "deg_shift", "universe", "rank", "edge", "reducible",
+                 "step", "width")
 
     def __init__(self, packing: _Packing, p: int, budget=None):
         self.reducers = []
         self.guard = packing.guard
         self.p = p
         self.budget = budget
-        self.shifted: dict = {}
+        self.first: dict = {}
         self.scanned: dict = {}
-
-    def add(self, items):
-        """Register a monic reducer given as (packed, coeff) items, largest
-        first."""
-        self.reducers.append((items[0][0], items[1:]))
-
-    def _first_divisor(self, e):
-        """The tail of the first reducer whose lead divides e, shifted to e,
-        or None; tests only the reducers added since e was last looked up."""
-        reducers = self.reducers
-        start = self.scanned.get(e, 0)
-        guard = self.guard
-        eg = e | guard
-        for k in range(start, len(reducers)):
-            lead, tail = reducers[k]
-            if (eg - lead) & guard == guard:
-                hit = self.shifted[e] = self._shift(tail, e - lead)
-                self.scanned.pop(e, None)
-                return hit
-        self.scanned[e] = len(reducers)
-        return None
-
-    def _shift(self, tail, q):
-        """The tail items times the packed monomial q."""
-        return [(q + m, cm) for m, cm in tail]
-
-    def reduce_terms(self, pairs) -> dict:
-        p = self.p
-        budget = self.budget
-        shifted = self.shifted
-        first_divisor = self._first_divisor
-        work: dict = {}
-        get = work.get
-        for e, c in pairs:
-            work[e] = get(e, 0) + c
-        heap = [-e for e in work]
-        heapify(heap)
-        out: dict = {}
-        while heap:
-            e = -heappop(heap)
-            c = work.pop(e) % p
-            if not c:
-                continue
-            hit = shifted.get(e)
-            if hit is None:
-                hit = first_divisor(e)
-                if hit is None:
-                    out[e] = c
-                    continue
-            if budget is not None:
-                budget.spend()
-            c = p - c
-            for em, cm in hit:
-                v = get(em)
-                if v is None:
-                    work[em] = c * cm
-                    heappush(heap, -em)
-                else:
-                    work[em] = v + c * cm
-        return out
-
-
-class _LaneReducer(_Reducer):
-    """The same first divisors, memos and steps as ``_Reducer``, on dense
-    rows.
-
-    A row is one int of ``width``-bit lanes, lane k holding the coefficient
-    of ``universe[k]``, the monomial of grevlex rank k; the universe is every
-    monomial up to some degree, grown a degree at a time as inputs need it,
-    so ranks only append.  ``shifted`` keeps each tail as a row, and a step
-    reads the top lane mod p, clears it and adds (p - c) times the row: one
-    bigint multiply-add.  ``reducible`` flags the ranks some lead divides, so
-    an irreducible lane goes to the output with no scan of the reducers.
-    Lanes are read mod p and otherwise never reduced; the module docstring
-    states why they never carry.  An input whose monomials up to its degree
-    would outnumber ``_LANE_CAP`` lanes goes to ``sparse``, a ``_Reducer`` on
-    the same reducer list, so with the same first divisors and steps.
-    """
-
-    __slots__ = ("units", "deg_shift", "universe", "rank", "edge", "reducible",
-                 "step", "width", "packing", "sparse")
-
-    def __init__(self, packing: _Packing, p: int, budget=None):
-        super().__init__(packing, p, budget)
-        self.packing = packing
+        self.rows: dict = {}
         self.units = packing.units
         self.deg_shift = packing.deg_shift
         self.universe = [0]         # rank -> packed monomial
@@ -273,20 +190,35 @@ class _LaneReducer(_Reducer):
         self.reducible = [False]    # rank -> whether some lead divides it
         self.step = -(-(2 * p.bit_length() + _LANE_CAP.bit_length()) // 64)
         self.width = 64 * self.step     # bits per lane, self.step words
-        self.sparse = None          # made at the first input past the cap
 
     def add(self, items):
-        super().add(items)
+        """Register a monic reducer given as (packed, coeff) items, largest
+        first."""
         lead, n = items[0][0], len(self.units)
+        self.reducers.append((lead, items[1:]))
         room = (self.edge[0] >> self.deg_shift) - (lead >> self.deg_shift)
-        if room >= 0:   # else a dict-path lead above the universe: nothing to flag
+        if room >= 0:   # else a lead above the universe: nothing to flag
             for m in self.universe[:comb(room + n, n)]:
                 self.reducible[self.rank[lead + m]] = True
 
+    def _first_divisor(self, e):
+        """The (lead, tail) of the first reducer whose lead divides e, or
+        None; tests only the reducers added since e was last looked up."""
+        reducers = self.reducers
+        guard = self.guard
+        eg = e | guard
+        for k in range(self.scanned.get(e, 0), len(reducers)):
+            if (eg - reducers[k][0]) & guard == guard:
+                hit = self.first[e] = reducers[k]
+                self.scanned.pop(e, None)
+                return hit
+        self.scanned[e] = len(reducers)
+        return None
+
     def _row(self, pairs, q=0) -> int:
         """The row of the items times the packed monomial q.  For q != 0
-        they are a monic reducer's tail (``_shift``): distinct monomials and
-        coefficients below p, each stored as it is."""
+        they are a monic reducer's tail: distinct monomials and coefficients
+        below p, each stored as it is."""
         words = array("Q", bytes(8 * self.step * len(self.universe)))
         rank, step = self.rank, self.step
         if q:
@@ -301,17 +233,13 @@ class _LaneReducer(_Reducer):
             words.byteswap()
         return int.from_bytes(words, "little")
 
-    _shift = _row
-
     def reduce_terms(self, pairs) -> dict:
+        """The normal form of the (packed, coeff) items, as a dict of its
+        nonzero terms, largest first."""
         top = max(pairs, default=(0, 0))[0]
         n = len(self.units)
         if comb((top >> self.deg_shift) + n, n) > _LANE_CAP:
-            if self.sparse is None:
-                self.sparse = _Reducer(self.packing, self.p)
-                self.sparse.reducers = self.reducers
-            self.sparse.budget = self.budget
-            return self.sparse.reduce_terms(pairs)
+            return self._reduce_on_heap(pairs)
         guard = self.guard
         while top not in self.rank:
             self.edge = sorted({m + u for m in self.edge for u in self.units})
@@ -321,8 +249,7 @@ class _LaneReducer(_Reducer):
                 self.reducible.append(any(((m | guard) - lead) & guard == guard
                                           for lead, _ in self.reducers))
         p, width, budget = self.p, self.width, self.budget
-        shifted, universe, reducible = self.shifted, self.universe, self.reducible
-        first_divisor = self._first_divisor
+        first, rows, universe, reducible = self.first, self.rows, self.universe, self.reducible
         row = self._row(pairs)
         out: dict = {}
         while row:
@@ -337,12 +264,54 @@ class _LaneReducer(_Reducer):
             if not reducible[k]:
                 out[e] = c
                 continue
-            hit = shifted.get(e)
+            hit = rows.get(e)
             if hit is None:
-                hit = first_divisor(e)
+                lead, tail = first.get(e) or self._first_divisor(e)
+                hit = rows[e] = self._row(tail, e - lead)
             if budget is not None:
                 budget.spend()
             row += (p - c) * hit
+        return out
+
+    def _reduce_on_heap(self, pairs) -> dict:
+        """``reduce_terms`` on packed monomials, for inputs past the cap.
+
+        Terms are processed largest-first through a heap; every inserted
+        monomial is strictly smaller than the one being reduced, so each
+        monomial is pushed and visited once, the output comes out largest
+        first, and no product outgrows the packed fields of its input.
+        Coefficients accumulate unreduced and are taken mod p once, when
+        their monomial is popped; a monomial whose coefficient cancels is
+        popped and skipped."""
+        p, budget, first = self.p, self.budget, self.first
+        work: dict = {}
+        get = work.get
+        for e, c in pairs:
+            work[e] = get(e, 0) + c
+        heap = [-e for e in work]
+        heapify(heap)
+        out: dict = {}
+        while heap:
+            e = -heappop(heap)
+            c = work.pop(e) % p
+            if not c:
+                continue
+            hit = first.get(e) or self._first_divisor(e)
+            if hit is None:
+                out[e] = c
+                continue
+            if budget is not None:
+                budget.spend()
+            c = p - c
+            q = e - hit[0]
+            for m, cm in hit[1]:
+                em = q + m
+                v = get(em)
+                if v is None:
+                    work[em] = c * cm
+                    heappush(heap, -em)
+                else:
+                    work[em] = v + c * cm
         return out
 
 
@@ -437,10 +406,10 @@ def _replay(gens, schedule, packing, p, budget):
     first entry that names a missing element, that reduces to zero, or whose
     lead differs from the recorded one: past a divergence the recorded pairs
     would only build elements off the shape of the basis.  It also stops
-    before any input whose degree would take the universe of the
-    ``_LaneReducer`` past ``_LANE_CAP`` lanes, where it would leave the
-    lane rows."""
-    reducer = _LaneReducer(packing, p, budget)
+    before any input whose monomials up to its degree outnumber
+    ``_LANE_CAP`` lanes, where its reducer would leave the lane rows; so a
+    stale entry stops before it packs an lcm past ``MAX_PACKED_DEGREE``."""
+    reducer = _Reducer(packing, p, budget)
     n = len(packing.units)
     found: list = []
     if comb(max(g.total_degree() for g in gens) + n, n) > _LANE_CAP:
@@ -547,16 +516,15 @@ def buchberger(gens, budget=DEFAULT_BUDGET, schedule=()) -> GBasis:
     """
     gens, packing, bud = _start(gens, budget)
     nvars, p = gens[0].nvars, gens[0].p
-    Reducer = _LaneReducer if schedule else _Reducer
 
     found: list = []
     if schedule:
         found = _interreduce(_replay(gens, schedule, packing, p, bud),
-                             Reducer(packing, p, bud))[1]
-    reducer = Reducer(packing, p, bud)
+                             _Reducer(packing, p, bud))[1]
+    reducer = _Reducer(packing, p, bud)
     basis_items = list(_completion(gens, found, reducer, packing))
     if len(basis_items) > len(found):  # else the replayed basis, already reduced
-        reducer, basis_items = _interreduce(basis_items, Reducer(packing, p, bud))
+        reducer, basis_items = _interreduce(basis_items, _Reducer(packing, p, bud))
     reducer.budget = None
     return GBasis((MultiPoly._make(nvars, p, dict(items), items[0][0])
                    for items in basis_items), reducer)

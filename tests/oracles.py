@@ -633,11 +633,10 @@ def record_schedule(gens, **kwargs) -> tuple:
     form, in order, where i < j index its elements in the order they were
     added and lead is the normal form's lead exponent.
 
-    With no schedule that reducer is the plain completion's ``_Reducer``, and
-    the trace is the schedule that replays it: how
-    ``singular.CENSUS_SCHEDULE`` was recorded.  With a schedule it is the
-    replay's ``_LaneReducer``, and the trace equals the schedule iff the
-    replay ran to its last pair.  Each pair is read back
+    With no schedule that reducer is the plain completion's, and the trace
+    is the schedule that replays it: how ``singular.CENSUS_SCHEDULE`` was
+    recorded.  With a schedule it is the replay's, and the trace equals the
+    schedule iff the replay ran to its last pair.  Each pair is read back
     from its S-polynomial, a shifted element i followed by a negated shifted
     element j, by matching both halves against the elements' terms relative
     to their leads."""
@@ -649,35 +648,33 @@ def record_schedule(gens, **kwargs) -> tuple:
     def relative(items, lcm, sign):
         return tuple((e - lcm, c if sign > 0 else p - c) for e, c in items)
 
-    def recording(base):
-        class Recording(base):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.index, self.calls, self.trace = {}, 0, []
-                made.append(self)
+    class Recording(groebner._Reducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.index, self.calls, self.trace = {}, 0, []
+            made.append(self)
 
-            def add(self, items):
-                super().add(items)
-                self.index[relative(items, items[0][0], 1)] = len(self.index)
+        def add(self, items):
+            super().add(items)
+            self.index[relative(items, items[0][0], 1)] = len(self.index)
 
-            def reduce_terms(self, terms):
-                out = super().reduce_terms(terms)
-                self.calls += 1
-                if out and self is made[0] and self.calls > len(gens):
-                    lcm = terms[0][0]
-                    k = next(k for k in range(1, len(terms)) if terms[k][0] == lcm)
-                    i = self.index[relative(terms[:k], lcm, 1)]
-                    j = self.index[relative(terms[k:], lcm, -1)]
-                    self.trace.append((i, j, unpack(next(iter(out)))))
-                return out
-        return Recording
+        def reduce_terms(self, terms):
+            out = super().reduce_terms(terms)
+            self.calls += 1
+            if out and self is made[0] and self.calls > len(gens):
+                lcm = terms[0][0]
+                k = next(k for k in range(1, len(terms)) if terms[k][0] == lcm)
+                i = self.index[relative(terms[:k], lcm, 1)]
+                j = self.index[relative(terms[k:], lcm, -1)]
+                self.trace.append((i, j, unpack(next(iter(out)))))
+            return out
 
-    saved = groebner._Reducer, groebner._LaneReducer
-    groebner._Reducer, groebner._LaneReducer = map(recording, saved)
+    saved = groebner._Reducer
+    groebner._Reducer = Recording
     try:
         groebner.buchberger(gens, **kwargs)
     finally:
-        groebner._Reducer, groebner._LaneReducer = saved
+        groebner._Reducer = saved
     return tuple(made[0].trace)
 
 

@@ -10,6 +10,7 @@ from sexticsolid import bundle, fibers, groebner, singular
 from sexticsolid.cli import (CERTIFICATES, CHECKS, RunConfig, fnv1a64, instance_fingerprint,
                              main, render_report, run_verify_all)
 from sexticsolid.errors import BadPrime, ConfigError, DegenerateDiscriminant, UnknownCheck
+from sexticsolid.exactalg import SplitMix64
 
 from oracles import diagonal_instance
 
@@ -585,6 +586,43 @@ def test_timings_flag_adds_section():
     assert set(report3["timings"]) == {"instance", "census", "total"}
     assert report3["timings"]["census"] != "0.000s"
     assert all(v.endswith("s") and float(v[:-1]) >= 0 for v in report3["timings"].values())
+
+
+def test_seeded_fuzz_ends_every_run_in_a_report_or_one_error_line(tmp_path, capsys):
+    # single-character edits of an explicit p = 101 instance file, each run
+    # with a random --checks, --budget or --seed, then a grid of primes and
+    # seeds: exit 0 or 1 prints one JSON report and nothing on stderr, exit
+    # 2 one error line and nothing on stdout, and nothing raises
+    assert main(["show-instance", "--prime", "101", "--seed", "1"]) == 0
+    text = capsys.readouterr().out
+    alphabet = sorted(set(text) | set("-#0123456789"))
+    rng = SplitMix64(71)
+    runs = []
+    for k in range(200):
+        chars = list(text)
+        i, c = rng.below(len(chars)), alphabet[rng.below(len(alphabet))]
+        chars[i:i + 1] = [[c], [], [c, chars[i]]][rng.below(3)]   # replace, delete, insert
+        path = tmp_path / f"edit{k}.txt"
+        path.write_text("".join(chars))
+        flag = [["--checks", ",".join(CHECKS[rng.below(len(CHECKS))]
+                                      for _ in range(rng.below(2) + 1))],
+                ["--budget", str(rng.below(4000))],
+                ["--seed", str(rng.below(2 ** 64))]][rng.below(3)]
+        runs.append(["verify", "--instance", str(path)] + flag)
+    runs += [["verify", "--prime", str(p), "--seed", str(s)]
+             for p in (7, 13) for s in (2, 3)]
+    runs.append(["verify", "--prime", "18446744073709551557", "--seed", "2"])
+    codes = []
+    for argv in runs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert code in (0, 1) and err == "", argv
+            assert json.loads(out)["verdict"] in ("pass", "fail"), argv
+        codes.append(code)
+    assert {0, 2} <= set(codes)
 
 
 @pytest.mark.parametrize("prime", [7, 11, 13, 19, 101])

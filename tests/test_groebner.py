@@ -1,3 +1,6 @@
+from math import comb
+from pathlib import Path
+
 import pytest
 
 from sexticsolid.bundle import cubic_equation, discriminant, gram_matrix, random_instance
@@ -8,7 +11,7 @@ from sexticsolid.exactalg import (SplitMix64, charpoly, fp_inv, random_invertibl
                                   upoly_is_squarefree)
 from sexticsolid import groebner
 from sexticsolid.groebner import (_LANE_CAP, MAX_PACKED_DEGREE, GBasis, _Budget,
-                                  _LaneReducer, _packing, _Reducer, buchberger,
+                                  _packing, _Reducer, buchberger,
                                   in_radical, is_irrelevant, is_zero_dimensional, mult_matrix,
                                   normal_form, quotient_dim,
                                   reducedness_certificate, standard_monomials)
@@ -150,19 +153,20 @@ def test_degree_beyond_the_packed_field_raises(monkeypatch):
         buchberger([x ** h * y - 1, x * y ** h - 1])
     # the product criterion drops the pair of x^h and y^h, whose lcm does
     # not fit either; a schedule naming it stops the replay, no more, and
-    # no lane reducer (the replay's, the completion's and the two
-    # inter-reductions') grows its universe past its cap to reach them
+    # no reducer (the scheduled replay's, completion's and two
+    # inter-reductions', the plain completion's and inter-reduction's)
+    # grows its universe past its cap to reach them
     lane_reducers = []
 
-    class Watched(_LaneReducer):
+    class Watched(_Reducer):
         def __init__(self, *args):
             super().__init__(*args)
             lane_reducers.append(self)
 
-    monkeypatch.setattr(groebner, "_LaneReducer", Watched)
+    monkeypatch.setattr(groebner, "_Reducer", Watched)
     pure = [x ** h, y ** h]
     assert buchberger(pure, schedule=((0, 1, (0, 0)),)) == buchberger(pure)
-    assert [len(r.universe) <= _LANE_CAP for r in lane_reducers] == [True] * 4
+    assert [len(r.universe) <= _LANE_CAP for r in lane_reducers] == [True] * 6
 
 
 def past_the_lane_cap():
@@ -181,50 +185,52 @@ def past_the_lane_cap():
             (binomials, oracles.record_schedule(binomials))]
 
 
-class CappedLanes(_LaneReducer):
-    """A lane reducer that records the lanes of every row it builds and
-    whether it had to reduce on the dict path."""
+class CappedLanes(_Reducer):
+    """A reducer that records the lanes of every row it builds and, for each
+    call, whether it reduced on the heap path."""
 
-    rows: list = []
+    built: list = []
     dict_path: list = []
 
     def _row(self, pairs, q=0):
         row = super()._row(pairs, q)
-        CappedLanes.rows.append((len(self.universe), row.bit_length() <= len(self.universe) * self.width))
+        CappedLanes.built.append((len(self.universe), row.bit_length() <= len(self.universe) * self.width))
         return row
 
-    _shift = _row
-
     def reduce_terms(self, pairs):
-        out = super().reduce_terms(pairs)
-        CappedLanes.dict_path.append(self.sparse is not None)
-        return out
+        CappedLanes.dict_path.append(False)
+        return super().reduce_terms(pairs)
+
+    def _reduce_on_heap(self, pairs):
+        CappedLanes.dict_path[-1] = True
+        return super()._reduce_on_heap(pairs)
 
 
 def test_lane_reducers_take_the_dict_path_past_the_cap(monkeypatch):
-    # an input or S-pair past the cap is reduced on the dict path, with the
+    # an input or S-pair past the cap is reduced on the heap path, with the
     # same first divisors: a scheduled completion gives the basis and the
-    # steps of one on the dict reducer, and no row has more lanes than the cap
+    # steps of one on the scanning oracle, and no row has more lanes than
+    # the cap
     for gens, schedule in past_the_lane_cap():
-        CappedLanes.rows, CappedLanes.dict_path = [], []
-        lanes = basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=CappedLanes)
-        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=_Reducer)
+        CappedLanes.built, CappedLanes.dict_path = [], []
+        lanes = basis_and_steps(gens, monkeypatch, schedule, _Reducer=CappedLanes)
+        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _Reducer=oracles.HeapReducer)
         assert lanes[0] == buchberger(gens)
         assert any(CappedLanes.dict_path)
-        assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.rows)
+        assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.built)
     # the pure powers build no row; the binomials fill 969 lanes, every
     # monomial of degree at most 16, the most the cap allows
-    assert max(lanes for lanes, _ in CappedLanes.rows) == 969
+    assert max(lanes for lanes, _ in CappedLanes.built) == 969
 
 
 def test_census_basis_normal_forms_past_the_lane_cap(seed1, monkeypatch):
-    # the census basis reduces on lane rows up to degree 16 and on the dict
+    # the census basis reduces on lane rows up to degree 16 and on the heap
     # path above (degree 20: 1,771 monomials), both as a brute-force
     # reduction does, with no row past the cap.  The oracle reduces a
     # degree-16 or degree-20 input directly, a pure power and a dense form
     # of that degree alike, in well under a second
-    CappedLanes.rows, CappedLanes.dict_path = [], []
-    monkeypatch.setattr(groebner, "_LaneReducer", CappedLanes)
+    CappedLanes.built, CappedLanes.dict_path = [], []
+    monkeypatch.setattr(groebner, "_Reducer", CappedLanes)
     gb = buchberger(census_affine_ideal(seed1), schedule=CENSUS_SCHEDULE)
     assert type(gb.reducer) is CappedLanes and not any(CappedLanes.dict_path)
     rng = SplitMix64(68)
@@ -235,7 +241,7 @@ def test_census_basis_normal_forms_past_the_lane_cap(seed1, monkeypatch):
         for f in (V(0, 3) ** k + g, dense + g):
             assert normal_form(f, gb) == oracles.brute_normal_form(f, gb.basis, rng)
             assert CappedLanes.dict_path[-1] is dict_path
-    assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.rows)
+    assert all(lanes <= _LANE_CAP and fits for lanes, fits in CappedLanes.built)
 
 
 def test_buchberger_trivial_examples():
@@ -325,6 +331,79 @@ def test_scheduled_census_basis_step_count_is_pinned(seed1):
         buchberger(affine, budget=3645, schedule=CENSUS_SCHEDULE)
 
 
+def _readme_work_table():
+    """The counters of the README table "Work at seed 1, p = 32003"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Work at seed 1, p = 32003", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+    return {cells[1].strip().strip("`"): int(cells[2].replace(",", "")) for cells in rows}
+
+
+def test_readme_work_table_matches_the_engine(seed1, monkeypatch, capsys):
+    # every counter of the README's work table, recomputed: a change that
+    # moves one fails here until the table says so
+    budgets, made, replayed = [], [], []
+
+    class RecordedBudget(_Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    class Counted(_Reducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.calls = self.zeros = 0
+            made.append(self)
+
+        def reduce_terms(self, pairs):
+            out = super().reduce_terms(pairs)
+            self.calls += 1
+            self.zeros += not out
+            return out
+
+    real_replay = groebner._replay
+
+    def replay(gens, schedule, packing, p, budget):
+        left = budget.left
+        found = real_replay(gens, schedule, packing, p, budget)
+        replayed.append(left - budget.left)
+        return found
+
+    monkeypatch.setattr(groebner, "_Budget", RecordedBudget)
+    monkeypatch.setattr(groebner, "_Reducer", Counted)
+    monkeypatch.setattr(groebner, "_replay", replay)
+    assert main(["verify", "--seed", "1"]) == 0
+    capsys.readouterr()
+    infinity, census, conics = (b.limit - b.left for b in budgets)
+    affine = census_affine_ideal(seed1)
+    made.clear()
+    gb = buchberger(affine, schedule=CENSUS_SCHEDULE)
+    # the replay's, the first inter-reduction's and the certifying
+    # completion's, which appends nothing: its inputs are the replayed
+    # basis, then the generators, then the pairs
+    replayer, _, completion = made
+    inputs = len(gb.basis) + len(affine)
+    assert completion.zeros == completion.calls - len(gb.basis)
+    made.clear()
+    budgets.clear()
+    buchberger(affine)
+    plain = made[0]
+    assert _readme_work_table() == {
+        "verify.steps": infinity + census + conics,
+        "infinity.steps": infinity,
+        "census.steps": census,
+        "conics.steps": conics,
+        "replay.steps": replayed[0],
+        "schedule.pairs": len(CENSUS_SCHEDULE),
+        "census.pairs": completion.calls - inputs,
+        "census.basis": len(gb.basis),
+        "census.lanes": len(replayer.universe),
+        "plain.steps": budgets[0].limit - budgets[0].left,
+        "plain.pairs": plain.calls - len(affine),
+        "plain.zero_pairs": plain.zeros,
+    }
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_census_schedule_is_the_plain_trace(seed, census_suite):
     # the committed schedule is what the plain completion reduces to
@@ -349,8 +428,8 @@ def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch,
     # charts and coincident leads make most replays stop early; then the
     # first of them and the random ideals at the prime, each replaying its
     # own trace: the basis is the plain one, also with no budget, and the
-    # replay's lane rows make the steps the dict reducer makes, from 64-bit
-    # lanes at p = 7 to 192-bit lanes just below 2^64
+    # lane rows make the steps the scanning oracle makes, from 64-bit lanes
+    # at p = 7 to 192-bit lanes just below 2^64
     calls = []
 
     def recording(gens, budget, schedule):
@@ -370,7 +449,7 @@ def test_schedule_never_changes_the_small_prime_census_bases(prime, monkeypatch,
         schedule = oracles.record_schedule(gens)
         assert buchberger(gens, None, schedule=schedule) == reference
         lanes = basis_and_steps(gens, monkeypatch, schedule)
-        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _LaneReducer=_Reducer)
+        assert lanes == basis_and_steps(gens, monkeypatch, schedule, _Reducer=oracles.HeapReducer)
         assert lanes[0] == reference
 
 
@@ -390,9 +469,10 @@ def test_a_stale_schedule_costs_time_not_correctness(seed1):
         assert buchberger(affine, schedule=schedule) == reference
 
 
-def basis_and_steps(gens, monkeypatch, schedule=(), **reducer_classes):
-    """buchberger's basis and step count with the engine's reducer classes
-    replaced as named, e.g. ``_Reducer=oracles.HeapReducer``."""
+def steps_of(run, monkeypatch, **reducer_classes):
+    """run()'s result and the reduction steps of its one budget, with the
+    engine's reducer class replaced as named, e.g.
+    ``_Reducer=oracles.HeapReducer``."""
     budgets = []
 
     class RecordedBudget(_Budget):
@@ -404,9 +484,14 @@ def basis_and_steps(gens, monkeypatch, schedule=(), **reducer_classes):
         for name, cls in reducer_classes.items():
             patch.setattr(groebner, name, cls)
         patch.setattr(groebner, "_Budget", RecordedBudget)
-        gb = buchberger(gens, schedule=schedule)
+        result = run()
     (budget,) = budgets
-    return gb, budget.limit - budget.left
+    return result, budget.limit - budget.left
+
+
+def basis_and_steps(gens, monkeypatch, schedule=(), **reducer_classes):
+    """buchberger's basis and step count, as ``steps_of`` gives them."""
+    return steps_of(lambda: buchberger(gens, schedule=schedule), monkeypatch, **reducer_classes)
 
 
 def test_memoised_reducer_matches_heap_oracle_in_buchberger(monkeypatch):
@@ -422,19 +507,24 @@ def test_memoised_reducer_matches_heap_oracle_in_buchberger(monkeypatch):
 
 def test_memoised_reducer_matches_heap_oracle_as_the_list_grows():
     # reducers are added one at a time and every reducer is reused across
-    # calls, so memo entries made before an add are consulted after it
+    # calls, so memo entries made before an add are consulted after it, by
+    # lane rows and, for an input past the cap, by the heap path alike
     rng = SplitMix64(60)
     for gens in small_ideals(61, 6) + mixed_degree_ideals(62, 6):
         nvars = gens[0].nvars
         packing = _packing(nvars)
+        top = next(d for d in range(60) if comb(d + nvars, nvars) > _LANE_CAP)
+        past = packing.pack((top,) + (0,) * (nvars - 1))
         memo = _Reducer(packing, P, _Budget(10 ** 6))
         scan = oracles.HeapReducer(packing, P, _Budget(10 ** 6))
         for g in gens + list(buchberger(gens).basis):
             items = encode(g.scale(fp_inv(g.packed[g.lead_key()], P)))
             memo.add(items)
             scan.add(items)
-            for _ in range(4):
+            for k in range(4):
                 f = encode(rand_poly(rng, nvars, maxdeg=4, terms=8))
+                if k == 3:
+                    f.append((past, 1))
                 assert memo.reduce_terms(f) == scan.reduce_terms(f)
                 assert memo.budget.left == scan.budget.left
 
@@ -679,6 +769,43 @@ def test_is_irrelevant_stops_with_the_answer_of_the_whole_basis(p):
                 assert answer == is_zero_dimensional(buchberger(gens))
                 answers.append(answer)
     assert answers.count(True) >= 10 and answers.count(False) >= 10
+
+
+@pytest.mark.parametrize("p, width", [(7, 64), (32003, 64), (2 ** 31 - 1, 128),
+                                      (2 ** 61 - 1, 192), (18446744073709551557, 192)])
+def test_is_irrelevant_on_lane_rows_matches_the_heap_oracle(p, width, monkeypatch, capsys):
+    # the infinity-check planes and the plane conics that verify hands over
+    # at seeds 1-3, and the homogeneous test ideals, on lane rows of every
+    # width: the answer and the steps of the scanning oracle
+    handed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(singular, "is_irrelevant",
+                      lambda gens, budget: handed.append(gens) or is_irrelevant(gens, budget))
+        for seed in (1, 2, 3):
+            assert main(["verify", "--prime", str(p), "--seed", str(seed),
+                         "--checks", "smoothness"]) == 0
+    capsys.readouterr()
+    assert len(handed) >= 6 and {len(gens) for gens in handed} == {4}
+    rng = SplitMix64(70)
+    ideals = handed + [random_forms(rng, nvars, count, p, planted)
+                       for nvars in (3, 4)
+                       for count, planted in [(nvars, False), (nvars, True), (nvars + 1, False)]]
+    ideals.append(oracles.symmetric_minors(gram_matrix(random_instance(p, 1)), 2))
+    widths = set()
+
+    class Lanes(_Reducer):
+        def _row(self, pairs, q=0):
+            widths.add(self.width)
+            return super()._row(pairs, q)
+
+    answers = []
+    for gens in ideals:
+        lanes = steps_of(lambda: is_irrelevant(gens), monkeypatch, _Reducer=Lanes)
+        assert lanes == steps_of(lambda: is_irrelevant(gens), monkeypatch,
+                                 _Reducer=oracles.HeapReducer)
+        answers.append(lanes[0])
+    assert widths == {width}
+    assert True in answers and False in answers
 
 
 def test_seed1_irrelevance_checks_take_pinned_steps(seed1):
