@@ -17,7 +17,7 @@ Gram matrix, the cubic and the strata all read them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations_with_replacement, islice
 from operator import mul
@@ -55,27 +55,25 @@ def _check_form_degree(f: MultiPoly, key: str, degree: int) -> MultiPoly:
     return f
 
 
-@dataclass(frozen=True)
-class CubicData:
+class CubicData(namedtuple("CubicData", "p entries seed")):
     """One instance: its ten distinct Gram entries, forms in F_p[Y0..Y3] in
     GRAM_FORMS order (A00 A01 A02 A11 A12 A22 B0 B1 B2 C), each zero or
     homogeneous of its key's degree, and the seed it was drawn from, if
-    any.  The Gram matrix is symmetric by construction (GRAM_INDEX)."""
+    any.  The Gram matrix is symmetric by construction (GRAM_INDEX).
 
-    p: int
-    entries: tuple
-    seed: int | None = None
+    No __slots__: the cached properties below live in the instance dict."""
 
-    def __post_init__(self):
-        ensure_field_prime(self.p)
-        if len(self.entries) != len(GRAM_FORMS):
+    def __new__(cls, p, entries, seed=None):
+        ensure_field_prime(p)
+        if len(entries) != len(GRAM_FORMS):
             raise ArityMismatch(f"an instance has {len(GRAM_FORMS)} Gram entries "
                                 f"({' '.join(k for k, _ in GRAM_FORMS)}), "
-                                f"got {len(self.entries)}")
-        for f, (key, degree) in zip(self.entries, GRAM_FORMS):
-            if f.nvars != 4 or f.p != self.p:
+                                f"got {len(entries)}")
+        for f, (key, degree) in zip(entries, GRAM_FORMS):
+            if f.nvars != 4 or f.p != p:
                 raise ArityMismatch(f"{key} must live in F_p[Y0..Y3]")
             _check_form_degree(f, key, degree)
+        return super().__new__(cls, p, entries, seed)
 
     @cached_property
     def _ambient(self) -> tuple:
@@ -179,14 +177,12 @@ def fiber_gram(d: CubicData, y):
             [a02, a12, a22, b2], [b0, b1, b2, c]]
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(namedtuple("SmoothnessReport",
+                                  "points_requested points_checked failures")):
     """Spot-check of nonsingularity at sampled rational points.  It passes
     only when every requested point was found and none is singular."""
 
-    points_requested: int
-    points_checked: int
-    failures: tuple
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
 from functools import cache
 
 from . import bundle, fibers, singular
@@ -61,18 +61,14 @@ def stage_seed(master: int, attempt: int, stage: str) -> int:
     return fnv1a64(f"{master}:{attempt}:{stage}".encode())
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = DEFAULT_SEED
-    instance_file: str | None = None
-    checks: tuple = CHECKS
-    retries: int = DEFAULT_RETRIES
-    budget: int = DEFAULT_BUDGET
-    sigma_points: tuple = ()
-    timings: bool = False
+class RunConfig(namedtuple("RunConfig", "prime seed instance_file checks retries budget "
+                                       "sigma_points timings",
+                           defaults=(DEFAULT_PRIME, DEFAULT_SEED, None, CHECKS,
+                                     DEFAULT_RETRIES, DEFAULT_BUDGET, (), False))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.instance_file is None:  # an instance file supplies its own field
             ensure_field_prime(self.prime)
         if self.retries < 0:
@@ -88,6 +84,7 @@ class RunConfig:
                 raise ConfigError(f"--checks names {c!r} twice")
         if self.sigma_points and "fibers" not in self.checks:
             raise ConfigError("--sigma-point needs the fibers check among --checks")
+        return self
 
 
 def _stringify(value):
@@ -174,7 +171,7 @@ def _blocked_section(reason: str) -> dict:
 
 def _flags_section(report) -> dict:
     """A strata report or smoothness certificate: its fields, then pass."""
-    return {**asdict(report), "pass": report.passed}
+    return {**report._asdict(), "pass": report.passed}
 
 
 def _fibers_section(d, strata, sigma_points) -> dict:
@@ -216,7 +213,7 @@ def run_verify_all(cfg: RunConfig):
     timings = dict.fromkeys(("instance", "census"), 0.0)
     d, census, history = _acquire_instance(cfg, timings)
 
-    config = asdict(cfg)
+    config = cfg._asdict()
     config["prime"] = d.p  # an instance file's own prime, not the --prime flag
     if cfg.instance_file is not None:  # the file's name, however the path is spelled
         config["instance_file"] = os.path.basename(cfg.instance_file)

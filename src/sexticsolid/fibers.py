@@ -26,7 +26,7 @@ after a fixed budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bundle import CubicData, _normalize_projective, fiber_gram, points_on_lines
 from .errors import SamplingExhausted, StratumViolation
@@ -54,22 +54,14 @@ DEGREE_PAIRING = 2
 DEGREE_SOURCE = "degree"
 
 
-@dataclass(frozen=True)
-class FiberSample:
-    """A normalized base point and the stratum it was drawn from; its Gram
-    rank is computed once, by fiber_rank_check."""
-
-    y: tuple
-    stratum: str
-
-
-@dataclass(frozen=True)
-class PairingCertificate:
-    y: tuple
-    pairing_h2: int    # computed: line against the fiber quadric
-    pairing_pl: int    # computed: line of the center plane against the conic
-    pairing_qpi: int   # recorded constant, see QPI_PAIRING
-    all_even: bool
+#: A normalized base point and the stratum it was drawn from; its Gram rank
+#: is computed once, by fiber_rank_check.
+FiberSample = namedtuple("FiberSample", "y stratum")
+#: pairing_h2 and pairing_pl are computed: a line against the fiber quadric,
+#: and a line of the center plane against the conic; pairing_qpi is the
+#: recorded constant QPI_PAIRING.
+PairingCertificate = namedtuple("PairingCertificate",
+                                "y pairing_h2 pairing_pl pairing_qpi all_even")
 
 
 def sample_off_delta(d: CubicData, delta: MultiPoly, seed: int, n: int):

@@ -18,12 +18,12 @@ check, plus one emptiness test of four plane conics (smoothness_certificate).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .bundle import GRAM_INDEX, CubicData, cubic_equation, discriminant, symmetric_matrix
 from .errors import CensusNotGeneric
 from .exactalg import SplitMix64, random_invertible
-from .groebner import (DEFAULT_BUDGET, GBasis, buchberger, is_irrelevant,
+from .groebner import (DEFAULT_BUDGET, buchberger, is_irrelevant,
                        is_zero_dimensional, normal_form, quotient_dim,
                        reducedness_certificate)
 from .multipoly import LinearChange, MultiPoly, mp_det
@@ -70,40 +70,35 @@ CENSUS_SCHEDULE = (
 )
 
 
-@dataclass(frozen=True)
-class SingularCensusReport:
-    zero_dimensional: bool
-    degree: int           # -1 when the staircase is not finite
-    reduced: str          # "certified" | "not_certified" | "failed"
-    points_at_infinity: bool
-    verdict: str
-    chart_change_seed: int
-    # not compared: the affine census basis (the double solid's too), the chart
-    # change and (node census) the moved sextic, its partials and their y0 = 1 parts
-    basis: GBasis | None = field(default=None, compare=False, repr=False)
-    moved_sextic: MultiPoly | None = field(default=None, compare=False, repr=False)
-    chart: LinearChange | None = field(default=None, compare=False, repr=False)
-    partials: tuple | None = field(default=None, compare=False, repr=False)
-    affine_partials: tuple | None = field(default=None, compare=False, repr=False)
+#: degree is -1 when the staircase is not finite; reduced is "certified",
+#: "not_certified" or "failed".  The last five fields are handed on, None
+#: unless given: the affine census basis (the double solid's too), the chart
+#: change and (node census) the moved sextic, its partials and their y0 = 1
+#: parts.
+SingularCensusReport = namedtuple(
+    "SingularCensusReport",
+    "zero_dimensional degree reduced points_at_infinity verdict chart_change_seed "
+    "basis moved_sextic chart partials affine_partials", defaults=(None,) * 5)
 
 
-@dataclass(frozen=True)
-class StrataReport:
-    rank2_equals_sigma: bool
-    rank1_empty: bool
-    delta_in_minor_ideal: bool   # exact membership, not merely radical
-    details: tuple               # ((label, bool), ...)
+class StrataReport(namedtuple("StrataReport", "rank2_equals_sigma rank1_empty "
+                                              "delta_in_minor_ideal details")):
+    """delta_in_minor_ideal is exact membership, not merely radical; details
+    is ((label, bool), ...)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.rank2_equals_sigma and self.rank1_empty and self.delta_in_minor_ideal
 
 
-@dataclass(frozen=True)
-class SmoothnessCertificate:
-    cubic_is_gram_form: bool   # F'(x, s y) = s (x, s) M(y) (x, s)^T
-    plane_smooth: bool         # condition (a): the conics x^T A_k x meet nowhere
-    strata_passed: bool
+class SmoothnessCertificate(namedtuple("SmoothnessCertificate",
+                                       "cubic_is_gram_form plane_smooth strata_passed")):
+    """cubic_is_gram_form: F'(x, s y) = s (x, s) M(y) (x, s)^T; plane_smooth:
+    condition (a), the conics x^T A_k x meet nowhere."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -200,7 +195,7 @@ def double_solid_census(census: SingularCensusReport) -> SingularCensusReport:
     if not all(normal_form(f, census.basis).is_zero()
                for f in (delta_aff,) + parts_aff[1:]):
         raise CensusNotGeneric("double-solid Tjurina ideal is not (w) + census ideal")
-    return replace(census, moved_sextic=None, partials=None, affine_partials=None)
+    return census._replace(moved_sextic=None, partials=None, affine_partials=None)
 
 
 def rank_stratum_ideal(M) -> tuple:

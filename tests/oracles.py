@@ -14,7 +14,8 @@ term-by-term expansion instead of a table of moved monomials, the full Jacobian 
 a corollary of the census, the double solid's equation in four variables
 instead of its check in the census ring).  ``record_schedule`` is no oracle
 but a recorder: it reads the trace of a Groebner completion back from the
-engine.  The schoolbook ``upoly_mul``, ``upoly_scale`` and ``upoly_eval``
+engine, and ``replace`` copies a record through its constructor.  The
+schoolbook ``upoly_mul``, ``upoly_scale`` and ``upoly_eval``
 build and evaluate test polynomials, and ``diagonal_instance`` is the
 degenerate reference instance; the library itself runs none of them.
 """
@@ -320,7 +321,14 @@ def mat_inverse(T, p):
     return [row[n:] for row in A]
 
 
-# -- instances ---------------------------------------------------------------
+# -- records and instances ---------------------------------------------------
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed, rebuilt through its
+    constructor, so that the copy passes the record's checks (a namedtuple's
+    own _replace skips them)."""
+    return type(record)(**{**record._asdict(), **changes})
+
 
 def diagonal_instance(p: int) -> CubicData:
     """The degenerate reference instance A = diag(Y0, Y1, Y2), B = 0, C = Y3^3."""

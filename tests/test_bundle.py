@@ -312,6 +312,11 @@ def test_cubic_data_validation():
         CubicData(P, good[:9])
     with pytest.raises(ArityMismatch, match="A00 A01 A02 A11 A12 A22 B0 B1 B2 C"):
         CubicData(P, good + (y0,))
+    d = CubicData(P, good)
+    with pytest.raises(ArityMismatch):  # a copy passes the same checks
+        oracles.replace(d, entries=d.entries[:9])
+    with pytest.raises(AttributeError):
+        d.entries = good[:9]
 
 
 def test_gram_layout_is_symmetric_and_degree_graded():

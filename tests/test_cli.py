@@ -1,7 +1,6 @@
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from sexticsolid.cli import (CERTIFICATES, CHECKS, RunConfig, fnv1a64, instance_
 from sexticsolid.errors import BadPrime, ConfigError, DegenerateDiscriminant, UnknownCheck
 from sexticsolid.exactalg import SplitMix64
 
+import oracles
 from oracles import diagonal_instance
 
 P = 32003
@@ -44,6 +44,8 @@ def test_config_validation():
         RunConfig(n_samples=5)  # verify draws no point, so nothing is sampled
     with pytest.raises(ConfigError):
         RunConfig(retries=-1)
+    with pytest.raises(ConfigError):  # a copy passes the same checks
+        oracles.replace(RunConfig(), retries=-1)
     with pytest.raises(UnknownCheck):
         RunConfig(checks=("nodes",))
     with pytest.raises(UnknownCheck):
@@ -273,7 +275,7 @@ def _scripted_attempts(monkeypatch, seed1, vanishing):
         if len(seeds) - 1 in vanishing:
             raise DegenerateDiscriminant("discriminant vanishes identically")
         if len(seeds) == 2:
-            return replace(seed1.census, verdict=singular.VERDICT_DEGENERATE, degree=30)
+            return oracles.replace(seed1.census, verdict=singular.VERDICT_DEGENERATE, degree=30)
         return seed1.census
 
     def discriminant(d):
@@ -391,7 +393,7 @@ def test_uncertified_census_downstream_exits_1(seed1, monkeypatch, capsys):
     # a census that reads generic but lacks its basis: the gated stage
     # refuses it, and the CLI reports that as a failed run
     monkeypatch.setattr(singular, "node_census",
-                        lambda *args, **kwargs: replace(seed1.census, basis=None))
+                        lambda *args, **kwargs: oracles.replace(seed1.census, basis=None))
     assert main(["verify", "--seed", "1", "--checks", "census,strata"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "strata check" in err
@@ -505,8 +507,8 @@ def test_verify_samples_flag_is_gone(capsys):
 
 
 def test_a_strata_failure_fails_the_sections_it_certifies(seed1, monkeypatch):
-    failed = replace(singular.strata_check(seed1.d, seed1.census),
-                     rank2_equals_sigma=False)
+    failed = oracles.replace(singular.strata_check(seed1.d, seed1.census),
+                             rank2_equals_sigma=False)
     calls = []
 
     def strata_check(*args):

@@ -15,8 +15,14 @@ use, so a route that only the tests reach fails.  A method that shares its
 name with a method of a builtin type (``encode``, ``add``) counts as named
 only where its own module names it, since elsewhere ``"x".encode()`` would
 pass for a call of it.
+
+Each verify is a fresh process, so the package's import is part of its
+cost: importing the CLI must not load ``dataclasses``, which brings
+``inspect`` with it and builds each record through ``exec``.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -148,3 +154,13 @@ def test_every_definition_is_referenced():
     # an allowlist entry that gained a caller, or lost its definition, goes
     assert sorted(name for name in UNREFERENCED_ALLOWED if name in unused) \
         == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # -S keeps the interpreter's site hooks, which may import dataclasses
+    # themselves, out of the child
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import sexticsolid.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -217,7 +216,8 @@ def test_strata_check_refuses_a_mutated_gram_entry(seed1):
     # the Gram matrix of another instance, against this census
     y0 = MultiPoly.variable(0, 4, P)
     d = seed1.d
-    mutated = replace(d, entries=d.entries[:6] + (d.entries[6] + y0 * y0,) + d.entries[7:])
+    mutated = oracles.replace(d, entries=d.entries[:6] + (d.entries[6] + y0 * y0,)
+                              + d.entries[7:])
     report = strata_check(mutated, seed1.census)
     assert not report.passed
     assert not report.rank2_equals_sigma and not report.delta_in_minor_ideal
@@ -271,7 +271,7 @@ def test_double_solid_basis_is_w_and_census_basis(seed, seed1):
                                     {"affine_partials": None}])
 def test_downstream_checks_refuse_an_uncertified_census(seed1, change):
     # the verdict still reads generic: the guards look past it
-    census = replace(seed1.census, **change)
+    census = oracles.replace(seed1.census, **change)
     assert census.verdict == "generic_31_nodes"
     with pytest.raises(CensusNotGeneric):
         strata_check(seed1.d, census)
@@ -331,17 +331,18 @@ def test_double_solid_census_checks_the_sextic_against_the_basis(seed1):
     moved = seed1.census.moved_sextic
     # not homogeneous of degree 6: the Euler identity fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
-        double_solid_census(replace(seed1.census, moved_sextic=moved + y1 ** 5))
+        double_solid_census(oracles.replace(seed1.census, moved_sextic=moved + y1 ** 5))
     # another sextic with its own partials: its Tjurina ideal is not (w) +
     # the census ideal
     other = moved + y1 ** 6
     partials = tuple(other.partial(i) for i in range(4))
     with pytest.raises(CensusNotGeneric, match="Tjurina"):
-        double_solid_census(replace(seed1.census, moved_sextic=other, partials=partials,
-                                    affine_partials=tuple(f.specialize(0, 1) for f in partials)))
+        double_solid_census(oracles.replace(
+            seed1.census, moved_sextic=other, partials=partials,
+            affine_partials=tuple(f.specialize(0, 1) for f in partials)))
     # the sextic and the partials the census handed on disagree: Euler fails
     with pytest.raises(CensusNotGeneric, match="Euler"):
-        double_solid_census(replace(seed1.census, moved_sextic=other))
+        double_solid_census(oracles.replace(seed1.census, moved_sextic=other))
 
 
 def test_double_solid_census_refuses_degenerate(seed1):
