@@ -12,8 +12,10 @@ in the seven coordinates (X0..X2, Y0..Y3) away from the plane
 M; det M, of degree 6, is the branch sextic of the associated double solid.
 An instance is stored as the ten distinct entries of M.  GRAM_FORMS (their
 keys and degrees, in instance-file order) and GRAM_INDEX (where each sits in
-M) are the one statement of this layout: drawing, parsing, printing, the
-Gram matrix, the cubic and the strata all read them.
+M) state this layout: drawing, parsing, printing, the Gram matrix, the cubic
+and the strata all read them.  fiber_gram alone mirrors its ten values
+through a hand-written 4x4 literal, for speed on the sampling route;
+test_fiber_gram_matches_entrywise_gram_matrix checks it against the layout.
 """
 from __future__ import annotations
 

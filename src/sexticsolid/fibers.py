@@ -7,22 +7,22 @@ corollaries of the strata check: off Delta, rank 4 iff delta(y) != 0
 (Laplace); on a smooth point, rank <= 2 would make adj M(y) = 0 and so every
 partial of delta vanish (Jacobi); at a node adj M vanishes (the census
 ideal holds its entries) and rank <= 1 is empty.  fiber_rank_check checks a
-given point.  Parity: a line meets the fiber quadric, and a line of the
-center plane the exceptional conic A(y), in 2 points by degree (a nonzero
-binary quadratic: _line_pairing), and off Delta neither form is zero
-(rank 4; A(y) = 0 would leave rank <= 2), so verify records DEGREE_PAIRING;
-the third generator pairs to 0, a push-pull identity recorded, not
-recomputed.  All are even, which obstructs a rational section.
+given point.  Parity: a line not inside the fiber quadric, or a line of
+the center plane not inside the exceptional conic A(y), meets it in 2
+points by degree, and such a line exists exactly when the form is nonzero
+(_degree_pairing); off Delta neither form is zero (rank 4; A(y) = 0 would
+leave rank <= 2), so verify records DEGREE_PAIRING; the third generator
+pairs to 0, a push-pull identity recorded, not recomputed.  All are even,
+which obstructs a rational section.
 
 The samplers and pairing_certificate serve only the tests and the
 benchmark, as an independent route to the same contracts.  Off the sextic
 points are drawn by rejection (uniform vectors until delta is nonzero); on
 it, bundle.points_on_lines meets seeded random lines with delta = 0 and
-keeps the points where some partial of delta is nonzero.  The pairings
-restrict the fiber quadric, or the conic in the top-left block of its Gram
-matrix, to lines drawn as two independent vectors from one seed.  Every
-sampler is a pure function of its seed and gives up with SamplingExhausted
-after a fixed budget.
+keeps the points where some partial of delta is nonzero.  Each sampler is
+a pure function of its seed and gives up with SamplingExhausted after a
+fixed budget.  pairing_certificate draws nothing: it reads both pairings
+off the fiber's Gram matrix, the conic as its top-left 3x3 block.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from collections import namedtuple
 
 from .bundle import CubicData, _normalize_projective, fiber_gram, points_on_lines
 from .errors import SamplingExhausted, StratumViolation
-from .exactalg import SplitMix64, independent_pair, matrix_rank
+from .exactalg import SplitMix64, matrix_rank
 from .multipoly import MultiPoly
 
 STRATUM_OFF_DELTA = "off_delta"
@@ -57,9 +57,9 @@ DEGREE_SOURCE = "degree"
 #: A normalized base point and the stratum it was drawn from; its Gram rank
 #: is computed once, by fiber_rank_check.
 FiberSample = namedtuple("FiberSample", "y stratum")
-#: pairing_h2 and pairing_pl are computed: a line against the fiber quadric,
-#: and a line of the center plane against the conic; pairing_qpi is the
-#: recorded constant QPI_PAIRING.
+#: pairing_h2 and pairing_pl are read off the Gram matrix: a line against the
+#: fiber quadric, and a line of the center plane against the conic;
+#: pairing_qpi is the recorded constant QPI_PAIRING.
 PairingCertificate = namedtuple("PairingCertificate",
                                 "y pairing_h2 pairing_pl pairing_qpi all_even")
 
@@ -132,43 +132,29 @@ def fiber_rank_check(d: CubicData, sample: FiberSample) -> int:
 # intersection numbers on a fiber
 # ---------------------------------------------------------------------------
 
-def quadratic_restriction(gram, u, v, p):
-    """Coefficients (a, b, c) of q(u + t v) = a t^2 + b t + c for the
-    quadratic form with the given Gram matrix."""
-    def apply(vec):
-        return [sum(row[k] * vec[k] for k in range(len(vec))) % p for row in gram]
-
-    gu = apply(u)
-    gv = apply(v)
-    c = sum(u[k] * gu[k] for k in range(len(u))) % p
-    a = sum(v[k] * gv[k] for k in range(len(v))) % p
-    b = 2 * sum(u[k] * gv[k] for k in range(len(u))) % p
-    return a, b, c
-
-
-def _line_pairing(gram, p: int, seed: int, what: str) -> int:
-    """Intersection multiplicity of a seeded random line with the quadric of
-    the given Gram matrix: DEGREE_PAIRING, once a line is not inside it (its
-    restriction is not identically zero), at most 256 lines in all."""
-    rng = SplitMix64(seed)
-    for _ in range(256):
-        u = tuple(rng.below(p) for _ in gram)
-        v = tuple(rng.below(p) for _ in gram)
-        if independent_pair(u, v, p) and any(quadratic_restriction(gram, u, v, p)):
-            return DEGREE_PAIRING
+def _degree_pairing(gram, what: str) -> int:
+    """The intersection number of a line with the quadric of a Gram matrix
+    G over F_p, p odd: DEGREE_PAIRING unless G = 0.  With p odd, the form
+    q(x) = x^T G x is zero exactly when G is.  A nonzero q has degree 2 < p,
+    so it is nonzero at some point u (Schwartz-Zippel), and for any v
+    independent of u it restricts to the line through u and v as
+    s^2 q(u) + 2 s t u^T G v + t^2 q(v), a nonzero binary quadratic: 2
+    points with multiplicity, by degree, with no root counted.  A zero G
+    holds every line, so none meets it properly."""
+    if any(map(any, gram)):
+        return DEGREE_PAIRING
     raise SamplingExhausted(f"no line met {what} properly")
 
 
 def pairing_certificate(d: CubicData, y, seed: int) -> PairingCertificate:
     """The parity certificate at one smooth fiber: the pairings with the
     fiber quadric and with the exceptional conic (the top-left 3x3 block of
-    its Gram matrix), and the recorded zero pairing; all must be even."""
-    rng = SplitMix64(seed)
-    s_h2 = rng.next_u64()
-    s_pl = rng.next_u64()
+    its Gram matrix), and the recorded zero pairing; all must be even.
+    Both computed pairings are read off the one Gram evaluation
+    (_degree_pairing), so nothing is drawn and seed is not read."""
     gram = fiber_gram(d, y)
-    h2 = _line_pairing(gram, d.p, s_h2, "the fiber quadric")
-    pl = _line_pairing([row[:3] for row in gram[:3]], d.p, s_pl, "the exceptional conic")
+    h2 = _degree_pairing(gram, "the fiber quadric")
+    pl = _degree_pairing([row[:3] for row in gram[:3]], "the exceptional conic")
     qpi = QPI_PAIRING
     all_even = h2 % 2 == 0 and pl % 2 == 0 and qpi % 2 == 0
     return PairingCertificate(y=tuple(y), pairing_h2=h2, pairing_pl=pl,

@@ -89,7 +89,7 @@ def test_c5_pairing_certificates(census_suite):
             if (cert.pairing_h2, cert.pairing_pl, cert.pairing_qpi) != (2, 2, 0) \
                     or not cert.all_even:
                 bad.append((e.seed, s.y))
-        # constancy over 20 independent line choices per fiber
+        # constancy over 20 seeds per fiber
         for i, s in enumerate(samples):
             certs = [fibers.pairing_certificate(e.d, s.y, 7_000_000 + 100 * i + t)
                      for t in range(20)]

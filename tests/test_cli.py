@@ -140,6 +140,9 @@ def test_verify_reports_are_byte_identical(tmp_path):
     (["--seed", "3"], "1ce712435945df38"),
     (["--prime", "19", "--seed", "3"], "992da86628034c6c"),
     (["--prime", "7", "--seed", "1"], "e47be5d39f18f18a"),
+    (["--seed", "5"], "a5f35efe90128b08"),
+    (["--checks", "census", "--prime", "7", "--seed", "2"], "3d42b837aced1c5f"),
+    (["--prime", "18446744073709551557", "--seed", "1"], "93cfa9069a5ab88c"),
 ])
 def test_verify_report_matches_its_golden_digest(argv, digest, capsys):
     # sha256 prefixes of the whole stdout report, pinned across changes

@@ -4,15 +4,14 @@ import sys
 
 import pytest
 
-from sexticsolid import bundle, multipoly
+from sexticsolid import bundle, fibers, multipoly
 from sexticsolid.bundle import (GRAM_FORMS, CubicData, discriminant, fiber_gram,
                                 random_instance)
 from sexticsolid.errors import SamplingExhausted, StratumViolation
 from sexticsolid.exactalg import matrix_rank
 from sexticsolid.fibers import (FiberSample, QPI_PAIRING, QPI_SOURCE,
                                 fiber_rank_check, pairing_certificate,
-                                quadratic_restriction, sample_off_delta,
-                                sample_on_delta, sigma_sample)
+                                sample_off_delta, sample_on_delta, sigma_sample)
 from sexticsolid.multipoly import MultiPoly
 
 from oracles import diagonal_instance
@@ -108,12 +107,6 @@ def test_sample_on_delta_exhausts_when_every_point_is_singular(seed1):
         sample_on_delta(seed1.d, y0 ** 6, seed=3, n=1)
 
 
-def test_conic_restriction_diagonal_example():
-    # identity conic, line X0 = 0: the restriction is X1^2 + X2^2
-    conic = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert quadratic_restriction(conic, (0, 1, 0), (0, 0, 1), P) == (1, 0, 1)
-
-
 def test_fiber_rank_check_raises_on_contradicted_tag(seed1):
     on = sample_on_delta(seed1.d, seed1.delta, seed=7, n=1)[0]
     lying = FiberSample(y=on.y, stratum="off_delta")
@@ -142,24 +135,9 @@ def test_sigma_sample_rejects_non_singular_points(seed1):
         sigma_sample(seed1.delta, on.y)
 
 
-def test_quadratic_restriction_diagonal_example():
-    gram = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    u = (1, 0, 0, 0)
-    v = (0, 1, 0, 0)
-    # q(u + t v) = 1 + t^2
-    assert quadratic_restriction(gram, u, v, P) == (1, 0, 1)
-
-
-def test_quadratic_restriction_detects_ruling_line():
-    gram = [[1, 0, 0, 0], [0, P - 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, P - 1]]
-    u = (1, 1, 0, 0)
-    v = (0, 0, 1, 1)
-    assert quadratic_restriction(gram, u, v, P) == (0, 0, 0)
-
-
 def test_line_quadric_pairing_on_split_quadric_survives_rulings():
-    # diag(1,-1,1,-1) carries lines; random lines avoid them and the
-    # pairing still computes 2
+    # diag(1,-1,1,-1) carries lines, but the form is nonzero, so a line
+    # not inside it exists and the pairing reads 2 whatever the seed
     y0 = MultiPoly.variable(0, 4, P)
     d = instance_of(A00=y0, A11=-y0, A22=y0, C=-(y0 ** 3))
     y = (1, 0, 0, 0)
@@ -167,6 +145,13 @@ def test_line_quadric_pairing_on_split_quadric_survives_rulings():
                                 [0, 0, 1, 0], [0, 0, 0, P - 1]]
     for seed in range(5):
         assert pairing_certificate(d, y, seed).pairing_h2 == 2
+    # a zero diagonal: both forms are 2*x0*x1, with no square term, and
+    # still nonzero
+    d = instance_of(A01=y0)
+    assert fiber_gram(d, y) == [[0, 1, 0, 0], [1, 0, 0, 0],
+                                [0, 0, 0, 0], [0, 0, 0, 0]]
+    cert = pairing_certificate(d, y, seed=1)
+    assert (cert.pairing_h2, cert.pairing_pl) == (2, 2)
 
 
 def test_line_quadric_pairing_exhausts_on_zero_quadric():
@@ -187,7 +172,8 @@ def test_conic_line_pairing_exhausts_on_zero_conic():
 
 
 def test_conic_line_pairing_rank1_double_line():
-    # conic X0^2 (rank 1): a generic line meets it in one double point
+    # conic X0^2 (rank 1): a line not inside it meets it in one double
+    # point, 2 by degree
     d = diagonal_instance(P)
     y = (1, 0, 0, 0)
     assert matrix_rank([[1, 0, 0], [0, 0, 0], [0, 0, 0]], P) == 1
@@ -209,12 +195,28 @@ def test_pairing_certificate_values_and_parity(seed1):
 
 
 def test_pairings_constant_across_20_line_choices(seed1):
+    # the pairings are read off the Gram matrix, so 20 seeds give one value
     y = sample_off_delta(seed1.d, seed1.delta, seed=11, n=1)[0].y
     certs = [pairing_certificate(seed1.d, y, seed) for seed in range(20)]
     h2 = {c.pairing_h2 for c in certs}
     pl = {c.pairing_pl for c in certs}
     assert h2 == {2}
     assert pl == {2}
+
+
+def test_pairing_certificate_draws_nothing(seed1, monkeypatch):
+    # both pairings come from the Gram matrix: building a generator fails
+    ys = [s.y for s in sample_off_delta(seed1.d, seed1.delta, seed=1, n=20)]
+
+    def no_draws(seed):
+        raise AssertionError("pairing_certificate drew a random line")
+
+    monkeypatch.setattr(fibers, "SplitMix64", no_draws)
+    for y in ys:
+        certs = [pairing_certificate(seed1.d, y, seed) for seed in range(5)]
+        assert (certs[0].pairing_h2, certs[0].pairing_pl, certs[0].pairing_qpi) == (2, 2, 0)
+        assert certs[0].all_even
+        assert certs == [certs[0]] * 5
 
 
 def test_sampling_is_deterministic(seed1):
